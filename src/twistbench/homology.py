@@ -33,6 +33,7 @@ from .intlin import (
     IntMatrix,
     IntVector,
     column,
+    freeze,
     from_columns,
     identity,
     is_antisymmetric,
@@ -41,10 +42,7 @@ from .intlin import (
     kernel_basis,
     mat_mul,
     mat_mul_many,
-    mat_neg,
-    mat_sub,
     mat_vec,
-    outer,
     right_inverse,
     smith_normal_form,
     transpose,
@@ -231,7 +229,8 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
         )
     projection = snf.U[snf.rank :]
     section_of_projection = tuple(row[snf.rank :] for row in snf.U_inv)
-    assert mat_mul(projection, section_of_projection) == identity(rank)
+    if mat_mul(projection, section_of_projection) != identity(rank):
+        raise AdmissibilityError("face quotient projection has no integer section")
 
     order = tuple(sys.curves)
     classes = from_columns(
@@ -284,16 +283,7 @@ def dehn_twist(model: HomologyModel, c: CurveId, sign: int = +1) -> MappingClass
     """Twist action on homology: ``x -> x - <x, c> c`` for ``sign=+1`` and
     its inverse for ``sign=-1``.  The direction convention is pinned by the
     pair identities T_a T_b(a) = -b, T_b T_a(b) = a for <a, b> = +1."""
-    if sign not in (+1, -1):
-        raise ValueError(f"twist sign must be ±1, got {sign}")
-    if c not in model.curve_index:
-        raise KeyError(f"unknown curve {c.label}")
-    v = model.curve_class(c)
-    jv = mat_vec(model.form, v)
-    rank_one = outer(v, jv)
-    base = identity(model.rank)
-    matrix = mat_sub(base, rank_one) if sign == +1 else mat_sub(base, mat_neg(rank_one))
-    return MappingClassMatrix(matrix, model.fingerprint, ((c, sign),))
+    return twist_word_matrix(model, ((c, sign),))
 
 
 def compose(ms) -> MappingClassMatrix:
@@ -314,17 +304,44 @@ def is_symplectic(m: MappingClassMatrix, model: HomologyModel) -> bool:
     )
 
 
+def _transvection(model: HomologyModel, c: CurveId, sign: int) -> tuple[tuple, tuple]:
+    """Sparse data of ``T_c^sign = I - sign * v (Jv)^T`` with ``v`` the class
+    of ``c``: the nonzero entries of ``v`` and of ``sign * Jv``."""
+    if sign not in (+1, -1):
+        raise ValueError(f"twist sign must be ±1, got {sign}")
+    if c not in model.curve_index:
+        raise KeyError(f"unknown curve {c.label}")
+    v = model.curve_class(c)
+    jv = mat_vec(model.form, v)
+    return (
+        tuple((j, x) for j, x in enumerate(v) if x),
+        tuple((k, sign * y) for k, y in enumerate(jv) if y),
+    )
+
+
 def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
     """Matrix of a twist word ``[l1, ..., lk]`` (the rightmost letter acts
-    first, matching the global composition convention)."""
-    out = identity(model.rank)
-    cache: dict[tuple[CurveId, int], IntMatrix] = {}
+    first, matching the global composition convention).
+
+    Each letter is a rank-one update of the running product,
+    ``M T_c^s = M - s (M v)(J v)^T``, applied row by row in place and
+    touching only the nonzero entries of ``v`` and ``J v``."""
     letters = tuple((c, s) for c, s in word)
-    for c, s in letters:
-        if (c, s) not in cache:
-            cache[(c, s)] = dehn_twist(model, c, s).matrix
-        out = mat_mul(out, cache[(c, s)])
-    return MappingClassMatrix(out, model.fingerprint, letters)
+    rows = [list(row) for row in identity(model.rank)]
+    cache: dict[tuple[CurveId, int], tuple] = {}
+    for letter in letters:
+        data = cache.get(letter)
+        if data is None:
+            data = cache[letter] = _transvection(model, *letter)
+        support, update = data
+        for row in rows:
+            t = 0
+            for j, x in support:
+                t += row[j] * x
+            if t:
+                for k, y in update:
+                    row[k] -= t * y
+    return MappingClassMatrix(freeze(rows), model.fingerprint, letters)
 
 
 #: the two curve-level descriptions of the gluing involution; both negate

@@ -20,12 +20,9 @@ __all__ = [
     "freeze",
     "dims",
     "identity",
-    "zeros",
     "transpose",
     "mat_mul",
     "mat_mul_many",
-    "mat_add",
-    "mat_sub",
     "mat_neg",
     "mat_vec",
     "outer",
@@ -58,11 +55,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def zeros(nrows: int, ncols: int) -> IntMatrix:
-    row = (0,) * ncols
-    return tuple(row for _ in range(nrows))
-
-
 def transpose(matrix: IntMatrix) -> IntMatrix:
     return tuple(zip(*matrix)) if matrix else ()
 
@@ -81,14 +73,6 @@ def mat_mul_many(first: IntMatrix, *rest: IntMatrix) -> IntMatrix:
     for m in rest:
         out = mat_mul(out, m)
     return out
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a: IntMatrix) -> IntMatrix:

@@ -1,8 +1,13 @@
 """Command surface: exit codes, determinism, file outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistbench
 from twistbench.cli import Check, VerificationReport, main, search_budget
 
 
@@ -70,15 +75,59 @@ class TestVerifyPsi:
         assert code == 1
         assert "reference-well-defined" in out
 
+    def test_form_breaking_signs_fail_not_crash(self, capsys):
+        # this involution is well defined but does not preserve the form
+        code, out = run(
+            capsys, "verify-psi", "--b", "2", "--sign-mode", "explicit:1,-1,1,-1"
+        )
+        assert code == 1
+        assert "reference-well-defined" in out
+        assert "does not preserve the form" in out
+
+    def test_largest_accepted_fibre_above_old_cap(self, capsys):
+        code, out = run(capsys, "verify-psi", "--b", "8")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_seed_echoed(self, capsys):
         _, out = run(capsys, "verify-psi", "--b", "2", "--format", "json", "--seed", "7")
         assert json.loads(out)["seed"] == 7
 
     def test_usage_errors(self):
         usage_error("verify-psi", "--b", "1")
+        usage_error("verify-psi", "--b", "13")
         usage_error("verify-psi", "--b", "2", "--sign-mode", "garbled")
         usage_error("verify-psi", "--b", "2", "--sign-mode", "explicit:1,1")
         usage_error("verify-psi")
+
+
+class TestOptimizedInterpreter:
+    """No check may live in an ``assert``: ``python -O`` must give the same
+    report and exit code as a normal run."""
+
+    @staticmethod
+    def cli(*flags_and_argv):
+        env = dict(os.environ)
+        src = str(Path(twistbench.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *flags_and_argv], capture_output=True, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-psi", "--b", "2"),
+            ("verify-psi", "--b", "2", "--sign-mode", "explicit:1,-1,1,-1"),
+        ],
+    )
+    def test_same_bytes_and_exit_code(self, argv):
+        normal = self.cli("-m", "twistbench.cli", *argv)
+        stripped = self.cli("-O", "-m", "twistbench.cli", *argv)
+        assert normal.returncode in (0, 1)
+        assert stripped.returncode == normal.returncode
+        assert stripped.stdout == normal.stdout
+        assert b"Traceback" not in stripped.stderr
 
 
 class TestAuroux:

@@ -4,9 +4,12 @@
 (genus/rank/admissibility table over all sixteen sign tuples) and by the
 two-curve twist identities checked by hand before freezing.
 """
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistbench.coxeter import psi_factorization
 from twistbench.homology import (
     AdmissibilityError,
     NotWellDefinedError,
@@ -18,7 +21,16 @@ from twistbench.homology import (
     reference_model,
     twist_word_matrix,
 )
-from twistbench.intlin import is_identity, is_unimodular, mat_mul, transpose
+from twistbench.intlin import (
+    identity,
+    is_identity,
+    is_unimodular,
+    mat_mul,
+    mat_neg,
+    mat_vec,
+    outer,
+    transpose,
+)
 from twistbench.surface import build_reference_configuration, curve, ribbon_from_system
 
 
@@ -163,3 +175,76 @@ class TestInvolution:
         model = homology_model(rg)
         with pytest.raises((NotWellDefinedError, AdmissibilityError)):
             psi_reference(model)
+
+
+# ---------------------------------------------------------------------------
+# the rank-one kernel against the dense product it replaced
+
+
+@lru_cache(maxsize=None)
+def cached_model(b):
+    return reference_model(b)
+
+
+def dense_twist(model, c, s):
+    """``identity - s * outer(v, Jv)`` as a full matrix."""
+    v = model.curve_class(c)
+    rank_one = outer(v, mat_vec(model.form, v))
+    if s == -1:
+        rank_one = mat_neg(rank_one)
+    return tuple(
+        tuple(x - y for x, y in zip(row, update))
+        for row, update in zip(identity(model.rank), rank_one)
+    )
+
+
+def dense_word_matrix(model, word):
+    out = identity(model.rank)
+    for c, s in word:
+        out = mat_mul(out, dense_twist(model, c, s))
+    return out
+
+
+@st.composite
+def models_and_words(draw):
+    model = cached_model(draw(st.sampled_from((2, 3, 4))))
+    letter = st.tuples(
+        st.integers(0, len(model.curve_order) - 1), st.sampled_from((1, -1))
+    )
+    chunks = draw(
+        st.lists(
+            st.one_of(
+                letter.map(lambda l: [l]),
+                letter.map(lambda l: [l, (l[0], -l[1])]),
+                st.tuples(letter, st.integers(2, 4)).map(lambda t: [t[0]] * t[1]),
+            ),
+            max_size=10,
+        )
+    )
+    word = tuple((model.curve_order[i], s) for chunk in chunks for i, s in chunk)
+    return model, word
+
+
+class TestTwistKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(models_and_words())
+    def test_matches_dense_product(self, model_and_word):
+        model, word = model_and_word
+        product = twist_word_matrix(model, word)
+        assert product.matrix == dense_word_matrix(model, word)
+        assert product.word == word
+
+    def test_single_letter_is_dense_twist(self, model2):
+        for c in model2.curve_order:
+            for s in (1, -1):
+                assert dehn_twist(model2, c, s).matrix == dense_twist(model2, c, s)
+
+    def test_bad_sign_rejected(self, model2):
+        with pytest.raises(ValueError):
+            twist_word_matrix(model2, ((curve("sigma"), 2),))
+
+    @pytest.mark.parametrize("b", range(2, 9))
+    def test_gluing_word_equals_reference(self, b):
+        model = cached_model(b)
+        product = twist_word_matrix(model, psi_factorization(b))
+        assert product.matrix == psi_reference(model).matrix
