@@ -15,35 +15,28 @@ a closed surface (the sphere relation) genuinely fails here.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .factorization import free_reduce, invert_plain_word
 from .laminations import LaminationCoords, halftwist_action, test_family
+from .words import Word, free_reduce, invert
 
 __all__ = [
     "BraidError",
     "braid_word",
     "exponent_sum",
-    "invert_braid",
     "lamination_act",
     "word_fingerprint",
     "braid_equal",
     "artin_image",
     "braid_equal_artin",
     "permutation_image",
-    "generation_check",
     "verify_manfredini",
     "sphere_relation_word",
 ]
-
-BraidWord = tuple  # of (index, ±1)
-
 
 class BraidError(ValueError):
     pass
 
 
-def braid_word(letters, n: int) -> BraidWord:
+def braid_word(letters, n: int) -> Word:
     word = tuple((int(i), int(s)) for i, s in letters)
     for i, s in word:
         if not 1 <= i <= n - 1:
@@ -55,10 +48,6 @@ def braid_word(letters, n: int) -> BraidWord:
 
 def exponent_sum(word) -> int:
     return sum(s for _, s in word)
-
-
-def invert_braid(word) -> BraidWord:
-    return invert_plain_word(word)
 
 
 def lamination_act(word, lam: LaminationCoords) -> LaminationCoords:
@@ -103,7 +92,7 @@ def _single_artin(i: int, s: int, n: int) -> dict:
 def _substitute(word, images: dict):
     out = []
     for j, s in word:
-        img = images[j] if s == 1 else invert_plain_word(images[j])
+        img = images[j] if s == 1 else invert(images[j])
         out.extend(img)
     return free_reduce(out)
 
@@ -136,73 +125,11 @@ def permutation_image(word, n: int) -> tuple:
     return tuple(perm[1:])
 
 
-def _orbits(perms: tuple, n: int) -> tuple:
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for k in range(1, n + 1):
-            a, b = find(k), find(p[k - 1])
-            if a != b:
-                parent[a] = b
-    groups: dict = {}
-    for k in range(1, n + 1):
-        groups.setdefault(find(k), []).append(k)
-    return tuple(tuple(g) for g in sorted(groups.values()))
-
-
-def generation_check(words, n: int) -> dict:
-    """Orbit structure of the permutation images, with a full-symmetric
-    verdict when decidable: a transitive group generated by
-    transpositions is the whole symmetric group."""
-    perms = tuple(permutation_image(w, n) for w in words)
-    orbits = _orbits(perms, n)
-    transitive = len(orbits) == 1
-    all_transpositions = all(
-        sum(1 for k in range(1, n + 1) if p[k - 1] != k) == 2 for p in perms
-    )
-    if all_transpositions:
-        symmetric = transitive
-    else:
-        symmetric = _closure_is_symmetric(perms, n)
-    return {
-        "orbits": orbits,
-        "transitive": transitive,
-        "symmetric": symmetric,
-    }
-
-
-def _closure_is_symmetric(perms: tuple, n: int, cap: int = 500000):
-    import math
-
-    target = math.factorial(n)
-    if target > cap:
-        return None  # undecided within budget
-    identity = tuple(range(1, n + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = tuple(p[g[k] - 1] for k in range(n))
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return len(seen) == target
-
-
 # ---------------------------------------------------------------------------
 # relation batteries
 
 
-def sphere_relation_word(n: int) -> BraidWord:
+def sphere_relation_word(n: int) -> Word:
     """sigma_1 .. sigma_{n-1} sigma_{n-1} .. sigma_1; trivial for braids
     on a sphere, nontrivial in this disk model."""
     ups = tuple((i, 1) for i in range(1, n))
@@ -223,10 +150,6 @@ def verify_manfredini(n: int, k: int) -> tuple:
     B = ((b, 1), (b, 1))
     C = ((c, 1),)
     has_a, has_c = a >= 1, c <= n - 1
-
-    def inv(w):
-        return invert_braid(w)
-
     results = []
 
     def check(name, available, w1, w2):
@@ -240,8 +163,8 @@ def verify_manfredini(n: int, k: int) -> tuple:
     check(
         "ABA^-1 commutes with CBC^-1",
         has_a and has_c,
-        A + B + inv(A) + C + B + inv(C),
-        C + B + inv(C) + A + B + inv(A),
+        A + B + invert(A) + C + B + invert(C),
+        C + B + invert(C) + A + B + invert(A),
     )
     check("AC=CA", has_a and has_c, A + C, C + A)
     check(

@@ -12,14 +12,12 @@ and stable exports.  Every command echoes its invocation in a
   is skipped because an index falls off the generator range), so CI can
   distinguish "unverified at this budget" from "contradicted".
 
-Outputs are deterministic given identical flags and seeds; the search
-budget for bounded searches can be overridden with the
-``TWISTBENCH_BUDGET`` environment variable.
+Outputs are deterministic given identical flags and seeds.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -72,8 +70,9 @@ from .serialize import (
     system_to_dot,
 )
 
-__all__ = ["Check", "VerificationReport", "main", "search_budget"]
+__all__ = ["Check", "VerificationReport", "main"]
 
+#: Node budget of bounded Hurwitz searches (acceptance criterion A9).
 DEFAULT_BUDGET = 20000
 
 #: Largest fibre ``verify-psi`` accepts.  The run is dominated by the
@@ -81,11 +80,6 @@ DEFAULT_BUDGET = 20000
 #: all cubic in the rank 8b-6; at b=12 (rank 90) the whole command takes
 #: about 1.7 s on a 2-core x86-64 machine, over half of it in the build.
 VERIFY_PSI_MAX_B = 12
-
-
-def search_budget() -> int:
-    """Bounded-search budget, overridable via TWISTBENCH_BUDGET."""
-    return int(os.environ.get("TWISTBENCH_BUDGET", DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -157,6 +151,16 @@ def _finish(report: VerificationReport, fmt: str, out: str | None) -> int:
     text = stable_json(report.to_dict()) if fmt == "json" else report.to_table()
     _emit(text, out)
     return report.exit_code
+
+
+def _read_json(parser, path: str):
+    """The JSON payload of an input file; an unreadable file is a usage
+    error, and malformed JSON a ValueError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        parser.error(f"cannot read {path}: {err.strerror or err}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +257,14 @@ def cmd_auroux(args, argv, parser) -> int:
     checks = []
     composition = _composition(args)
     model = reference_model(args.b)
-    fact = lifted_composition(args.b, composition, model=model)
-    cores = []
-    for c, _ in psi_factorization(args.b):
-        if c not in cores:
-            cores.append(c)
 
     if args.replay:
-        with open(args.replay) as fh:
-            import json
-
-            payload = json.load(fh)
-        composition = tuple(payload.get("composition", composition))
-        fact = lifted_composition(args.b, composition, model=model)
+        payload = _read_json(parser, args.replay)
         cert = certificate_from_dict(payload)
+        composition = payload.get("composition", list(composition))
+        if not isinstance(composition, list):
+            raise ValueError("key 'composition' must be a list of block labels")
+        fact = lifted_composition(args.b, tuple(composition), model=model)
         try:
             fronts = replay_certificate(fact, cert)
             checks.append(
@@ -283,6 +281,11 @@ def cmd_auroux(args, argv, parser) -> int:
         report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
         return _finish(report, args.format, args.out)
 
+    fact = lifted_composition(args.b, composition, model=model)
+    cores = []
+    for c, _ in psi_factorization(args.b):
+        if c not in cores:
+            cores.append(c)
     present = {t.core for t in fact.letters}
     missing = [c for c in cores if c not in present]
     if missing:
@@ -322,35 +325,17 @@ def cmd_auroux(args, argv, parser) -> int:
 
 
 # ---------------------------------------------------------------------------
-# export / monodromy emit
-
-
-def _monodromy_payload(b: int) -> dict:
-    m = 2 * b
-    return {
-        "b": b,
-        "strands": 2 * m,
-        "colouring": colouring_to_dict(default_colouring(m)),
-        "composition_default": list(default_composition(b)),
-        "blocks": blocks_to_dict({"X": x_block(m), "Y": y_block(m)}),
-    }
+# export config / monodromy emit
 
 
 def cmd_export(args, argv, parser) -> int:
-    if args.what == "config":
-        system = reference_model(args.b).system
-        if args.format == "dot":
-            _emit(system_to_dot(system), args.out)
-        elif args.format == "json":
-            _emit(stable_json(system_to_dict(system)), args.out)
-        else:
-            parser.error(f"export config supports json|dot, not {args.format!r}")
-    elif args.what == "monodromy":
-        if args.format not in ("json",):
-            parser.error(f"export monodromy supports json, not {args.format!r}")
-        _emit(stable_json(_monodromy_payload(args.b)), args.out)
+    system = reference_model(args.b).system
+    if args.format == "dot":
+        _emit(system_to_dot(system), args.out)
+    elif args.format == "json":
+        _emit(stable_json(system_to_dict(system)), args.out)
     else:
-        parser.error(f"unknown export target {args.what!r}")
+        parser.error(f"export config supports json|dot, not {args.format!r}")
     return 0
 
 
@@ -359,7 +344,15 @@ def cmd_monodromy(args, argv, parser) -> int:
         parser.error(f"unknown monodromy action {args.action!r}")
     if args.format != "json":
         parser.error(f"monodromy emit supports json, not {args.format!r}")
-    _emit(stable_json(_monodromy_payload(args.b)), args.out)
+    m = 2 * args.b
+    payload = {
+        "b": args.b,
+        "strands": 2 * m,
+        "colouring": colouring_to_dict(default_colouring(m)),
+        "composition_default": list(default_composition(args.b)),
+        "blocks": blocks_to_dict({"X": x_block(m), "Y": y_block(m)}),
+    }
+    _emit(stable_json(payload), args.out)
     return 0
 
 
@@ -485,8 +478,6 @@ def cmd_braid(args, argv, parser) -> int:
 
 
 def _parse_int_list(parser, text: str) -> list:
-    import json
-
     try:
         values = json.loads(text)
     except json.JSONDecodeError:
@@ -503,10 +494,7 @@ def _parse_int_list(parser, text: str) -> list:
 def cmd_hurwitz(args, argv, parser) -> int:
     if args.action != "replay":
         parser.error(f"unknown hurwitz action {args.action!r}")
-    import json
-
-    with open(args.file) as fh:
-        b, fact, script, expected = replay_file_from_dict(json.load(fh))
+    b, fact, script, expected = replay_file_from_dict(_read_json(parser, args.file))
     checks = []
     try:
         result = apply_script(fact, script)
@@ -555,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("export", help="stable JSON/DOT exports")
-    p.add_argument("what", choices=["config", "monodromy"])
+    p.add_argument("what", choices=["config"])
     p.add_argument("--b", type=int, required=True)
     _add_common(p)
 
@@ -609,9 +597,7 @@ def _validate(args, parser) -> None:
         for name in ("a", "b", "c"):
             if getattr(args, name) < 1:
                 parser.error(f"--{name} must be positive")
-    if getattr(args, "format", None) == "dot" and not (
-        args.command == "export" and args.what == "config"
-    ):
+    if getattr(args, "format", None) == "dot" and args.command != "export":
         parser.error("dot output is only available for 'export config'")
 
 

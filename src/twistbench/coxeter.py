@@ -14,6 +14,7 @@ orientation bookkeeping (the signs making consecutive chain intersections
 """
 from __future__ import annotations
 
+from . import words
 from .homology import HomologyModel, MappingClassMatrix, twist_word_matrix
 from .surface import (
     CurveId,
@@ -32,14 +33,10 @@ __all__ = [
     "coxeter",
     "coxeter_matrix",
     "chain_neighborhood_stats",
-    "invert_word",
     "psi_factor_chains",
     "psi_factorization",
     "verify_chain_action",
 ]
-
-TwistWord = tuple  # sequence of (CurveId, ±1)
-
 
 class ChainError(ValueError):
     def __init__(self, index: int, message: str):
@@ -88,7 +85,7 @@ def chain_signs(model: HomologyModel, chain) -> tuple[int, ...]:
     return tuple(eps)
 
 
-def coxeter(chain, power: int = 1) -> TwistWord:
+def coxeter(chain, power: int = 1) -> words.Word:
     """The Coxeter twist word of the chain, raised to ``power``."""
     chain = tuple(chain)
     if power == 0:
@@ -96,12 +93,8 @@ def coxeter(chain, power: int = 1) -> TwistWord:
     delta = tuple(
         (chain[j], +1) for k in range(1, len(chain) + 1) for j in range(k - 1, -1, -1)
     )
-    word = delta if power > 0 else invert_word(delta)
+    word = delta if power > 0 else words.invert(delta)
     return word * abs(power)
-
-
-def invert_word(word) -> TwistWord:
-    return tuple((c, -s) for c, s in reversed(tuple(word)))
 
 
 def coxeter_matrix(model: HomologyModel, chain, power: int = 1) -> MappingClassMatrix:
@@ -144,7 +137,7 @@ def psi_factor_chains(b: int) -> dict[str, tuple[CurveId, ...]]:
 PSI_FACTOR_POWERS = {"A1": 1, "A2": 1, "A3": 1, "A4": -2, "A5": -2, "A6": -1}
 
 
-def psi_factorization(b: int) -> TwistWord:
+def psi_factorization(b: int) -> words.Word:
     """Twist word of the six-factor product A6 A5 A4 A3 A2 A1, concatenated
     so that A1 acts first (rightmost)."""
     chains = psi_factor_chains(b)

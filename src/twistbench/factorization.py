@@ -21,16 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import words
 from .homology import HomologyModel, MappingClassMatrix, twist_word_matrix
-from .intlin import mat_mul
+from .words import Word
 
 __all__ = [
     "MoveError",
     "TwistLetter",
     "Factorization",
     "bare",
-    "free_reduce",
-    "invert_plain_word",
     "hurwitz_move",
     "inverse_op",
     "invert_script",
@@ -49,7 +48,6 @@ __all__ = [
     "greedy_match_script",
 ]
 
-Word = tuple  # of (core, ±1) pairs
 MoveOp = tuple  # ("right"|"left", index)
 
 
@@ -61,20 +59,6 @@ class MoveError(ValueError):
         super().__init__(f"script step {step}: {message}")
 
 
-def free_reduce(word: Iterable) -> Word:
-    out: list = []
-    for core, sign in word:
-        if out and out[-1][0] == core and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((core, sign))
-    return tuple(out)
-
-
-def invert_plain_word(word: Iterable) -> Word:
-    return tuple((c, -s) for c, s in reversed(tuple(word)))
-
-
 @dataclass(frozen=True)
 class TwistLetter:
     core: object
@@ -84,7 +68,7 @@ class TwistLetter:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1")
-        object.__setattr__(self, "conjugator", free_reduce(self.conjugator))
+        object.__setattr__(self, "conjugator", words.free_reduce(self.conjugator))
 
     @property
     def is_bare(self) -> bool:
@@ -92,11 +76,7 @@ class TwistLetter:
 
     def expansion(self) -> Word:
         """Plain twist word: inverse conjugator, core, conjugator."""
-        return (
-            invert_plain_word(self.conjugator)
-            + ((self.core, self.sign),)
-            + self.conjugator
-        )
+        return words.conjugate(((self.core, self.sign),), self.conjugator)
 
     def inverse(self) -> "TwistLetter":
         return TwistLetter(self.core, -self.sign, self.conjugator)
@@ -140,7 +120,7 @@ def hurwitz_move(fact: Factorization, index: int, direction: str = "right") -> F
     if direction == "right":
         pair = (b, a.conjugated(b.expansion()))
     elif direction == "left":
-        pair = (b.conjugated(invert_plain_word(a.expansion())), a)
+        pair = (b.conjugated(words.invert(a.expansion())), a)
     else:
         raise ValueError(f"unknown move direction {direction!r}")
     letters = fact.letters[:index] + pair + fact.letters[index + 2:]
@@ -181,7 +161,7 @@ def letter_matrix(model: HomologyModel, letter: TwistLetter):
 def product_matrix(model: HomologyModel, fact: Factorization) -> MappingClassMatrix:
     # reduce the concatenated expansions first: moves leave the reduced
     # word small even when individual conjugators have grown large
-    word = free_reduce(fact.word())
+    word = words.free_reduce(fact.word())
     return twist_word_matrix(model, word)
 
 
@@ -204,7 +184,7 @@ def strip_to_front(fact: Factorization, index: int) -> tuple[Factorization, tupl
     while index > 0:
         target = fact.letters[index]
         neighbour = fact.letters[index - 1]
-        stripped = target.conjugated(invert_plain_word(neighbour.expansion()))
+        stripped = target.conjugated(words.invert(neighbour.expansion()))
         if len(stripped.conjugator) < len(target.conjugator):
             op = ("left", index - 1)
         else:

@@ -75,10 +75,10 @@ def invariants(t: CoverType) -> SurfaceInvariants:
     genus of a fibre of the first ruling."""
     n, m = t.branch_degrees
     product = (n - 4) * (m - 4)
-    chi, rem = divmod(product + 4 * (t.a * t.b + t.c * t.d), 4)
-    assert rem == 0  # (n-4)(m-4) = 4(a+c-2)(b+d-2)
+    # the quarter-product formula ((n-4)(m-4) + 4(ab+cd)) / 4, divided
+    # out exactly: (n-4)(m-4) = 4(a+c-2)(b+d-2)
     return SurfaceInvariants(
-        chi=chi,
+        chi=(t.a + t.c - 2) * (t.b + t.d - 2) + t.a * t.b + t.c * t.d,
         K2=2 * product,
         divisibility=gcd(t.a + t.c - 2, t.b + t.d - 2),
         fibre_genus=2 * (t.b + t.d) - 3,

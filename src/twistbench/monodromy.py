@@ -46,9 +46,10 @@ from functools import lru_cache
 
 from .braids import braid_equal, braid_word
 from .braids import permutation_image as strand_permutation
-from .factorization import Factorization, TwistLetter, bare, invert_plain_word
+from .factorization import Factorization, TwistLetter, bare
 from .homology import HomologyModel, reference_model
 from .surface import curve
+from .words import conjugate
 
 __all__ = [
     "MonodromyError",
@@ -185,8 +186,7 @@ class BicolouredLetter:
         return self.strands // 2
 
     def braid_word(self) -> tuple:
-        core = ((self.core, self.sign),) * self.power
-        return invert_plain_word(self.conjugator) + core + self.conjugator
+        return conjugate(((self.core, self.sign),) * self.power, self.conjugator)
 
     def label(self) -> str:
         exponent = self.power * self.sign

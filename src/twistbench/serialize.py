@@ -42,6 +42,37 @@ __all__ = [
 ]
 
 
+def _field(item, key: str, kind: type):
+    """``item[key]``, checked to be a ``kind``; a missing or ill-typed key
+    is a ValueError naming it."""
+    if not isinstance(item, dict):
+        raise ValueError(f"expected an object with key {key!r}, got {type(item).__name__}")
+    if key not in item:
+        raise ValueError(f"missing key {key!r}")
+    value = item[key]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"key {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _pairs(items, key: str, first: type, second: type):
+    """The ``key`` array, checked to hold ``[first, second]`` pairs."""
+    for pair in items:
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and isinstance(pair[0], first)
+            and isinstance(pair[1], second)
+        ):
+            raise ValueError(
+                f"key {key!r} must hold [{first.__name__}, {second.__name__}] "
+                f"pairs, got {pair!r}"
+            )
+    return items
+
+
 def stable_json(payload) -> str:
     """Canonical JSON text: sorted keys, fixed separators, newline end."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -117,10 +148,10 @@ def twist_word_to_json(word) -> list:
 def twist_word_from_json(items) -> tuple:
     word = []
     for item in items:
-        sign = int(item["sign"])
+        sign = _field(item, "sign", int)
         if sign not in (1, -1):
-            raise ValueError(f"bad twist sign {item['sign']!r}")
-        word.append((parse_curve(item["curve"]), sign))
+            raise ValueError(f"bad twist sign {sign!r}")
+        word.append((parse_curve(_field(item, "curve", str)), sign))
     return tuple(word)
 
 
@@ -143,9 +174,12 @@ def letter_to_dict(letter: TwistLetter) -> dict:
 
 def letter_from_dict(item: dict) -> TwistLetter:
     return TwistLetter(
-        parse_curve(item["core"]),
-        int(item["sign"]),
-        tuple((parse_curve(c), int(s)) for c, s in item["conjugator"]),
+        parse_curve(_field(item, "core", str)),
+        _field(item, "sign", int),
+        tuple(
+            (parse_curve(c), s)
+            for c, s in _pairs(_field(item, "conjugator", list), "conjugator", str, int)
+        ),
     )
 
 
@@ -154,7 +188,7 @@ def factorization_to_dict(fact: Factorization) -> dict:
 
 
 def factorization_from_dict(item: dict) -> Factorization:
-    return Factorization(tuple(letter_from_dict(t) for t in item["letters"]))
+    return Factorization(tuple(letter_from_dict(t) for t in _field(item, "letters", list)))
 
 
 def script_to_json(script) -> list:
@@ -163,10 +197,10 @@ def script_to_json(script) -> list:
 
 def script_from_json(items) -> tuple:
     script = []
-    for direction, index in items:
+    for direction, index in _pairs(items, "script", str, int):
         if direction not in ("left", "right"):
             raise ValueError(f"bad move direction {direction!r}")
-        script.append((direction, int(index)))
+        script.append((direction, index))
     return tuple(script)
 
 
@@ -238,17 +272,17 @@ def certificate_to_dict(cert: AurouxCertificate, **context) -> dict:
 
 def certificate_from_dict(item: dict) -> AurouxCertificate:
     return AurouxCertificate(
-        base_cores=tuple(parse_curve(c) for c in item["base_cores"]),
+        base_cores=tuple(parse_curve(c) for c in _field(item, "base_cores", list)),
         steps=tuple(
             AurouxStep(
-                core=parse_curve(step["core"]),
-                sign=int(step["sign"]),
-                source_index=int(step["source_index"]),
-                script=script_from_json(step["script"]),
-                front_letter=letter_from_dict(step["front_letter"]),
-                stripped_bare=bool(step["stripped_bare"]),
+                core=parse_curve(_field(step, "core", str)),
+                sign=_field(step, "sign", int),
+                source_index=_field(step, "source_index", int),
+                script=script_from_json(_field(step, "script", list)),
+                front_letter=letter_from_dict(_field(step, "front_letter", dict)),
+                stripped_bare=_field(step, "stripped_bare", bool),
             )
-            for step in item["steps"]
+            for step in _field(item, "steps", list)
         ),
     )
 
@@ -264,8 +298,8 @@ def replay_file_to_dict(b: int, fact: Factorization, script, result: Factorizati
 
 def replay_file_from_dict(item: dict) -> tuple:
     return (
-        int(item["b"]),
-        factorization_from_dict(item["factorization"]),
-        script_from_json(item["script"]),
-        factorization_from_dict(item["result"]),
+        _field(item, "b", int),
+        factorization_from_dict(_field(item, "factorization", dict)),
+        script_from_json(_field(item, "script", list)),
+        factorization_from_dict(_field(item, "result", dict)),
     )

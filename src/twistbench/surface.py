@@ -83,6 +83,8 @@ def curve(family: str, index: int = 0) -> CurveId:
 
 
 def parse_curve(label: str) -> CurveId:
+    if not isinstance(label, str):
+        raise ConfigurationError(f"cannot parse curve label {label!r}")
     if label == "sigma":
         return CurveId("sigma", 0)
     family, _, idx = label.partition("_")

@@ -5,13 +5,12 @@ randomized parts use fixed seeds.  Bounded searches may honestly report
 "inconclusive" (and say so), but equality-of-matrices claims are hard
 assertions and must never be weakened.
 """
-import os
 import random
 import time
 
 from twistbench.braids import braid_equal, verify_manfredini
 from twistbench.canonical import sigma_sign_search
-from twistbench.cli import main
+from twistbench.cli import DEFAULT_BUDGET, main
 from twistbench.coxeter import (
     chain_neighborhood_stats,
     psi_factor_chains,
@@ -248,7 +247,7 @@ def test_A9_block_normal_form():
     out = apply_script(start, script)
     assert [key(t) for t in out.letters] == [key(t) for t in goal.letters]
 
-    budget = int(os.environ.get("TWISTBENCH_BUDGET", 20000))
+    budget = DEFAULT_BUDGET
     bfs = hurwitz_search(start, goal, key, max_depth=6, budget=budget)
     if bfs is None:
         exhibit = f"normalizer script of 24 moves; breadth-first inconclusive at budget {budget}"

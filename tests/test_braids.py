@@ -3,8 +3,8 @@ cross-check, and the relation batteries.
 
 The equality decision procedure is exercised against the defining
 relations on up to seven strands and against the independent free-group
-route on random words; the orbit tables and relation-status tuples were
-computed once and frozen [DERIVED].
+route on random words; the relation-status tuples were computed once and
+frozen [DERIVED].
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +16,6 @@ from twistbench.braids import (
     braid_equal_artin,
     braid_word,
     exponent_sum,
-    generation_check,
-    invert_braid,
     lamination_act,
     permutation_image,
     sphere_relation_word,
@@ -26,6 +24,7 @@ from twistbench.braids import (
 )
 from twistbench.laminations import round_curve
 from twistbench.laminations import test_family as probe_family
+from twistbench.words import invert
 
 
 def words(n, max_size=6):
@@ -46,9 +45,6 @@ class TestWords:
 
     def test_exponent_sum(self):
         assert exponent_sum(((1, 1), (2, -1), (1, 1))) == 1
-
-    def test_invert(self):
-        assert invert_braid(((1, 1), (2, -1))) == ((2, 1), (1, -1))
 
     def test_action_order_is_rightmost_first(self):
         from twistbench.laminations import halftwist_action
@@ -91,7 +87,7 @@ class TestRelations:
     @settings(max_examples=60, deadline=None)
     def test_word_times_inverse_is_trivial(self, n, data):
         w = data.draw(words(n))
-        assert braid_equal(w + invert_braid(w), (), n)
+        assert braid_equal(w + invert(w), (), n)
 
 
 class TestFreeGroupRoute:
@@ -126,33 +122,6 @@ class TestPermutations:
 
     def test_sign_is_ignored(self):
         assert permutation_image(((1, -1),), 3) == permutation_image(((1, 1),), 3)
-
-
-class TestGeneration:
-    def test_adjacent_transpositions_generate(self):
-        report = generation_check([((i, 1),) for i in range(1, 4)], 4)
-        assert report == {
-            "orbits": ((1, 2, 3, 4),),
-            "transitive": True,
-            "symmetric": True,
-        }
-
-    def test_single_transposition_orbits(self):
-        report = generation_check([((1, 1),)], 4)
-        assert report == {
-            "orbits": ((1, 2), (3,), (4,)),
-            "transitive": False,
-            "symmetric": False,
-        }
-
-    def test_closure_route_for_non_transpositions(self):
-        # a 4-cycle plus a transposition: decided by enumerating the closure
-        report = generation_check([((1, 1), (2, 1), (3, 1)), ((1, 1),)], 4)
-        assert report["transitive"] and report["symmetric"] is True
-
-    def test_closure_budget_returns_undecided(self):
-        report = generation_check([((1, 1), (2, 1)), ((3, 1),)], 10)
-        assert report["symmetric"] is None
 
 
 class TestRelationBattery:

@@ -18,10 +18,8 @@ from twistbench.factorization import (
     auroux_certificate,
     bare,
     fiber_sum,
-    free_reduce,
     hurwitz_move,
     hurwitz_search,
-    invert_plain_word,
     invert_script,
     letter_matrix,
     product_matrix,
@@ -32,6 +30,7 @@ from twistbench.factorization import (
 )
 from twistbench.homology import reference_model
 from twistbench.intlin import is_identity, mat_mul
+from twistbench.words import free_reduce
 
 
 @pytest.fixture(scope="module")
@@ -54,21 +53,6 @@ letters_st = st.builds(
 fact_st = st.lists(letters_st, min_size=2, max_size=6).map(
     lambda ls: Factorization(tuple(ls))
 )
-
-
-class TestWords:
-    def test_free_reduce_cancels(self):
-        word = (("a", 1), ("b", 1), ("b", -1), ("a", -1), ("c", 1))
-        assert free_reduce(word) == (("c", 1),)
-
-    @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=12))
-    def test_free_reduce_idempotent(self, word):
-        once = free_reduce(word)
-        assert free_reduce(once) == once
-
-    @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=8))
-    def test_word_times_inverse_reduces_to_nothing(self, word):
-        assert free_reduce(tuple(word) + invert_plain_word(word)) == ()
 
 
 class TestLetters:
