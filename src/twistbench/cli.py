@@ -332,18 +332,14 @@ def cmd_export(args, argv, parser) -> int:
     system = reference_model(args.b).system
     if args.format == "dot":
         _emit(system_to_dot(system), args.out)
-    elif args.format == "json":
-        _emit(stable_json(system_to_dict(system)), args.out)
     else:
-        parser.error(f"export config supports json|dot, not {args.format!r}")
+        _emit(stable_json(system_to_dict(system)), args.out)
     return 0
 
 
 def cmd_monodromy(args, argv, parser) -> int:
     if args.action != "emit":
         parser.error(f"unknown monodromy action {args.action!r}")
-    if args.format != "json":
-        parser.error(f"monodromy emit supports json, not {args.format!r}")
     m = 2 * args.b
     payload = {
         "b": args.b,
@@ -517,8 +513,10 @@ def cmd_hurwitz(args, argv, parser) -> int:
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--format", default="table", choices=["json", "table", "dot"])
+def _add_common(sub, formats=("table", "json")):
+    """``--format`` (the first of ``formats`` is the default), ``--out``
+    and ``--seed``."""
+    sub.add_argument("--format", default=formats[0], choices=formats)
     sub.add_argument("--out", default=None, help="write output to a file")
     sub.add_argument("--seed", type=int, default=0, help="search seed echoed in reports")
 
@@ -545,12 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("export", help="stable JSON/DOT exports")
     p.add_argument("what", choices=["config"])
     p.add_argument("--b", type=int, required=True)
-    _add_common(p)
+    _add_common(p, ("json", "dot"))
 
     p = subs.add_parser("monodromy", help="monodromy block emission")
     p.add_argument("action", choices=["emit"])
     p.add_argument("--b", type=int, required=True)
-    _add_common(p)
+    _add_common(p, ("json",))
 
     p = subs.add_parser("invariants", help="numerical invariants and families")
     p.add_argument("--a", type=int, required=True)
@@ -597,8 +595,6 @@ def _validate(args, parser) -> None:
         for name in ("a", "b", "c"):
             if getattr(args, name) < 1:
                 parser.error(f"--{name} must be positive")
-    if getattr(args, "format", None) == "dot" and args.command != "export":
-        parser.error("dot output is only available for 'export config'")
 
 
 DISPATCH = {

@@ -1,10 +1,13 @@
 """Factorizations into conjugated twists and their elementary moves.
 
 A letter is a conjugate ``(core^sign)_w = w^{-1} T_core^sign w`` of a
-single twist, stored as (core, sign, conjugator word); conjugators are
-kept freely reduced.  A factorization is a sequence of letters whose
-product is read left to right with the rightmost letter acting first,
-matching twist-word composition.
+single twist, stored as (core, sign, conjugator word).  Reduced words
+in, reduced words out: the constructor freely reduces outside input once,
+and moves, conjugates and products only join reduced words, cancelling
+where they meet (``words.join``, ``words.join_conjugate``).  A
+factorization is a sequence of letters whose product is read left to
+right with the rightmost letter acting first, matching twist-word
+composition.
 
 The two elementary moves swap adjacent letters without changing the
 product:
@@ -61,6 +64,10 @@ class MoveError(ValueError):
 
 @dataclass(frozen=True)
 class TwistLetter:
+    """``(core^sign)_conjugator``.  The constructor freely reduces the
+    conjugator; every letter derived from reduced letters (moves,
+    inverses, conjugates) joins reduced words and skips that pass."""
+
     core: object
     sign: int
     conjugator: Word = ()
@@ -70,6 +77,15 @@ class TwistLetter:
             raise ValueError("letter sign must be +1 or -1")
         object.__setattr__(self, "conjugator", words.free_reduce(self.conjugator))
 
+    @classmethod
+    def _reduced(cls, core, sign: int, conjugator: Word) -> "TwistLetter":
+        """A letter over a conjugator that is already freely reduced."""
+        letter = object.__new__(cls)
+        object.__setattr__(letter, "core", core)
+        object.__setattr__(letter, "sign", sign)
+        object.__setattr__(letter, "conjugator", conjugator)
+        return letter
+
     @property
     def is_bare(self) -> bool:
         return not self.conjugator
@@ -78,11 +94,16 @@ class TwistLetter:
         """Plain twist word: inverse conjugator, core, conjugator."""
         return words.conjugate(((self.core, self.sign),), self.conjugator)
 
+    def reduced_expansion(self) -> Word:
+        """The expansion, freely reduced."""
+        return words.join_conjugate((), (self.core, self.sign), self.conjugator)
+
     def inverse(self) -> "TwistLetter":
-        return TwistLetter(self.core, -self.sign, self.conjugator)
+        return TwistLetter._reduced(self.core, -self.sign, self.conjugator)
 
     def conjugated(self, by: Iterable) -> "TwistLetter":
-        return TwistLetter(self.core, self.sign, self.conjugator + tuple(by))
+        conjugator = words.join(self.conjugator, words.free_reduce(by))
+        return TwistLetter._reduced(self.core, self.sign, conjugator)
 
 
 def bare(core, sign: int = 1) -> TwistLetter:
@@ -118,9 +139,11 @@ def hurwitz_move(fact: Factorization, index: int, direction: str = "right") -> F
         raise IndexError(f"move index {index} out of range for {len(fact)} letters")
     a, b = fact.letters[index], fact.letters[index + 1]
     if direction == "right":
-        pair = (b, a.conjugated(b.expansion()))
+        conjugator = words.join_conjugate(a.conjugator, (b.core, b.sign), b.conjugator)
+        pair = (b, TwistLetter._reduced(a.core, a.sign, conjugator))
     elif direction == "left":
-        pair = (b.conjugated(words.invert(a.expansion())), a)
+        conjugator = words.join_conjugate(b.conjugator, (a.core, -a.sign), a.conjugator)
+        pair = (TwistLetter._reduced(b.core, b.sign, conjugator), a)
     else:
         raise ValueError(f"unknown move direction {direction!r}")
     letters = fact.letters[:index] + pair + fact.letters[index + 2:]
@@ -146,22 +169,20 @@ def apply_script(fact: Factorization, script: Sequence) -> Factorization:
     return fact
 
 
-_letter_matrix_cache: dict = {}
-
-
 def letter_matrix(model: HomologyModel, letter: TwistLetter):
-    key = (model.fingerprint, letter)
-    hit = _letter_matrix_cache.get(key)
+    cache = model.letter_matrices
+    hit = cache.get(letter)
     if hit is None:
-        hit = twist_word_matrix(model, letter.expansion()).matrix
-        _letter_matrix_cache[key] = hit
+        hit = cache[letter] = twist_word_matrix(model, letter.reduced_expansion()).matrix
     return hit
 
 
 def product_matrix(model: HomologyModel, fact: Factorization) -> MappingClassMatrix:
-    # reduce the concatenated expansions first: moves leave the reduced
-    # word small even when individual conjugators have grown large
-    word = words.free_reduce(fact.word())
+    # join the reduced expansions: moves leave the reduced word small
+    # even when individual conjugators have grown large
+    word = ()
+    for t in fact.letters:
+        word = words.join_conjugate(word, (t.core, t.sign), t.conjugator)
     return twist_word_matrix(model, word)
 
 
@@ -184,8 +205,10 @@ def strip_to_front(fact: Factorization, index: int) -> tuple[Factorization, tupl
     while index > 0:
         target = fact.letters[index]
         neighbour = fact.letters[index - 1]
-        stripped = target.conjugated(words.invert(neighbour.expansion()))
-        if len(stripped.conjugator) < len(target.conjugator):
+        stripped = words.join_conjugate(
+            target.conjugator, (neighbour.core, -neighbour.sign), neighbour.conjugator
+        )
+        if len(stripped) < len(target.conjugator):
             op = ("left", index - 1)
         else:
             op = ("right", index - 1)

@@ -154,6 +154,12 @@ class HomologyModel:
         return {c: i for i, c in enumerate(self.curve_order)}
 
     @cached_property
+    def letter_matrices(self) -> dict:
+        """Matrices of conjugated twist letters on this model, filled by
+        ``factorization.letter_matrix``; it lives as long as the model."""
+        return {}
+
+    @cached_property
     def fingerprint(self) -> str:
         payload = json.dumps(
             {

@@ -209,6 +209,16 @@ class TestExports:
     def test_dot_restricted(self):
         usage_error("monodromy", "emit", "--b", "2", "--format", "dot")
         usage_error("verify-psi", "--b", "2", "--format", "dot")
+        usage_error("monodromy", "emit", "--b", "2", "--format", "table")
+        usage_error("export", "config", "--b", "2", "--format", "table")
+
+    @pytest.mark.parametrize(
+        "argv", [("export", "config", "--b", "2"), ("monodromy", "emit", "--b", "2")]
+    )
+    def test_default_format_is_json(self, capsys, argv):
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        assert default == run(capsys, *argv, "--format", "json")
 
 
 class TestInvariants:

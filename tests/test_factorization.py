@@ -2,8 +2,12 @@
 
 The planted strip script and the small move identities were worked out
 by hand on two- and five-letter factorizations before being frozen
-[DERIVED]; everything else is property-based.
+[DERIVED]; everything else is property-based.  Moves, conjugates and
+products join reduced words at the seam; they are checked against the
+slow path that free-reduces the whole concatenation, and the conjugator
+lengths and digest of one growth script are pinned from that slow path.
 """
+import hashlib
 import random
 
 import pytest
@@ -28,9 +32,9 @@ from twistbench.factorization import (
     strip_to_front,
     twisted_fiber_sum,
 )
-from twistbench.homology import reference_model
+from twistbench.homology import reference_model, twist_word_matrix
 from twistbench.intlin import is_identity, mat_mul
-from twistbench.words import free_reduce
+from twistbench.words import free_reduce, invert
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,32 @@ fact_st = st.lists(letters_st, min_size=2, max_size=6).map(
 )
 
 
+def scripts(data, fact, max_moves):
+    return tuple(
+        (data.draw(st.sampled_from(("right", "left"))), data.draw(st.integers(0, len(fact) - 2)))
+        for _ in range(data.draw(st.integers(0, max_moves)))
+    )
+
+
+def slow_move(fact, index, direction):
+    """Reference move: conjugate by the whole unreduced expansion and let
+    the constructor free-reduce the full concatenation."""
+    a, b = fact.letters[index], fact.letters[index + 1]
+    if direction == "right":
+        pair = (b, TwistLetter(a.core, a.sign, a.conjugator + b.expansion()))
+    else:
+        pair = (TwistLetter(b.core, b.sign, b.conjugator + invert(a.expansion())), a)
+    return Factorization(fact.letters[:index] + pair + fact.letters[index + 2:])
+
+
+def random_fact(rng, curves, size):
+    return Factorization(tuple(
+        TwistLetter(rng.choice(curves), rng.choice((1, -1)),
+                    tuple((rng.choice(curves), rng.choice((1, -1)))
+                          for _ in range(rng.randrange(4))))
+        for _ in range(size)))
+
+
 class TestLetters:
     def test_expansion_shape(self):
         t = TwistLetter("c", -1, (("a", 1), ("b", -1)))
@@ -74,6 +104,15 @@ class TestLetters:
         t = TwistLetter("c", 1, (("a", 1),))
         assert t.inverse().sign == -1
         assert t.inverse().conjugator == t.conjugator
+
+    @given(letters_st, st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from((1, -1))), max_size=6))
+    def test_conjugated_matches_full_reduction(self, t, by):
+        assert t.conjugated(by) == TwistLetter(t.core, t.sign, t.conjugator + tuple(by))
+        assert t.inverse() == TwistLetter(t.core, -t.sign, t.conjugator)
+
+    @given(letters_st)
+    def test_reduced_expansion(self, t):
+        assert t.reduced_expansion() == free_reduce(t.expansion())
 
 
 class TestMoves:
@@ -115,13 +154,19 @@ class TestMoves:
             fact = hurwitz_move(fact, i, data.draw(st.sampled_from(("right", "left"))))
         assert free_reduce(fact.word()) == before
 
+    @settings(max_examples=60, deadline=None)
+    @given(fact_st, st.data())
+    def test_moves_match_full_reduction(self, fact, data):
+        script = scripts(data, fact, 10)
+        slow = fact
+        for direction, i in script:
+            slow = slow_move(slow, i, direction)
+        assert apply_script(fact, script).letters == slow.letters
+
     @settings(max_examples=20, deadline=None)
     @given(fact_st, st.data())
     def test_scripts_invert_exactly(self, fact, data):
-        script = tuple(
-            (data.draw(st.sampled_from(("right", "left"))), data.draw(st.integers(0, len(fact) - 2)))
-            for _ in range(data.draw(st.integers(0, 8)))
-        )
+        script = scripts(data, fact, 8)
         moved = apply_script(fact, script)
         assert apply_script(moved, invert_script(script)).letters == fact.letters
 
@@ -141,6 +186,33 @@ class TestProducts:
                 fact = hurwitz_move(fact, rng.randrange(len(fact) - 1),
                                     rng.choice(("right", "left")))
             assert product_matrix(model, fact).matrix == before
+
+    def test_product_matches_full_reduction(self, model):
+        rng = random.Random(5)
+        curves = curves_of(model)
+        for _ in range(40):
+            fact = random_fact(rng, curves, rng.randrange(1, 7))
+            if len(fact) > 1:
+                fact = apply_script(fact, tuple(
+                    (rng.choice(("right", "left")), rng.randrange(len(fact) - 1))
+                    for _ in range(rng.randrange(12))))
+            fast = product_matrix(model, fact)
+            slow = twist_word_matrix(model, free_reduce(fact.word()))
+            assert fast.word == slow.word
+            assert fast.matrix == slow.matrix
+
+    def test_letter_matrix_matches_full_expansion(self, model):
+        a, b = curves_of(model)[0], curves_of(model)[12]
+        # the conjugator starts with a power of the core, which cancels
+        t = TwistLetter(a, -1, ((a, 1), (a, 1), (b, -1), (a, 1)))
+        assert letter_matrix(model, t) == twist_word_matrix(model, t.expansion()).matrix
+
+    def test_letter_matrix_cache_lives_on_model(self):
+        fresh = reference_model(2)
+        t = TwistLetter(curves_of(fresh)[0], 1, ((curves_of(fresh)[12], 1),))
+        got = letter_matrix(fresh, t)
+        assert fresh.letter_matrices == {t: got}
+        assert reference_model(2).letter_matrices == {}
 
     def test_letter_matrix_is_conjugated_twist(self, model):
         curves = curves_of(model)
@@ -172,6 +244,27 @@ class TestProducts:
         ).matrix  # sigma does not commute with beta_1 on homology
 
 
+class TestGrowth:
+    def test_growth_script_pinned(self, model):
+        """``(right 1, left 2) * 9`` multiplies conjugator length by about
+        2.6 per repeat; lengths and digest come from full reduction."""
+        curves = curves_of(model)
+        rng = random.Random(4)
+        fact = Factorization(tuple(
+            TwistLetter(rng.choice(curves), rng.choice((1, -1)),
+                        tuple((rng.choice(curves), rng.choice((1, -1))) for _ in range(2)))
+            for _ in range(4)))
+        moved = apply_script(fact, (("right", 1), ("left", 2)) * 9)
+        assert [len(t.conjugator) for t in moved.letters] == [2, 20898, 54722, 33818]
+        text = " ".join(f"{c.label}{s:+d}" for t in moved.letters for c, s in t.conjugator)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "20b9ae2d09725d55f10145821fee6e8c11720d619b73f4a41441393a27d13c34"
+        )
+        after = product_matrix(model, moved)
+        assert len(after.word) == 20
+        assert after.matrix == product_matrix(model, fact).matrix
+
+
 class TestFrontOperations:
     def test_rotate_preserves_letter_and_product(self, model):
         curves = curves_of(model)
@@ -194,6 +287,21 @@ class TestFrontOperations:
         assert moved.letters[0] == bare(a3)
         # [DERIVED] hand-run of the greedy: strip, slide, strip, slide
         assert script == (("left", 3), ("right", 2), ("left", 1), ("right", 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fact_st, st.data())
+    def test_strip_matches_full_reduction(self, fact, data):
+        index = data.draw(st.integers(0, len(fact) - 1))
+        slow, slow_script = fact, []
+        for i in range(index, 0, -1):
+            target, neighbour = slow.letters[i], slow.letters[i - 1]
+            stripped = free_reduce(target.conjugator + invert(neighbour.expansion()))
+            op = ("left" if len(stripped) < len(target.conjugator) else "right", i - 1)
+            slow = slow_move(slow, i - 1, op[0])
+            slow_script.append(op)
+        moved, script = strip_to_front(fact, index)
+        assert script == tuple(slow_script)
+        assert moved.letters == slow.letters
 
 
 class TestCertificates:

@@ -3,6 +3,8 @@
 Every operation is checked over a curve-id alphabet (twist words) and an
 integer alphabet (braid words); the small cancellation and inversion
 identities were worked out by hand [TRIVIAL], the rest is property-based.
+The seam-only operations ``join`` and ``join_conjugate`` are checked
+against ``free_reduce`` over the whole concatenation.
 """
 import os
 import subprocess
@@ -15,7 +17,13 @@ from hypothesis import given, strategies as st
 import twistbench
 from twistbench.coxeter import coxeter
 from twistbench.surface import curve
-from twistbench.words import conjugate, free_reduce, invert
+from twistbench.words import (
+    conjugate,
+    free_reduce,
+    invert,
+    join,
+    join_conjugate,
+)
 
 
 def words_over(*generators, max_size):
@@ -61,6 +69,48 @@ class TestWords:
         )
         assert conjugate(((c, 1),), ()) == ((c, 1),)
         assert free_reduce(conjugate(by, invert(by))) == by
+
+    @given(data=st.data())
+    def test_join_reduces_only_the_seam(self, a, b, c, data):
+        x, w, y = (data.draw(words_over(a, b, c, max_size=10)) for _ in range(3))
+        # u ends with w and v starts with its inverse, so long seams occur
+        u = free_reduce(tuple(x) + tuple(w))
+        v = free_reduce(invert(w) + tuple(y))
+        assert join(u, v) == free_reduce(u + v)
+        assert join(v, u) == free_reduce(v + u)
+
+    def test_join_examples(self, a, b, c):
+        u = ((a, 1), (b, -1), (c, 1))
+        assert join(u, invert(u)) == ()
+        assert join(u, ((c, -1), (b, 1), (c, 1))) == ((a, 1), (c, 1))
+        assert join(u, ((c, 1),)) == u + ((c, 1),)
+        assert join((), u) == join(u, ()) == u
+
+    @given(data=st.data())
+    def test_reduced_conjugate_of_one_letter(self, a, b, c, data):
+        by = free_reduce(data.draw(words_over(a, b, c, max_size=12)))
+        letter = (data.draw(st.sampled_from((a, b, c))), data.draw(st.sampled_from((1, -1))))
+        assert join_conjugate((), letter, by) == free_reduce(conjugate((letter,), by))
+
+    @given(data=st.data())
+    def test_join_conjugate_is_reduced_product(self, a, b, c, data):
+        x, w, y = (data.draw(words_over(a, b, c, max_size=10)) for _ in range(3))
+        letter = (data.draw(st.sampled_from((a, b, c))), data.draw(st.sampled_from((1, -1))))
+        # u and by share the suffix w, and by may be a suffix of u
+        u = free_reduce(tuple(x) + tuple(w))
+        for by in (free_reduce(tuple(y) + tuple(w)), free_reduce(w), free_reduce(u[len(x) // 2:])):
+            want = free_reduce(u + conjugate((letter,), by))
+            assert join_conjugate(u, letter, by) == want
+
+    def test_join_conjugate_strips_core_powers(self, a, b, c):
+        by = ((a, -1), (a, -1), (b, 1))
+        assert join_conjugate((), (a, 1), by) == ((b, -1), (a, 1), (b, 1))
+        assert join_conjugate((), (c, 1), by) == conjugate(((c, 1),), by)
+        # by is a suffix of u: u's head meets the letter, then by
+        assert join_conjugate(((a, -1),) + by, (a, 1), by) == by
+        assert join_conjugate(((c, -1), (b, 1)) + by, (a, 1), by) == (
+            (c, -1), (b, 1), (a, -1), (b, 1),
+        )
 
 
 def test_braids_loads_no_homology_stack():
