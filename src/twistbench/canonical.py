@@ -1,9 +1,10 @@
 """Calibration of the four crossing signs at the centre curve.
 
 The reference configuration leaves the signs of the four crossings on
-``sigma`` as free parameters.  This module searches the sixteen sign
-tuples and fixes the canonical one: the lexicographically first tuple
-(+1 ordered before -1) whose configuration
+``sigma`` as free parameters.  This module probes the sixteen sign
+tuples (``sigma_sign_search`` tabulates all of them) and fixes the
+canonical one: the lexicographically first tuple (+1 ordered before -1)
+whose configuration
 
   * builds an admissible homology model (four boundary walks, torsion-free
     quotient, unimodular form), and
@@ -11,7 +12,8 @@ tuples and fixes the canonical one: the lexicographically first tuple
   * satisfies the product identity: the six-factor Coxeter word equals
     that involution on homology, checked exactly at b = 2.
 
-The calibration is cached; ``build_reference_configuration(b, "auto")``
+The calibration probes the tuples in order and stops at the first that
+passes; it is cached, and ``build_reference_configuration(b, "auto")``
 uses it for every b.
 """
 from __future__ import annotations
@@ -83,8 +85,10 @@ def sigma_sign_search(b: int, check_product: bool = False) -> tuple[SignProbe, .
 
 @lru_cache(maxsize=None)
 def canonical_sigma_signs() -> tuple[int, int, int, int]:
-    """Lexicographically first sign tuple passing the full calibration at b=2."""
-    for probe in sigma_sign_search(2, check_product=True):
+    """Lexicographically first sign tuple passing the full calibration at b=2;
+    the tuples after it are never probed."""
+    for signs in ALL_SIGN_TUPLES:
+        probe = probe_signs(2, signs, check_product=True)
         if probe.admissible and probe.psi_defined and probe.product_matches:
             return probe.signs
     raise AdmissibilityError("no sign tuple passes the product calibration")

@@ -134,6 +134,10 @@ class HomologyModel:
     the antisymmetric unimodular matrix of the intersection pairing in the
     same lattice basis; ``section`` is an integer right inverse of
     ``classes``; ``kernel`` columns span the relations among curve classes.
+
+    Two caches live on the model and die with it: ``transvections`` holds
+    the sparse data of each twist ``T_c^s`` used so far, and
+    ``letter_matrices`` the matrices of conjugated twist letters.
     """
 
     system: CurveSystem
@@ -152,6 +156,12 @@ class HomologyModel:
     @cached_property
     def curve_index(self) -> dict[CurveId, int]:
         return {c: i for i, c in enumerate(self.curve_order)}
+
+    @cached_property
+    def transvections(self) -> dict:
+        """Sparse data of ``T_c^s`` per ``(c, s)``, filled by
+        ``twist_word_matrix``; at most two entries per curve."""
+        return {}
 
     @cached_property
     def letter_matrices(self) -> dict:
@@ -331,10 +341,11 @@ def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
 
     Each letter is a rank-one update of the running product,
     ``M T_c^s = M - s (M v)(J v)^T``, applied row by row in place and
-    touching only the nonzero entries of ``v`` and ``J v``."""
+    touching only the nonzero entries of ``v`` and ``J v``; the sparse data
+    of each ``(c, s)`` is built once per model."""
     letters = tuple((c, s) for c, s in word)
     rows = [list(row) for row in identity(model.rank)]
-    cache: dict[tuple[CurveId, int], tuple] = {}
+    cache = model.transvections
     for letter in letters:
         data = cache.get(letter)
         if data is None:

@@ -336,10 +336,15 @@ def _round_values(n: int, j: int, k: int) -> tuple:
 
 def _battery(choice: dict) -> bool:
     """Internal consistency screen for a full assignment of case data."""
+    instantiated: dict = {}
 
     def act(n, i, sign, values):
-        case, offset = _case_of(n, i)
-        data = _instantiate(_candidates()[case][0][choice[case]], offset, n)
+        data = instantiated.get((n, i))
+        if data is None:
+            case, offset = _case_of(n, i)
+            data = instantiated[(n, i)] = _instantiate(
+                _candidates()[case][0][choice[case]], offset, n
+            )
         return _act_with(data, values, sign)
 
     def act_word(n, word, values):

@@ -6,6 +6,7 @@ computation frozen into the acceptance suite.
 """
 import pytest
 
+from twistbench import canonical
 from twistbench.canonical import canonical_sigma_signs, sigma_sign_search
 from twistbench.coxeter import (
     ChainError,
@@ -143,6 +144,28 @@ class TestCanonicalSigns:
     def test_calibrated_tuple(self):
         # [DERIVED] frozen by the b=2 calibration sweep
         assert canonical_sigma_signs() == (1, 1, 1, 1)
+
+    def test_calibration_is_first_passing_probe(self):
+        first = next(
+            p.signs
+            for p in sigma_sign_search(2, check_product=True)
+            if p.admissible and p.psi_defined and p.product_matches
+        )
+        assert canonical_sigma_signs() == first
+
+    def test_calibration_stops_at_first_pass(self, monkeypatch):
+        calls = []
+        real = canonical.probe_signs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(canonical, "probe_signs", counting)
+        canonical_sigma_signs.cache_clear()
+        # the call refills the cache with the tuple the real probe returns
+        assert canonical_sigma_signs() == (1, 1, 1, 1)
+        assert len(calls) == 1
 
     def test_search_table_b2(self):
         probes = sigma_sign_search(2, check_product=True)

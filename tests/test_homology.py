@@ -243,6 +243,48 @@ class TestTwistKernel:
         with pytest.raises(ValueError):
             twist_word_matrix(model2, ((curve("sigma"), 2),))
 
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_filled_table_matches_fresh_model(self, b):
+        filled = cached_model(b)
+        for c in filled.curve_order:
+            for s in (1, -1):
+                twist_word_matrix(filled, ((c, s),))
+        assert len(filled.transvections) == 2 * len(filled.curve_order)
+        word = psi_factorization(b)[::7] + tuple(
+            (c, -s) for c, s in psi_factorization(b)[:40]
+        )
+        fresh = reference_model(b)
+        assert fresh.transvections == {}
+        product = twist_word_matrix(filled, word).matrix
+        assert product == twist_word_matrix(fresh, word).matrix
+        assert product == dense_word_matrix(fresh, word)
+        assert fresh.transvections == {
+            k: filled.transvections[k] for k in fresh.transvections
+        }
+
+    def test_errors_are_not_cached(self):
+        model = reference_model(2)
+        sigma = curve("sigma")
+        twist_word_matrix(model, ((sigma, 1),))
+        before = dict(model.transvections)
+        with pytest.raises(ValueError):
+            twist_word_matrix(model, ((sigma, 2),))
+        with pytest.raises(KeyError):
+            twist_word_matrix(model, ((curve("alpha", 99), 1),))
+        with pytest.raises(ValueError):
+            twist_word_matrix(model, ((sigma, 2),))
+        assert model.transvections == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(models_and_words())
+    def test_table_stays_within_two_per_curve(self, model_and_word):
+        model, word = model_and_word
+        twist_word_matrix(model, word)
+        assert len(model.transvections) <= 2 * len(model.curve_order)
+        assert set(model.transvections) <= {
+            (c, s) for c in model.curve_order for s in (1, -1)
+        }
+
     @pytest.mark.parametrize("b", range(2, 9))
     def test_gluing_word_equals_reference(self, b):
         model = cached_model(b)

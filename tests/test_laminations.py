@@ -6,9 +6,12 @@ vectors were computed once with the derivation engine and frozen
 [DERIVED]; the round-curve coordinates are read off the definition
 [TRIVIAL]; everything else is property-based.
 """
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistbench import laminations
 from twistbench.laminations import (
     LaminationCoords,
     LaminationError,
@@ -98,6 +101,15 @@ class TestDerivation:
         for case, want in expected.items():
             for key, value in want.items():
                 assert report[case][key] == value, (case, key)
+
+    def test_selected_cases_pinned(self):
+        # [DERIVED] sha256 of the frozen case data, computed before the
+        # battery memoised its instantiated cases; the data holds no sets,
+        # so the digest does not depend on the hash seed
+        digest = hashlib.sha256(repr(laminations._selected_cases()).encode())
+        assert digest.hexdigest() == (
+            "bfc46ae7358f4eb6ef5fac961d0df1b32a50002bffb1c72de531b0f55f4f1daa"
+        )
 
     def test_windows_are_local(self):
         report = derivation_report()
