@@ -5,17 +5,18 @@ A braid word is a tuple of (generator index, sign) letters over n
 strands, composed like twist words: the rightmost letter acts first.
 Equality is decided by exponent sum plus the action on a separating
 family of round-curve laminations; the centre (the full twist) is the
-only kernel of the curve action and is caught by the exponent sum.  An
-independent free-group (Artin) representation is provided as a second
-route for cross-checking: sigma_i sends x_i to x_i x_{i+1} x_i^{-1} and
-x_{i+1} to x_i.
+only kernel of the curve action and is caught by the exponent sum.  That
+is the one decider.  The free-group (Artin) representation, where
+sigma_i sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i, is kept
+only as a test oracle for short words: its images grow exponentially
+with the word length, so it is not a second route.
 
 This is a disk model: the extra relation that holds for braids moved to
 a closed surface (the sphere relation) genuinely fails here.
 """
 from __future__ import annotations
 
-from .laminations import LaminationCoords, halftwist_action, test_family
+from .laminations import LaminationCoords, test_family, word_action
 from .words import Word, free_reduce, invert
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "word_fingerprint",
     "braid_equal",
     "artin_image",
-    "braid_equal_artin",
     "permutation_image",
     "verify_manfredini",
     "sphere_relation_word",
@@ -52,9 +52,7 @@ def exponent_sum(word) -> int:
 
 def lamination_act(word, lam: LaminationCoords) -> LaminationCoords:
     """Apply a braid word to a lamination, rightmost letter first."""
-    for i, s in reversed(braid_word(word, lam.n)):
-        lam = halftwist_action(lam, i, s)
-    return lam
+    return word_action(lam, braid_word(word, lam.n))
 
 
 def word_fingerprint(word, n: int) -> tuple:
@@ -65,7 +63,7 @@ def word_fingerprint(word, n: int) -> tuple:
     word = braid_word(word, n)
     return (
         exponent_sum(word),
-        tuple(lamination_act(word, p).normal for p in test_family(n)),
+        tuple(word_action(p, word).normal for p in test_family(n)),
     )
 
 
@@ -98,17 +96,14 @@ def _substitute(word, images: dict):
 
 
 def artin_image(word, n: int) -> tuple:
-    """Images of the free generators under the word's automorphism."""
+    """Images of the free generators under the word's automorphism; a
+    test oracle for short words, since the images grow exponentially."""
     word = braid_word(word, n)
     images = {j: ((j, 1),) for j in range(1, n + 1)}
     for i, s in reversed(word):
         single = _single_artin(i, s, n)
         images = {j: _substitute(img, single) for j, img in images.items()}
     return tuple(images[j] for j in range(1, n + 1))
-
-
-def braid_equal_artin(w1, w2, n: int) -> bool:
-    return artin_image(w1, n) == artin_image(w2, n)
 
 
 # ---------------------------------------------------------------------------

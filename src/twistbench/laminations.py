@@ -35,6 +35,7 @@ __all__ = [
     "round_curve",
     "test_family",
     "halftwist_action",
+    "word_action",
     "derivation_report",
 ]
 
@@ -310,10 +311,21 @@ def _act_with(data, values: tuple, sign: int) -> tuple:
         for e, a, b, c, d in ops:
             vec[e] = max(vec[a] + vec[c], vec[b] + vec[d]) - vec[e]
         return tuple(vec[p] for p in perm)
+    if sign != -1:
+        raise LaminationError("sign must be +1 or -1")
     vec = [vec[p] for p in inv_perm]
     for e, a, b, c, d in reversed(ops):
         vec[e] = max(vec[a] + vec[c], vec[b] + vec[d]) - vec[e]
     return tuple(vec)
+
+
+def _act_word(case_data, n: int, word, values: tuple) -> tuple:
+    """Raw coordinates of a word's image, rightmost letter first, with the
+    case data of generator ``i`` on ``n`` punctures read from
+    ``case_data(n, i)``; intermediate vectors are not validated."""
+    for i, s in reversed(word):
+        values = _act_with(case_data(n, i), values, s)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +350,20 @@ def _battery(choice: dict) -> bool:
     """Internal consistency screen for a full assignment of case data."""
     instantiated: dict = {}
 
-    def act(n, i, sign, values):
+    def case_data(n, i):
         data = instantiated.get((n, i))
         if data is None:
             case, offset = _case_of(n, i)
             data = instantiated[(n, i)] = _instantiate(
                 _candidates()[case][0][choice[case]], offset, n
             )
-        return _act_with(data, values, sign)
+        return data
+
+    def act(n, i, sign, values):
+        return _act_with(case_data(n, i), values, sign)
 
     def act_word(n, word, values):
-        for i, s in reversed(word):
-            values = act(n, i, s, values)
-        return values
+        return _act_word(case_data, n, word, values)
 
     for n in (2, 3, 4, 5, 6):
         probes = [_round_values(n, j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
@@ -423,8 +436,11 @@ def derivation_report() -> dict:
 class LaminationCoords:
     """Crossing numbers of an integral lamination with the base arcs.
 
-    Construct through ``round_curve`` or ``from_normal``; coordinates are
-    validated per triangle (even corner sums, triangle inequality).
+    Construct through ``round_curve`` or ``from_normal``.  Every
+    construction validates the coordinates per triangle (even corner sums,
+    triangle inequality): input once on the way in, and a braid image once
+    per word on the way out (``word_action`` acts on raw tuples between
+    the two).
     """
 
     n: int
@@ -445,16 +461,6 @@ class LaminationCoords:
                 raise LaminationError(f"odd crossing sum in triangle {tri}")
             if a > b + c or b > a + c or c > a + b:
                 raise LaminationError(f"triangle inequality fails in {tri}")
-
-    @property
-    def reduced_view(self) -> tuple:
-        """Interior (up, down) crossing pairs; a lossy 2n-4 projection
-        (peripheral detail at the outer punctures is not visible here)."""
-        idx = edge_index(self.n)
-        out = []
-        for t in range(2, self.n):
-            out.extend((self.normal[idx[("v", t)]], self.normal[idx[("w", t)]]))
-        return tuple(out)
 
     def is_empty(self) -> bool:
         return all(x == 0 for x in self.normal)
@@ -485,10 +491,15 @@ def test_family(n: int) -> tuple:
     return tuple(fam)
 
 
+def word_action(lam: LaminationCoords, word) -> LaminationCoords:
+    """Image of the lamination under a word of (i, sign) half-twist
+    letters, rightmost letter first.  The intermediate coordinates stay
+    raw tuples; only the image is validated, once per word."""
+    return LaminationCoords(lam.n, _act_word(_case_data, lam.n, word, lam.normal))
+
+
 def halftwist_action(lam: LaminationCoords, i: int, sign: int = 1) -> LaminationCoords:
     """Image of the lamination under the half-twist swapping punctures
-    i and i+1 (sign -1 for the inverse twist)."""
-    if sign not in (1, -1):
-        raise LaminationError("sign must be +1 or -1")
-    data = _case_data(lam.n, i)
-    return LaminationCoords(lam.n, _act_with(data, lam.normal, sign))
+    i and i+1 (sign -1 for the inverse twist): the one-letter case of
+    ``word_action``."""
+    return word_action(lam, ((i, sign),))

@@ -1,10 +1,11 @@
-"""Braid words, the curve-action equality test, its free-group
-cross-check, and the relation batteries.
+"""Braid words, the curve-action equality test, its free-group test
+oracle, and the relation batteries.
 
 The equality decision procedure is exercised against the defining
-relations on up to seven strands and against the independent free-group
-route on random words; the relation-status tuples were computed once and
-frozen [DERIVED].
+relations on up to seven strands, against the free-group images of short
+random words, and its word-at-once fingerprint against a per-letter loop
+that validates every intermediate lamination; the relation-status tuples
+were computed once and frozen [DERIVED].
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,6 @@ from twistbench.braids import (
     BraidError,
     artin_image,
     braid_equal,
-    braid_equal_artin,
     braid_word,
     exponent_sum,
     lamination_act,
@@ -22,7 +22,7 @@ from twistbench.braids import (
     verify_manfredini,
     word_fingerprint,
 )
-from twistbench.laminations import round_curve
+from twistbench.laminations import LaminationCoords, halftwist_action, round_curve
 from twistbench.laminations import test_family as probe_family
 from twistbench.words import invert
 
@@ -47,8 +47,6 @@ class TestWords:
         assert exponent_sum(((1, 1), (2, -1), (1, 1))) == 1
 
     def test_action_order_is_rightmost_first(self):
-        from twistbench.laminations import halftwist_action
-
         lam = round_curve(4, 2, 3)
         image = lamination_act(((1, 1), (2, -1)), lam)
         assert image.normal == halftwist_action(halftwist_action(lam, 2, -1), 1).normal
@@ -104,7 +102,7 @@ class TestFreeGroupRoute:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_curve_route(self, n, data):
         w1, w2 = data.draw(words(n, 5)), data.draw(words(n, 5))
-        assert braid_equal(w1, w2, n) == braid_equal_artin(w1, w2, n)
+        assert braid_equal(w1, w2, n) == (artin_image(w1, n) == artin_image(w2, n))
 
 
 class TestPermutations:
@@ -185,3 +183,17 @@ class TestFingerprint:
         assert (word_fingerprint(w1, n) == word_fingerprint(w2, n)) == braid_equal(
             w1, w2, n
         )
+
+    @given(n=st.integers(2, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fingerprint_matches_letterwise_oracle(self, n, data):
+        # the fingerprint acts on raw tuples and validates each probe
+        # image once; the oracle rebuilds and re-validates a lamination
+        # after every letter
+        w = data.draw(words(n, 60))
+        images = []
+        for lam in probe_family(n):
+            for i, s in reversed(w):
+                lam = LaminationCoords(n, halftwist_action(lam, i, s).normal)
+            images.append(lam.normal)
+        assert word_fingerprint(w, n) == (exponent_sum(w), tuple(images))

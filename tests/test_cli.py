@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,14 @@ def usage_error(*argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def package_env():
+    """The environment with this package's source first on the path."""
+    env = dict(os.environ)
+    src = str(Path(twistbench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestReport:
@@ -102,11 +111,9 @@ class TestOptimizedInterpreter:
 
     @staticmethod
     def cli(*flags_and_argv):
-        env = dict(os.environ)
-        src = str(Path(twistbench.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, *flags_and_argv], capture_output=True, env=env, timeout=120
+            [sys.executable, *flags_and_argv],
+            capture_output=True, env=package_env(), timeout=120,
         )
 
     @pytest.mark.parametrize(
@@ -278,6 +285,30 @@ class TestBraid:
         usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "oops")
         usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[0]")
         usage_error("braid", "eq", "--n", "2", "--lhs", "[2]", "--rhs", "[1]")
+
+    def test_eq_long_word_stays_small(self):
+        # the free-group images of (s1 s2^-1)^20 grow exponentially and do
+        # not fit in 1 GiB, so equality must be decided by the curve action
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        word = [1, -2] * 20
+        padded = [2, -2] + word[:20] + [-1, 1] + word[20:] + [1, 2, -2, -1]
+        argv = [
+            sys.executable, "-m", "twistbench.cli", "braid", "eq", "--n", "3",
+            "--lhs", json.dumps(word), "--rhs", json.dumps(padded),
+        ]
+        start = time.perf_counter()
+        done = subprocess.run(
+            argv, capture_output=True, env=package_env(), timeout=10, preexec_fn=limit
+        )
+        assert time.perf_counter() - start < 10
+        assert b"Traceback" not in done.stderr
+        assert done.returncode == 0
+        assert b"words-equal" in done.stdout
 
     def test_manfredini_holds(self, capsys):
         code, out = run(capsys, "braid", "manfredini", "--n", "4", "--k", "2")

