@@ -12,7 +12,7 @@ and stable exports.  Every command echoes its invocation in a
   is skipped because an index falls off the generator range), so CI can
   distinguish "unverified at this budget" from "contradicted".
 
-Outputs are deterministic given identical flags and seeds.
+Outputs are deterministic given identical flags.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from .invariants import (
     theorem_hypotheses,
 )
 from .monodromy import (
-    MonodromyError,
     default_colouring,
     default_composition,
     lifted_composition,
@@ -98,7 +97,6 @@ class Check:
 class VerificationReport:
     command: tuple
     checks: tuple
-    seed: int = 0
     environment: dict = field(default_factory=dict)
 
     @property
@@ -117,7 +115,6 @@ class VerificationReport:
                 {"name": c.name, "status": c.status, "details": c.details}
                 for c in self.checks
             ],
-            "seed": self.seed,
             "environment": self.environment,
             "exit_code": self.exit_code,
         }
@@ -216,14 +213,15 @@ def cmd_verify_psi(args, argv, parser) -> int:
             checks.append(Check("reference-well-defined", "fail", str(err)))
             reference = None
         if reference is not None:
-            product = twist_word_matrix(model, psi_factorization(args.b))
+            word = psi_factorization(args.b)
+            product = twist_word_matrix(model, word)
             equal = product.matrix == reference.matrix
             checks.append(
                 Check(
                     "product-equals-reference",
                     "pass" if equal else "fail",
                     f"six-factor product vs curve-swap involution, "
-                    f"{len(psi_factorization(args.b))} letters",
+                    f"{len(word)} letters",
                 )
             )
             checks.append(
@@ -240,7 +238,7 @@ def cmd_verify_psi(args, argv, parser) -> int:
                     "M^T J M = J",
                 )
             )
-    report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+    report = VerificationReport(tuple(argv), tuple(checks), _environment())
     return _finish(report, args.format, args.out)
 
 
@@ -257,7 +255,6 @@ def _composition(args):
 def cmd_auroux(args, argv, parser) -> int:
     checks = []
     composition = _composition(args)
-    model = reference_model(args.b)
 
     if args.replay:
         payload = _read_json(parser, args.replay)
@@ -265,7 +262,7 @@ def cmd_auroux(args, argv, parser) -> int:
         composition = payload.get("composition", list(composition))
         if not isinstance(composition, list):
             raise ValueError("key 'composition' must be a list of block labels")
-        fact = lifted_composition(args.b, tuple(composition), model=model)
+        fact = lifted_composition(args.b, tuple(composition))
         try:
             fronts = replay_certificate(fact, cert)
             checks.append(
@@ -279,10 +276,10 @@ def cmd_auroux(args, argv, parser) -> int:
                     f"first bad move at step {err.step}: {err}",
                 )
             )
-        report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+        report = VerificationReport(tuple(argv), tuple(checks), _environment())
         return _finish(report, args.format, args.out)
 
-    fact = lifted_composition(args.b, composition, model=model)
+    fact = lifted_composition(args.b, composition)
     cores = []
     for c, _ in psi_factorization(args.b):
         if c not in cores:
@@ -300,7 +297,7 @@ def cmd_auroux(args, argv, parser) -> int:
                 "every reference core must appear in the lifted factorization",
             )
         )
-        report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+        report = VerificationReport(tuple(argv), tuple(checks), _environment())
         return _finish(report, args.format, None)
 
     checks.append(
@@ -321,7 +318,7 @@ def cmd_auroux(args, argv, parser) -> int:
             cert, b=args.b, composition=list(composition)
         )
         _emit(stable_json(payload), args.out)
-    report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+    report = VerificationReport(tuple(argv), tuple(checks), _environment())
     return _finish(report, args.format, None)
 
 
@@ -339,8 +336,6 @@ def cmd_export(args, argv, parser) -> int:
 
 
 def cmd_monodromy(args, argv, parser) -> int:
-    if args.action != "emit":
-        parser.error(f"unknown monodromy action {args.action!r}")
     m = 2 * args.b
     payload = {
         "b": args.b,
@@ -410,7 +405,7 @@ def cmd_invariants(args, argv, parser) -> int:
             )
         except ValueError as err:
             checks.append(Check("family-hypotheses", "fail", str(err)))
-    report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+    report = VerificationReport(tuple(argv), tuple(checks), _environment())
     if args.format == "table":
         lines = [report.to_table()]
         lines.append(
@@ -450,7 +445,7 @@ def cmd_braid(args, argv, parser) -> int:
                 f"curve action and exponent sum on {args.n} strands",
             )
         )
-    elif args.action == "manfredini":
+    else:  # manfredini
         if args.k is None:
             parser.error("braid manfredini requires --k")
         try:
@@ -466,9 +461,7 @@ def cmd_braid(args, argv, parser) -> int:
                     "" if outcome != "skipped" else "generator index off range",
                 )
             )
-    else:
-        parser.error(f"unknown braid action {args.action!r}")
-    report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+    report = VerificationReport(tuple(argv), tuple(checks), _environment())
     return _finish(report, args.format, args.out)
 
 
@@ -487,8 +480,6 @@ def _parse_int_list(parser, text: str) -> list:
 
 
 def cmd_hurwitz(args, argv, parser) -> int:
-    if args.action != "replay":
-        parser.error(f"unknown hurwitz action {args.action!r}")
     b, fact, script, expected = replay_file_from_dict(_read_json(parser, args.file))
     checks = []
     try:
@@ -504,7 +495,7 @@ def cmd_hurwitz(args, argv, parser) -> int:
         )
     except MoveError as err:
         checks.append(Check("script-applies", "fail", f"step {err.step}: {err}"))
-    report = VerificationReport(tuple(argv), tuple(checks), args.seed, _environment())
+    report = VerificationReport(tuple(argv), tuple(checks), _environment())
     return _finish(report, args.format, args.out)
 
 
@@ -513,11 +504,9 @@ def cmd_hurwitz(args, argv, parser) -> int:
 
 
 def _add_common(sub, formats=("table", "json")):
-    """``--format`` (the first of ``formats`` is the default), ``--out``
-    and ``--seed``."""
+    """``--format`` (the first of ``formats`` is the default) and ``--out``."""
     sub.add_argument("--format", default=formats[0], choices=formats)
     sub.add_argument("--out", default=None, help="write output to a file")
-    sub.add_argument("--seed", type=int, default=0, help="search seed echoed in reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -614,7 +603,7 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         return DISPATCH[args.command](args, [args.command] + argv[1:], parser)
-    except (MonodromyError, ValueError) as err:
+    except ValueError as err:
         parser.error(str(err))
 
 

@@ -47,7 +47,6 @@ from functools import lru_cache
 from .braids import braid_equal, braid_word
 from .braids import permutation_image as strand_permutation
 from .factorization import Factorization, TwistLetter, bare
-from .homology import HomologyModel, reference_model
 from .surface import curve
 from .words import conjugate
 
@@ -329,10 +328,6 @@ def rewrite_cross_colour(letter: BicolouredLetter) -> BicolouredLetter:
 # lifting to twist factorizations on the fibre
 
 
-def _model_m(model: HomologyModel) -> int:
-    return sum(1 for c in model.curve_order if c.family == "alpha") + 1
-
-
 def _family_pair(g: int, m: int):
     if g < m:
         return "alpha", "gamma", g
@@ -352,7 +347,8 @@ def _lift_word(word, m: int) -> tuple:
     return tuple(out)
 
 
-def _lift_letter(letter: BicolouredLetter, m: int) -> tuple:
+def _lift_letter(letter: BicolouredLetter) -> tuple:
+    m = letter.m
     if letter.power == 2:
         rewritten = rewrite_cross_colour(letter)
         return (
@@ -368,23 +364,24 @@ def _lift_letter(letter: BicolouredLetter, m: int) -> tuple:
     )
 
 
-def lift_to_twists(block, model: HomologyModel) -> Factorization:
+def lift_to_twists(block) -> Factorization:
     """Lift a sequence of bicoloured letters to a twist factorization on
     the fibre: half-twists to the pair of twists on the two disjoint
     circles over their strands (``x_i -> alpha_i, gamma_i`` and
     ``y_j -> beta_j, delta_j``), cross-colour full twists to the single
     twist on the circle over the spanning segment (``sigma`` for the
-    central one), conjugators letterwise by the same rule."""
-    m = _model_m(model)
-    letters = []
-    for letter in block:
-        if letter.strands != 2 * m:
-            raise MonodromyError(
-                f"letter on {letter.strands} strands does not match the"
-                f" {2 * m}-point fibre"
-            )
-        letters.extend(_lift_letter(letter, m))
-    return Factorization(tuple(letters))
+    central one), conjugators letterwise by the same rule.  The fibre is
+    read from the letters; letters on different strand counts raise
+    :class:`MonodromyError`."""
+    block = tuple(block)
+    strands = sorted({letter.strands for letter in block})
+    if len(strands) > 1:
+        raise MonodromyError(
+            f"block mixes letters on {strands} strands; one fibre per block"
+        )
+    return Factorization(
+        tuple(twist for letter in block for twist in _lift_letter(letter))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +405,19 @@ def lifted_composition(b: int, arrangement=None, model=None) -> Factorization:
     :func:`default_composition`).  The labels ``X``/``Y`` name the two
     monodromy blocks; the diagnostic labels ``Xh``/``Yh`` keep only the
     half-twist letters of a block (useful to demonstrate a composition
-    whose lift misses the central circle)."""
-    if model is None:
-        model = reference_model(b)
+    whose lift misses the central circle).  The lift is word-level and
+    builds no homology; a ``model``, if given, is only checked to be the
+    fibre of ``b`` and raises :class:`MonodromyError` otherwise."""
+    if model is not None and model.system.b != b:
+        raise MonodromyError(
+            f"model of the b={model.system.b} fibre given for a b={b}"
+            " composition"
+        )
     if arrangement is None:
         arrangement = default_composition(b)
     letters = []
     for label in arrangement:
-        letters.extend(lift_to_twists(_block_of(b, label), model).letters)
+        letters.extend(lift_to_twists(_block_of(b, label)).letters)
     return Factorization(tuple(letters))
 
 
@@ -438,6 +440,7 @@ def composition_search(b: int = 2, max_blocks: int = 6) -> dict:
     from itertools import product as iter_product
 
     from .factorization import product_matrix
+    from .homology import reference_model
     from .intlin import identity, mat_mul
 
     model = reference_model(b)
@@ -446,7 +449,7 @@ def composition_search(b: int = 2, max_blocks: int = 6) -> dict:
     permutation_identity = {}
     for label in ("X", "Y"):
         block = _block_of(b, label)
-        matrices[label] = product_matrix(model, lift_to_twists(block, model)).matrix
+        matrices[label] = product_matrix(model, lift_to_twists(block)).matrix
         perm = permutation_image(block, colouring)
         permutation_identity[label] = perm == tuple(range(1, colouring.n + 1))
     eye = identity(model.rank)

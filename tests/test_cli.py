@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistbench
+from twistbench import canonical, cli, homology
 from twistbench.cli import Check, VerificationReport, main
 
 
@@ -60,7 +61,7 @@ class TestVerifyPsi:
         assert once == again
         payload = json.loads(once)
         assert payload["exit_code"] == 0
-        assert payload["seed"] == 0
+        assert "seed" not in payload
         assert {c["name"] for c in payload["checks"]} >= {
             "product-equals-reference",
             "product-symplectic",
@@ -92,10 +93,6 @@ class TestVerifyPsi:
         code, out = run(capsys, "verify-psi", "--b", "8")
         assert code == 0
         assert "FAIL" not in out
-
-    def test_seed_echoed(self, capsys):
-        _, out = run(capsys, "verify-psi", "--b", "2", "--format", "json", "--seed", "7")
-        assert json.loads(out)["seed"] == 7
 
     def test_usage_errors(self):
         usage_error("verify-psi", "--b", "1")
@@ -178,6 +175,32 @@ class TestAuroux:
         cert.write_text('{"b":2}')
         usage_error("auroux", "--b", "2", "--replay", str(cert))
         assert "missing key 'base_cores'" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_homology_model(self, monkeypatch):
+        """Make every homology-model build fail the test, including the
+        one behind the cached sign calibration."""
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("auroux built a homology model")
+
+        canonical.canonical_sigma_signs.cache_clear()
+        monkeypatch.setattr(cli, "reference_model", forbidden)
+        monkeypatch.setattr(homology, "homology_model", forbidden)
+        monkeypatch.setattr(canonical, "homology_model", forbidden)
+        yield
+        monkeypatch.undo()
+        canonical.canonical_sigma_signs.cache_clear()
+        canonical.canonical_sigma_signs()
+
+    def test_emit_and_replay_build_no_homology_model(
+        self, capsys, tmp_path, no_homology_model
+    ):
+        cert = tmp_path / "cert.json"
+        code, _ = run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        assert code == 0
+        code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert))
+        assert code == 0 and "certificate-replays" in out
 
 
 class TestExports:
@@ -370,3 +393,26 @@ class TestHurwitzReplay:
         replay_path.write_text('{"b":2}')
         usage_error("hurwitz", "replay", "--file", str(replay_path))
         assert "missing key 'factorization'" in capsys.readouterr().err
+
+
+class TestUsage:
+    def test_unknown_actions(self):
+        usage_error("braid", "foo", "--n", "3")
+        usage_error("hurwitz", "foo", "--file", "replay.json")
+        usage_error("monodromy", "foo", "--b", "2")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-psi", "--b", "2"),
+            ("auroux", "--b", "2"),
+            ("export", "config", "--b", "2"),
+            ("monodromy", "emit", "--b", "2"),
+            ("invariants", "--a", "14", "--b", "8", "--c", "6"),
+            ("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[1]"),
+            ("hurwitz", "replay", "--file", "replay.json"),
+        ],
+    )
+    def test_seed_is_not_an_option(self, capsys, argv):
+        usage_error(*argv, "--seed", "0")
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err

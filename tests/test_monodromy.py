@@ -7,6 +7,8 @@ rewrite is additionally re-verified here with the faithful braid
 comparator, and the printed factorization is compared with its claimed
 normal form on homology.
 """
+import hashlib
+
 import pytest
 
 from twistbench.braids import braid_equal, word_fingerprint
@@ -46,6 +48,15 @@ from twistbench.monodromy import (
     y_block,
 )
 from twistbench.surface import curve
+
+
+#: [DERIVED] sha256 of ``repr(lifted_composition(b).letters)`` as lifted
+#: when the fibre size was read from a homology model
+LIFT_DIGESTS = {
+    2: "db220c6d28f92fc29fcf85b0685f7145a65a9fad397e322baa4c7990e605d840",
+    3: "eb4008bc900d32ad4116a8a250793926c0e67d3991ffa3efc4cb02d92ba8e53a",
+    4: "5ffe9704aaccb76a1cf3345449357b4cea87acf5ae22834d385342592bc262c6",
+}
 
 
 @pytest.fixture(scope="module")
@@ -217,9 +228,9 @@ class TestRewrite:
 
 
 class TestLift:
-    def test_lifted_block_shapes(self, model):
-        lifted_x = lift_to_twists(x_block(4), model)
-        lifted_y = lift_to_twists(y_block(4), model)
+    def test_lifted_block_shapes(self):
+        lifted_x = lift_to_twists(x_block(4))
+        lifted_y = lift_to_twists(y_block(4))
         assert len(lifted_x) == len(lifted_y) == 16
         assert {str(t.core) for t in lifted_x.letters} == {
             "alpha_1", "alpha_2", "alpha_3",
@@ -232,8 +243,8 @@ class TestLift:
             "sigma",
         }
 
-    def test_conjugators_lift_letterwise(self, model):
-        lifted = lift_to_twists(x_block(4), model)
+    def test_conjugators_lift_letterwise(self):
+        lifted = lift_to_twists(x_block(4))
         central = lifted.letters[12]  # image of (z^2)_{x3 x2 x1}
         assert central == TwistLetter(
             curve("sigma"),
@@ -246,7 +257,7 @@ class TestLift:
         )
 
     def test_half_twist_lifts_to_disjoint_pair(self, model):
-        lifted = lift_to_twists(x_block(4), model)
+        lifted = lift_to_twists(x_block(4))
         assert lifted.letters[0] == bare(curve("alpha", 1))
         assert lifted.letters[1] == bare(curve("gamma", 1))
         # the two circles over a half-twist are disjoint, so their twists
@@ -258,13 +269,22 @@ class TestLift:
                 == twist_word_matrix(model, (g, a)).matrix
             )
 
-    def test_strand_count_must_match_fibre(self, model):
+    def test_block_must_share_one_fibre(self):
         with pytest.raises(MonodromyError):
-            lift_to_twists(x_block(6), model)
+            lift_to_twists(x_block(4) + x_block(6))
+
+    def test_model_must_be_the_fibre_of_b(self, model):
+        with pytest.raises(MonodromyError):
+            lifted_composition(3, model=model)
 
     def test_larger_fibre(self):
-        lifted = lift_to_twists(x_block(6), reference_model(3))
+        lifted = lift_to_twists(x_block(6))
         assert len(lifted) == 5 * 6 - 4
+
+    @pytest.mark.parametrize("b", sorted(LIFT_DIGESTS))
+    def test_word_level_lift_matches_model_lift(self, b):
+        letters = lifted_composition(b).letters
+        assert hashlib.sha256(repr(letters).encode()).hexdigest() == LIFT_DIGESTS[b]
 
 
 class TestComposition:
