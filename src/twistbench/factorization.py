@@ -133,21 +133,25 @@ class Factorization:
         return tuple(t.core for t in self.letters)
 
 
+def _swap(a: TwistLetter, b: TwistLetter, direction: str) -> tuple[tuple, int]:
+    """The pair replacing ``(a, b)`` under a move, and the index (0 or 1)
+    of its one new letter; the other letter of the pair is kept as is."""
+    if direction == "right":
+        conjugator = words.join_conjugate(a.conjugator, (b.core, b.sign), b.conjugator)
+        return (b, TwistLetter._reduced(a.core, a.sign, conjugator)), 1
+    if direction == "left":
+        conjugator = words.join_conjugate(b.conjugator, (a.core, -a.sign), a.conjugator)
+        return (TwistLetter._reduced(b.core, b.sign, conjugator), a), 0
+    raise ValueError(f"unknown move direction {direction!r}")
+
+
 def hurwitz_move(fact: Factorization, index: int, direction: str = "right") -> Factorization:
     """Swap letters at ``index`` and ``index+1``; the product is unchanged."""
     if not 0 <= index < len(fact) - 1:
         raise IndexError(f"move index {index} out of range for {len(fact)} letters")
-    a, b = fact.letters[index], fact.letters[index + 1]
-    if direction == "right":
-        conjugator = words.join_conjugate(a.conjugator, (b.core, b.sign), b.conjugator)
-        pair = (b, TwistLetter._reduced(a.core, a.sign, conjugator))
-    elif direction == "left":
-        conjugator = words.join_conjugate(b.conjugator, (a.core, -a.sign), a.conjugator)
-        pair = (TwistLetter._reduced(b.core, b.sign, conjugator), a)
-    else:
-        raise ValueError(f"unknown move direction {direction!r}")
-    letters = fact.letters[:index] + pair + fact.letters[index + 2:]
-    return Factorization(letters)
+    letters = fact.letters
+    pair, _ = _swap(letters[index], letters[index + 1], direction)
+    return Factorization(letters[:index] + pair + letters[index + 2:])
 
 
 def inverse_op(op: MoveOp) -> MoveOp:
@@ -201,21 +205,17 @@ def strip_to_front(fact: Factorization, index: int) -> tuple[Factorization, tupl
     otherwise.  Returns the transformed factorization and the script."""
     if not 0 <= index < len(fact):
         raise IndexError(f"letter index {index} out of range")
+    letters = fact.letters
     script: list = []
-    while index > 0:
-        target = fact.letters[index]
-        neighbour = fact.letters[index - 1]
-        stripped = words.join_conjugate(
-            target.conjugator, (neighbour.core, -neighbour.sign), neighbour.conjugator
-        )
-        if len(stripped) < len(target.conjugator):
-            op = ("left", index - 1)
-        else:
-            op = ("right", index - 1)
-        fact = hurwitz_move(fact, index - 1, op[0])
-        script.append(op)
-        index -= 1
-    return fact, tuple(script)
+    for i in range(index - 1, -1, -1):
+        pair, _ = _swap(letters[i], letters[i + 1], "left")
+        direction = "left"
+        if len(pair[0].conjugator) >= len(letters[i + 1].conjugator):
+            pair, _ = _swap(letters[i], letters[i + 1], "right")
+            direction = "right"
+        letters = letters[:i] + pair + letters[i + 2:]
+        script.append((direction, i))
+    return Factorization(letters), tuple(script)
 
 
 @dataclass(frozen=True)
@@ -297,12 +297,6 @@ def twisted_fiber_sum(left: Factorization, right: Factorization, word: Iterable)
     return Factorization(left.letters + tuple(t.conjugated(word) for t in right.letters))
 
 
-def _neighbours(fact: Factorization):
-    for i in range(len(fact) - 1):
-        for direction in ("right", "left"):
-            yield (direction, i), hurwitz_move(fact, i, direction)
-
-
 def hurwitz_search(
     start: Factorization,
     goal: Factorization,
@@ -315,32 +309,35 @@ def hurwitz_search(
     ``start`` to ``goal``, where letters are identified by ``letter_key``.
     Returns a script, or None when the search is inconclusive (depth or
     budget exhausted).
+
+    Keys must be hashable.  Each distinct key value is interned to a
+    small int for the length of one search, so a state is a tuple of
+    ints and two letters are identified exactly when their keys are
+    equal.  A move replaces one letter of the pair it swaps and keeps
+    the other, so each expansion (one unit of ``budget``) evaluates
+    ``letter_key`` once, on the new letter, and builds the neighbour's
+    key from its parent's.
     """
     if len(start) != len(goal):
         return None
 
-    key_cache: dict = {}
+    ids: dict = {}
 
-    def state_key(fact: Factorization):
-        out = []
-        for letter in fact.letters:
-            k = key_cache.get(letter)
-            if k is None:
-                k = letter_key(letter)
-                key_cache[letter] = k
-            out.append(k)
-        return tuple(out)
+    def intern(letter: TwistLetter) -> int:
+        return ids.setdefault(letter_key(letter), len(ids))
 
-    start_key, goal_key = state_key(start), state_key(goal)
+    start_key = tuple(intern(t) for t in start.letters)
+    goal_key = tuple(intern(t) for t in goal.letters)
     if start_key == goal_key:
         return ()
 
     # forward scripts carry start -> state, backward scripts goal -> state;
-    # on a meet the combined script is forward + inverse(backward)
+    # on a meet the combined script is forward + inverse(backward).  A
+    # frontier entry is (letters, key, script).
     forward_seen = {start_key: ()}
     backward_seen = {goal_key: ()}
-    forward_frontier = [(start, ())]
-    backward_frontier = [(goal, ())]
+    forward_frontier = [(start.letters, start_key, ())]
+    backward_frontier = [(goal.letters, goal_key, ())]
     spent = 0
     depth_used = 0
     while forward_frontier and backward_frontier and depth_used < max_depth:
@@ -349,21 +346,31 @@ def hurwitz_search(
         seen = forward_seen if expand_forward else backward_seen
         other_seen = backward_seen if expand_forward else forward_seen
         new_frontier = []
-        for fact, script in frontier:
-            for op, moved in _neighbours(fact):
-                spent += 1
-                if spent > budget:
-                    return None
-                k = state_key(moved)
-                if k in seen:
-                    continue
-                moved_script = script + (op,)
-                if k in other_seen:
-                    if expand_forward:
-                        return moved_script + invert_script(other_seen[k])
-                    return other_seen[k] + invert_script(moved_script)
-                seen[k] = moved_script
-                new_frontier.append((moved, moved_script))
+        for letters, key, script in frontier:
+            for i in range(len(letters) - 1):
+                a, b = letters[i], letters[i + 1]
+                for direction in ("right", "left"):
+                    spent += 1
+                    if spent > budget:
+                        return None
+                    pair, new = _swap(a, b, direction)
+                    # the kept letter is b (right) or a (left)
+                    if new:
+                        pair_key = (key[i + 1], intern(pair[1]))
+                    else:
+                        pair_key = (intern(pair[0]), key[i])
+                    k = key[:i] + pair_key + key[i + 2:]
+                    if k in seen:
+                        continue
+                    moved_script = script + ((direction, i),)
+                    if k in other_seen:
+                        if expand_forward:
+                            return moved_script + invert_script(other_seen[k])
+                        return other_seen[k] + invert_script(moved_script)
+                    seen[k] = moved_script
+                    new_frontier.append(
+                        (letters[:i] + pair + letters[i + 2:], k, moved_script)
+                    )
         if expand_forward:
             forward_frontier = new_frontier
         else:

@@ -6,6 +6,7 @@ randomized parts use fixed seeds.  Bounded searches may honestly report
 assertions and must never be weakened.
 """
 import random
+import sys
 import time
 
 from twistbench.braids import braid_equal, verify_manfredini
@@ -230,7 +231,8 @@ def test_A9_block_normal_form():
     # hard assertion: the conjugated block's homology product equals the
     # printed normal form's for b in {2,3}; then a bounded search for an
     # explicit move script either exhibits one (replayed and checked) or
-    # reports inconclusive at the configured budget — never a mismatch
+    # reports inconclusive, naming the limit (depth or budget) that
+    # stopped it — never a mismatch
     t0 = time.perf_counter()
     for b in (2, 3):
         model = reference_model(b)
@@ -247,10 +249,13 @@ def test_A9_block_normal_form():
     out = apply_script(start, script)
     assert [key(t) for t in out.letters] == [key(t) for t in goal.letters]
 
-    budget = DEFAULT_BUDGET
-    bfs = hurwitz_search(start, goal, key, max_depth=6, budget=budget)
+    depth, budget = 6, DEFAULT_BUDGET
+    bfs = hurwitz_search(start, goal, key, max_depth=depth, budget=budget)
     if bfs is None:
-        exhibit = f"normalizer script of 24 moves; breadth-first inconclusive at budget {budget}"
+        # name the limit that stopped it: with no budget only depth binds
+        unbounded = hurwitz_search(start, goal, key, max_depth=depth, budget=sys.maxsize)
+        limit = f"depth {depth}" if unbounded is None else f"budget {budget}"
+        exhibit = f"normalizer script of 24 moves; breadth-first inconclusive at {limit}"
     else:
         check = apply_script(start, bfs)
         assert [key(t) for t in check.letters] == [key(t) for t in goal.letters]

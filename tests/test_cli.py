@@ -2,6 +2,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -393,6 +394,41 @@ class TestHurwitzReplay:
         replay_path.write_text('{"b":2}')
         usage_error("hurwitz", "replay", "--file", str(replay_path))
         assert "missing key 'factorization'" in capsys.readouterr().err
+
+    def test_conjugator_growth_is_inconclusive(self, tmp_path):
+        # four letters with two-letter conjugators; the script below
+        # roughly multiplies the longest conjugator by 2.6 per repeat, and
+        # 16 repeats exhausted 1 GiB of address space before the cap
+        from twistbench.factorization import Factorization, TwistLetter
+        from twistbench.serialize import replay_file_to_dict, stable_json
+        from twistbench.surface import build_reference_configuration
+
+        c = build_reference_configuration(2).curves
+        fact = Factorization(tuple(
+            TwistLetter(c[i], 1, ((c[(i + 1) % 4 + 4], 1), (c[(i + 2) % 4 + 8], -1)))
+            for i in range(4)
+        ))
+        script = (("right", 1), ("left", 2)) * 16
+        path = tmp_path / "growth.json"
+        path.write_text(stable_json(replay_file_to_dict(2, fact, script, fact)))
+
+        def one_gib():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistbench.cli", "hurwitz", "replay",
+             "--file", str(path), "--format", "json"],
+            env=package_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=one_gib,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["exit_code"] == 3
+        [check] = report["checks"]
+        assert check["name"] == "script-applies"
+        assert check["status"] == "inconclusive"
+        assert f"replay cap of {cli.REPLAY_MAX_CONJUGATOR}" in check["details"]
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistbench.braids import word_fingerprint
 from twistbench.factorization import (
     AurouxCertificate,
     Factorization,
@@ -34,6 +35,7 @@ from twistbench.factorization import (
 )
 from twistbench.homology import reference_model, twist_word_matrix
 from twistbench.intlin import is_identity, mat_mul
+from twistbench.monodromy import mu_nu_block, mu_nu_normal_form
 from twistbench.words import free_reduce, invert
 
 
@@ -389,3 +391,131 @@ class TestSearch:
         G = Factorization((bare(curves[0]), bare(curves[1])))
         key = lambda t: letter_matrix(model, t)
         assert hurwitz_search(F, G, key) is None
+
+
+def _reference_neighbours(fact: Factorization):
+    for i in range(len(fact) - 1):
+        for direction in ("right", "left"):
+            yield (direction, i), hurwitz_move(fact, i, direction)
+
+
+def _reference_hurwitz_search(
+    start: Factorization,
+    goal: Factorization,
+    letter_key,
+    *,
+    max_depth: int = 6,
+    budget: int = 20000,
+) -> tuple | None:
+    """Oracle: the search that re-keyed every letter of every neighbour
+    and compared tuples of key values, kept as it was."""
+    if len(start) != len(goal):
+        return None
+
+    key_cache: dict = {}
+
+    def state_key(fact: Factorization):
+        out = []
+        for letter in fact.letters:
+            k = key_cache.get(letter)
+            if k is None:
+                k = letter_key(letter)
+                key_cache[letter] = k
+            out.append(k)
+        return tuple(out)
+
+    start_key, goal_key = state_key(start), state_key(goal)
+    if start_key == goal_key:
+        return ()
+
+    # forward scripts carry start -> state, backward scripts goal -> state;
+    # on a meet the combined script is forward + inverse(backward)
+    forward_seen = {start_key: ()}
+    backward_seen = {goal_key: ()}
+    forward_frontier = [(start, ())]
+    backward_frontier = [(goal, ())]
+    spent = 0
+    depth_used = 0
+    while forward_frontier and backward_frontier and depth_used < max_depth:
+        expand_forward = len(forward_frontier) <= len(backward_frontier)
+        frontier = forward_frontier if expand_forward else backward_frontier
+        seen = forward_seen if expand_forward else backward_seen
+        other_seen = backward_seen if expand_forward else forward_seen
+        new_frontier = []
+        for fact, script in frontier:
+            for op, moved in _reference_neighbours(fact):
+                spent += 1
+                if spent > budget:
+                    return None
+                k = state_key(moved)
+                if k in seen:
+                    continue
+                moved_script = script + (op,)
+                if k in other_seen:
+                    if expand_forward:
+                        return moved_script + invert_script(other_seen[k])
+                    return other_seen[k] + invert_script(moved_script)
+                seen[k] = moved_script
+                new_frontier.append((moved, moved_script))
+        if expand_forward:
+            forward_frontier = new_frontier
+        else:
+            backward_frontier = new_frontier
+        depth_used += 1
+    return None
+
+
+class TestSearchOracle:
+    """The interned, incrementally keyed search returns exactly what the
+    re-keying search returns: the same script, or None."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_planted_searches_agree(self, model, data):
+        curves = curves_of(model)
+        draw_letter = st.builds(
+            TwistLetter,
+            core=st.sampled_from(curves),
+            sign=st.sampled_from((1, -1)),
+            conjugator=st.lists(
+                st.tuples(st.sampled_from(curves), st.sampled_from((1, -1))), max_size=2
+            ).map(tuple),
+        )
+        start = Factorization(tuple(data.draw(st.lists(draw_letter, min_size=2, max_size=6))))
+        planted = tuple(
+            (data.draw(st.sampled_from(("right", "left"))),
+             data.draw(st.integers(0, len(start) - 2)))
+            for _ in range(data.draw(st.integers(1, 6)))
+        )
+        goal = apply_script(start, planted)
+        key = data.draw(st.sampled_from(("structural", "homology")))
+        key = (lambda t: t) if key == "structural" else (lambda t: letter_matrix(model, t))
+        max_depth = data.draw(st.integers(0, 6))
+        budget = data.draw(st.sampled_from((0, 1, 5, 40, 300, 20000)))
+        expected = _reference_hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget)
+        assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
+
+    @pytest.mark.parametrize("max_depth,budget", [(6, 20000), (7, 20000), (7, 3000), (8, 500)])
+    def test_block_search_agrees(self, model, max_depth, budget):
+        key = lambda t: letter_matrix(model, t)
+        start, goal = mu_nu_block(2), mu_nu_normal_form(2)
+        expected = _reference_hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget)
+        assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
+
+    def test_fingerprint_key_agrees(self):
+        # the doubled two-generator block of the monodromy tests, keyed
+        # by braid fingerprints
+        def plain(i, conj=()):
+            return TwistLetter(i, 1, conj)
+
+        start = Factorization((plain(1), plain(2), plain(2), plain(1)) * 2)
+        goal = Factorization(
+            (plain(1), plain(1), plain(2, ((1, 1),)), plain(2, ((1, 1),))) * 2
+        )
+        key = lambda letter: word_fingerprint(letter.expansion(), 3)
+        for max_depth, budget in ((6, 20000), (3, 20000), (6, 50)):
+            expected = _reference_hurwitz_search(
+                start, goal, key, max_depth=max_depth, budget=budget
+            )
+            assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
+        assert expected is None
