@@ -27,9 +27,10 @@ from .braids import BraidError, braid_equal, verify_manfredini
 from .canonical import canonical_sigma_signs
 from .coxeter import psi_factorization
 from .factorization import (
+    ConjugatorCapError,
     MoveError,
+    apply_script,
     auroux_certificate,
-    hurwitz_move,
     replay_certificate,
 )
 from .homology import (
@@ -80,15 +81,6 @@ DEFAULT_BUDGET = 20000
 #: all cubic in the rank 8b-6; at b=12 (rank 90) the whole command takes
 #: about 1.7 s on a 2-core x86-64 machine, over half of it in the build.
 VERIFY_PSI_MAX_B = 12
-
-#: Longest conjugator a ``hurwitz replay`` move may build, in letters.  A
-#: move can nearly triple the longest conjugator, so a short script grows
-#: it exponentially: on four letters with two-letter conjugators, the
-#: script ``(("right", 1), ("left", 2)) * k`` reaches about 1.0M letters
-#: at k=12 in 0.9 s, 2.6M at k=13 in 2.5 s and 6.7M at k=14 in 7.3 s (a
-#: 2-core x86-64 machine), and k=16 exhausts 1 GiB of address space.  A
-#: move over the cap stops the replay as inconclusive (exit 3).
-REPLAY_MAX_CONJUGATOR = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -277,6 +269,8 @@ def cmd_auroux(args, argv, parser) -> int:
             checks.append(
                 Check("certificate-replays", "pass", f"{len(fronts)} steps reproduced")
             )
+        except ConjugatorCapError as err:
+            checks.append(Check("certificate-replays", "inconclusive", str(err)))
         except MoveError as err:
             checks.append(
                 Check(
@@ -488,53 +482,24 @@ def _parse_int_list(parser, text: str) -> list:
 # hurwitz replay
 
 
-def _replay_script(fact, script):
-    """Apply ``script`` move by move, as ``apply_script`` does, but stop
-    at the first move whose new letter has a conjugator longer than
-    ``REPLAY_MAX_CONJUGATOR``.  Returns ``(result, None)``, or ``(None,
-    (step, length))`` for the move over the cap; a bad step raises
-    ``MoveError``."""
-    for step, op in enumerate(script):
-        try:
-            direction, index = op
-            fact = hurwitz_move(fact, index, direction)
-        except (IndexError, ValueError, TypeError) as exc:
-            raise MoveError(step, str(exc)) from exc
-        # a right move changes the letter landing at i+1, a left the one at i
-        new = fact.letters[index + (direction == "right")]
-        if len(new.conjugator) > REPLAY_MAX_CONJUGATOR:
-            return None, (step, len(new.conjugator))
-    return fact, None
-
-
 def cmd_hurwitz(args, argv, parser) -> int:
     b, fact, script, expected = replay_file_from_dict(_read_json(parser, args.file))
     checks = []
     try:
-        result, over_cap = _replay_script(fact, script)
+        result = apply_script(fact, script)
+        checks.append(Check("script-applies", "pass", f"{len(script)} moves"))
+        exact = result.letters == expected.letters
+        checks.append(
+            Check(
+                "result-matches",
+                "pass" if exact else "fail",
+                "letterwise structural equality" if exact else "letters differ",
+            )
+        )
+    except ConjugatorCapError as err:
+        checks.append(Check("script-applies", "inconclusive", str(err)))
     except MoveError as err:
         checks.append(Check("script-applies", "fail", f"step {err.step}: {err}"))
-    else:
-        if over_cap:
-            step, length = over_cap
-            checks.append(
-                Check(
-                    "script-applies",
-                    "inconclusive",
-                    f"step {step}: conjugator of {length} letters exceeds "
-                    f"the replay cap of {REPLAY_MAX_CONJUGATOR}",
-                )
-            )
-        else:
-            checks.append(Check("script-applies", "pass", f"{len(script)} moves"))
-            exact = result.letters == expected.letters
-            checks.append(
-                Check(
-                    "result-matches",
-                    "pass" if exact else "fail",
-                    "letterwise structural equality" if exact else "letters differ",
-                )
-            )
     report = VerificationReport(tuple(argv), tuple(checks), _environment())
     return _finish(report, args.format, args.out)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import twistbench
-from twistbench import canonical, cli, homology
+from twistbench import canonical, cli, factorization, homology
 from twistbench.cli import Check, VerificationReport, main
 
 
@@ -170,6 +170,19 @@ class TestAuroux:
         code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert))
         assert code == 1
         assert "step 3" in out
+
+    def test_growing_replay_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 10_000)
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["steps"][3]["script"] = [["right", 1], ["left", 2]] * 16
+        cert.write_text(json.dumps(payload))
+        code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert), "--format", "json")
+        assert code == 3
+        [check] = json.loads(out)["checks"]
+        assert check["status"] == "inconclusive"
+        assert "over the cap of 10000" in check["details"]
 
     def test_replay_payload_missing_key_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
@@ -395,20 +408,11 @@ class TestHurwitzReplay:
         usage_error("hurwitz", "replay", "--file", str(replay_path))
         assert "missing key 'factorization'" in capsys.readouterr().err
 
-    def test_conjugator_growth_is_inconclusive(self, tmp_path):
-        # four letters with two-letter conjugators; the script below
-        # roughly multiplies the longest conjugator by 2.6 per repeat, and
-        # 16 repeats exhausted 1 GiB of address space before the cap
-        from twistbench.factorization import Factorization, TwistLetter
+    def replay_under_one_gib(self, tmp_path, fact, script):
+        """``hurwitz replay`` of ``script`` in a fresh process limited to
+        1 GiB of address space; returns its one check."""
         from twistbench.serialize import replay_file_to_dict, stable_json
-        from twistbench.surface import build_reference_configuration
 
-        c = build_reference_configuration(2).curves
-        fact = Factorization(tuple(
-            TwistLetter(c[i], 1, ((c[(i + 1) % 4 + 4], 1), (c[(i + 2) % 4 + 8], -1)))
-            for i in range(4)
-        ))
-        script = (("right", 1), ("left", 2)) * 16
         path = tmp_path / "growth.json"
         path.write_text(stable_json(replay_file_to_dict(2, fact, script, fact)))
 
@@ -428,7 +432,41 @@ class TestHurwitzReplay:
         [check] = report["checks"]
         assert check["name"] == "script-applies"
         assert check["status"] == "inconclusive"
-        assert f"replay cap of {cli.REPLAY_MAX_CONJUGATOR}" in check["details"]
+        assert f"over the cap of {factorization.MAX_CONJUGATOR_TOTAL}" in check["details"]
+        return check
+
+    @staticmethod
+    def growth_letters(n):
+        """``n`` letters with two-letter conjugators; ``(("right", i),
+        ("left", i + 1)) * k`` on them multiplies the longest conjugator
+        by about 2.6 per repeat."""
+        from twistbench.factorization import TwistLetter
+        from twistbench.surface import build_reference_configuration
+
+        c = build_reference_configuration(2).curves
+        return tuple(
+            TwistLetter(c[i % 4], 1, ((c[(i + 1) % 4 + 4], 1), (c[(i + 2) % 4 + 8], -1)))
+            for i in range(n)
+        )
+
+    def test_conjugator_growth_is_inconclusive(self, tmp_path):
+        # 16 repeats exhausted 1 GiB of address space before the cap
+        from twistbench.factorization import Factorization
+
+        fact = Factorization(self.growth_letters(4))
+        self.replay_under_one_gib(tmp_path, fact, (("right", 1), ("left", 2)) * 16)
+
+    def test_conjugator_total_is_capped(self, tmp_path):
+        # 11 repeats grow one conjugator to about 377k letters, under the
+        # cap; moving that letter to the front then conjugates each of the
+        # other 200 letters by it, which would need over 1 GiB
+        from twistbench.factorization import Factorization
+
+        fact = Factorization(self.growth_letters(204))
+        script = (("right", 201), ("left", 202)) * 11
+        script += tuple(("right", i) for i in range(201, -1, -1))
+        check = self.replay_under_one_gib(tmp_path, fact, script)
+        assert check["details"].startswith("script step 22:")
 
 
 class TestUsage:

@@ -13,9 +13,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistbench import factorization
 from twistbench.braids import word_fingerprint
 from twistbench.factorization import (
     AurouxCertificate,
+    ConjugatorCapError,
     Factorization,
     MoveError,
     TwistLetter,
@@ -171,6 +173,30 @@ class TestMoves:
         script = scripts(data, fact, 8)
         moved = apply_script(fact, script)
         assert apply_script(moved, invert_script(script)).letters == fact.letters
+
+    @settings(max_examples=60, deadline=None)
+    @given(fact_st, st.data())
+    def test_cap_sees_the_exact_conjugator_total(self, fact, data):
+        """A cap one below the largest total a script reaches stops it at
+        the first step that reaches that total; at the total it passes."""
+        script = scripts(data, fact, 10)
+        totals, moved = [], fact
+        for direction, i in script:
+            moved = hurwitz_move(moved, i, direction)
+            totals.append(sum(len(t.conjugator) for t in moved.letters))
+        peak = max(totals, default=0)
+        cap = factorization.MAX_CONJUGATOR_TOTAL
+        try:
+            factorization.MAX_CONJUGATOR_TOTAL = peak
+            assert apply_script(fact, script).letters == moved.letters
+            factorization.MAX_CONJUGATOR_TOTAL = peak - 1
+            if totals:
+                with pytest.raises(ConjugatorCapError) as err:
+                    apply_script(fact, script)
+                assert err.value.step == totals.index(peak)
+                assert err.value.total == peak
+        finally:
+            factorization.MAX_CONJUGATOR_TOTAL = cap
 
 
 class TestProducts:
@@ -341,6 +367,22 @@ class TestCertificates:
         with pytest.raises(MoveError) as err:
             replay_certificate(fact, bad)
         assert err.value.step == 2
+
+    def test_replay_stops_at_the_conjugator_cap(self, model, monkeypatch):
+        monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 1000)
+        fact, cores = self.planted(model)
+        cert = auroux_certificate(fact, cores)
+        step = cert.steps[0]
+        grown = AurouxCertificate(
+            base_cores=cert.base_cores,
+            steps=(type(step)(step.core, step.sign, step.source_index,
+                              (("right", 1), ("left", 2)) * 30, step.front_letter,
+                              step.stripped_bare),),
+        )
+        with pytest.raises(ConjugatorCapError) as err:
+            replay_certificate(fact, grown)
+        assert 0 < err.value.step < 60
+        assert 1000 < err.value.total
 
     def test_replay_rejects_wrong_base(self, model):
         fact, cores = self.planted(model)
