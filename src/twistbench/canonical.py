@@ -29,12 +29,7 @@ from .homology import (
     psi_reference,
     twist_word_matrix,
 )
-from .surface import (
-    build_reference_configuration,
-    euler_and_genus,
-    ribbon_from_system,
-    trace_boundary,
-)
+from .surface import build_reference_configuration, ribbon_from_system
 
 __all__ = ["SignProbe", "probe_signs", "sigma_sign_search", "canonical_sigma_signs"]
 
@@ -60,12 +55,10 @@ def probe_signs(b: int, signs, check_product: bool = False) -> SignProbe:
     try:
         system = build_reference_configuration(b, sigma_signs=signs)
         rg = ribbon_from_system(system)
-        walks = len(trace_boundary(rg))
-        _, genus = euler_and_genus(rg)
         model = homology_model(rg)
     except (AdmissibilityError, ValueError) as exc:
         return SignProbe(signs, False, None, None, None, False, None, str(exc))
-    rank = len(model.classes)
+    walks, genus, rank = len(rg.walks), model.genus, model.rank
     try:
         psi = psi_reference(model)
     except AdmissibilityError as exc:

@@ -139,9 +139,14 @@ def _environment() -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout; an unwritable
+    path is a ValueError naming it."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write {out}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 
@@ -154,12 +159,15 @@ def _finish(report: VerificationReport, fmt: str, out: str | None) -> int:
 
 def _read_json(parser, path: str):
     """The JSON payload of an input file; an unreadable file is a usage
-    error, and malformed JSON a ValueError."""
+    error, and malformed JSON (nesting too deep to parse included) a
+    ValueError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as err:
         parser.error(f"cannot read {path}: {err.strerror or err}")
+    except RecursionError:
+        raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +479,7 @@ def cmd_braid(args, argv, parser) -> int:
 def _parse_int_list(parser, text: str) -> list:
     try:
         values = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         parser.error(f"braid words are JSON integer arrays, got {text!r}")
     if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
         parser.error(f"braid words are JSON integer arrays, got {text!r}")

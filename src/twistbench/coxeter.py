@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from . import words
 from .homology import HomologyModel, MappingClassMatrix, twist_word_matrix
+from .intlin import mat_vec
 from .surface import (
     CurveId,
     CurveSystem,
@@ -23,7 +24,6 @@ from .surface import (
     euler_and_genus,
     ribbon_from_system,
     subsystem,
-    trace_boundary,
 )
 
 __all__ = [
@@ -106,9 +106,8 @@ def chain_neighborhood_stats(sys: CurveSystem, chain) -> tuple[int, int]:
     neighbourhood of the chain inside ``sys``."""
     chain = validate_chain(sys, chain)
     rg = ribbon_from_system(subsystem(sys, chain))
-    boundary = len(trace_boundary(rg))
     _, genus = euler_and_genus(rg)
-    return boundary, genus
+    return len(rg.walks), genus
 
 
 def _family_run(family: str, start: int, stop: int) -> tuple[CurveId, ...]:
@@ -160,18 +159,16 @@ def verify_chain_action(model: HomologyModel, chain) -> None:
     if size % 2:
         matrix = coxeter_matrix(model, chain, 1).matrix
         for i, v in enumerate(classes, start=1):
-            image = tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
             sign = +1 if i % 2 else -1
             expected = tuple(sign * x for x in classes[size - i])
-            if image != expected:
+            if mat_vec(matrix, v) != expected:
                 raise AssertionError(
                     f"odd-chain action failed at position {i} of {[c.label for c in chain]}"
                 )
     else:
         matrix = coxeter_matrix(model, chain, 2).matrix
         for i, v in enumerate(classes, start=1):
-            image = tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
-            if image != tuple(-x for x in v):
+            if mat_vec(matrix, v) != tuple(-x for x in v):
                 raise AssertionError(
                     f"even-chain squared action failed at position {i} of "
                     f"{[c.label for c in chain]}"

@@ -427,30 +427,28 @@ def greedy_match_script(
     letter_key: Callable[[TwistLetter], object],
 ) -> tuple | None:
     """Deterministic normalization towards ``goal``: for each position in
-    turn, bubble some later letter to it with right moves so that its key
-    matches the goal letter's key, trying candidates left to right.  The
-    moving letter is never modified by right moves, while the letters it
-    passes get conjugated by it — which is exactly what unwinds nested
-    conjugators.  Returns the combined script (verified: applying it to
-    ``start`` yields a letterwise key match with ``goal``), or None when
-    some position has no candidate.  Unlike :func:`hurwitz_search` this
-    is not bounded-complete: None means this strategy failed, not that no
-    script exists."""
+    turn, bubble the first later letter whose key matches the goal letter's
+    key to it with right moves.  The moving letter is never modified by
+    right moves, so the candidate is chosen by its key before any move,
+    while the letters it passes get conjugated by it — which is exactly
+    what unwinds nested conjugators.  Returns the combined script (applying
+    it to ``start`` yields a letterwise key match with ``goal``), or None
+    when some position has no candidate.  Unlike :func:`hurwitz_search`
+    this is not bounded-complete: None means this strategy failed, not
+    that no script exists."""
     if len(start) != len(goal):
         return None
     goal_keys = [letter_key(letter) for letter in goal.letters]
     fact = start
     script: list = []
     for position, want in enumerate(goal_keys):
-        for candidate in range(position, len(fact)):
-            trial_script = tuple(
-                ("right", i) for i in range(candidate - 1, position - 1, -1)
-            )
-            trial = apply_script(fact, trial_script)
-            if letter_key(trial[position]) == want:
-                fact = trial
-                script.extend(trial_script)
-                break
-        else:
+        candidate = next(
+            (i for i in range(position, len(fact)) if letter_key(fact[i]) == want),
+            None,
+        )
+        if candidate is None:
             return None
+        run = tuple(("right", i) for i in range(candidate - 1, position - 1, -1))
+        fact = apply_script(fact, run)
+        script.extend(run)
     return tuple(script)

@@ -55,7 +55,6 @@ from .surface import (
     euler_and_genus,
     face_edge_vectors,
     ribbon_from_system,
-    trace_boundary,
 )
 
 __all__ = [
@@ -219,7 +218,7 @@ def _crossing_form(sys: CurveSystem, order: tuple[CurveId, ...]) -> IntMatrix:
 def homology_model(rg: RibbonGraph) -> HomologyModel:
     sys = rg.system
     _, genus = euler_and_genus(rg)
-    walks = trace_boundary(rg)
+    walks = rg.walks
     free = _spanning_tree_projection(rg)
 
     def fundamental(vec: tuple[int, ...]) -> IntVector:
@@ -263,12 +262,12 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
         )
 
     crossing_form = _crossing_form(sys, order)
-    kernel = from_columns(kernel_basis(classes))
+    kernel = from_columns(kernel_basis(class_snf))
     if kernel and not is_zero(mat_mul(crossing_form, kernel)):
         raise AdmissibilityError(
             "crossing form does not vanish on the relations among curves"
         )
-    section = right_inverse(classes)
+    section = right_inverse(classes, class_snf)
     form = mat_mul_many(transpose(section), crossing_form, section)
     if not is_antisymmetric(form):
         raise AdmissibilityError("induced pairing is not antisymmetric")
@@ -393,13 +392,13 @@ def psi_reference(
     instead, a pure relabelling).  Raises if the prescription conflicts with
     the relations among curve classes."""
     images = psi_curve_images(model, pairing)
-    n = len(model.curve_order)
-    perm = [[0] * n for _ in range(n)]
-    for c, (target, s) in images.items():
-        perm[model.curve_index[target]][model.curve_index[c]] = s
-    perm = tuple(tuple(row) for row in perm)
-
-    moved = mat_mul(model.classes, perm)  # column j = class of psi(curve_j)
+    # column j = class of psi(curve_j), a signed column of ``classes``
+    moved = from_columns(
+        [
+            tuple(s * x for x in model.curve_class(target))
+            for target, s in (images[c] for c in model.curve_order)
+        ]
+    )
     if model.kernel and not is_zero(mat_mul(moved, model.kernel)):
         raise NotWellDefinedError(
             "prescribed curve images violate the relations among curve classes"

@@ -114,16 +114,14 @@ def is_antisymmetric(matrix: IntMatrix) -> bool:
 class SmithDecomposition:
     """Unimodular ``U @ M @ V == D`` with ``D`` in Smith normal form.
 
-    ``U_inv`` / ``V_inv`` are the exact inverses of ``U`` / ``V``; the
-    diagonal of ``D`` holds the invariant factors (non-negative, each
-    dividing the next).
+    ``U_inv`` is the exact inverse of ``U``; the diagonal of ``D`` holds
+    the invariant factors (non-negative, each dividing the next).
     """
 
     U: IntMatrix
     U_inv: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    V_inv: IntMatrix
     rank: int
     invariant_factors: tuple[int, ...]
 
@@ -134,11 +132,11 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     ui = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    vi = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     # Every elementary operation is applied simultaneously to the working
-    # matrix, the transform, and the transform's inverse (with the inverse
-    # operation on the opposite side), so the decomposition never drifts.
+    # matrix and its transform; row operations also update ``U``'s inverse
+    # (with the inverse operation on the opposite side), so the
+    # decomposition never drifts.
     def row_swap(i: int, j: int) -> None:
         if i == j:
             return
@@ -172,7 +170,6 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(j: int, i: int, k: int) -> None:  # col j += k * col i
         if k == 0:
@@ -181,9 +178,6 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             row[j] += k * row[i]
         for row in v:
             row[j] += k * row[i]
-        vii, vj = vi[i], vi[j]
-        for t in range(ncols):  # inverse: row i -= k * row j
-            vii[t] -= k * vj[t]
 
     t = 0
     limit = min(nrows, ncols)
@@ -246,27 +240,25 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
         U_inv=freeze(ui),
         D=freeze(d),
         V=freeze(v),
-        V_inv=freeze(vi),
         rank=len(factors),
         invariant_factors=tuple(factors),
     )
 
 
-def kernel_basis(matrix: IntMatrix) -> tuple[IntVector, ...]:
-    """A lattice basis of ``{x : matrix @ x == 0}`` over the integers."""
-    snf = smith_normal_form(matrix)
-    _, ncols = dims(matrix)
-    return tuple(column(snf.V, j) for j in range(snf.rank, ncols))
+def kernel_basis(snf: SmithDecomposition) -> tuple[IntVector, ...]:
+    """A lattice basis of ``{x : M @ x == 0}`` over the integers, read off
+    the decomposition ``snf`` of ``M``."""
+    return tuple(column(snf.V, j) for j in range(snf.rank, len(snf.V)))
 
 
-def right_inverse(matrix: IntMatrix) -> IntMatrix:
-    """An integer ``X`` with ``matrix @ X == identity``.
+def right_inverse(matrix: IntMatrix, snf: SmithDecomposition) -> IntMatrix:
+    """An integer ``X`` with ``matrix @ X == identity``, built from the
+    decomposition ``snf`` of ``matrix`` and certified by re-multiplication.
 
     Exists iff the rows are independent and the invariant factors are all 1
     (the matrix maps onto the full integer lattice); raises otherwise.
     """
     nrows, _ = dims(matrix)
-    snf = smith_normal_form(matrix)
     if snf.rank != nrows or any(f != 1 for f in snf.invariant_factors):
         raise ValueError(
             "no integer right inverse: rank "

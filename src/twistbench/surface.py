@@ -42,7 +42,6 @@ __all__ = [
     "build_reference_configuration",
     "subsystem",
     "ribbon_from_system",
-    "trace_boundary",
     "euler_and_genus",
     "face_edge_vectors",
     "curve_edge_vector",
@@ -295,6 +294,32 @@ class RibbonGraph:
             d: v for v, rot in self.rotation_table for d in rot
         }
 
+    @cached_property
+    def walks(self) -> tuple[tuple[Dart, ...], ...]:
+        """Boundary walks of the ribbon surface, as orbits of the permutation
+        ``dart -> ccw-successor of partner(dart)``; deterministic order.
+        Inconsistent data raises on every access (nothing is cached)."""
+        darts = sorted(self.darts, key=_dart_sort_key)
+        if len(set(darts)) != len(darts) or set(darts) != set(self.rot_next):
+            raise RibbonError("inconsistent cyclic orders: darts are not a disjoint union")
+        seen: set[Dart] = set()
+        walks: list[tuple[Dart, ...]] = []
+        for start in darts:
+            if start in seen:
+                continue
+            walk = []
+            d = start
+            while True:
+                walk.append(d)
+                seen.add(d)
+                d = self.rot_next[self.partner(d)]
+                if d == start:
+                    break
+                if d in seen:
+                    raise RibbonError("boundary tracing merged two walks")
+            walks.append(tuple(walk))
+        return tuple(walks)
+
     def partner(self, dart: Dart) -> Dart:
         """The other end of the arc carrying this arc-end."""
         c, k, io = dart
@@ -348,31 +373,6 @@ def _dart_sort_key(d: Dart):
     return (c.family, c.index, k, io)
 
 
-def trace_boundary(rg: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
-    """Boundary walks of the ribbon surface, as orbits of the permutation
-    ``dart -> ccw-successor of partner(dart)``; deterministic order."""
-    darts = sorted(rg.darts, key=_dart_sort_key)
-    if len(set(darts)) != len(darts) or set(darts) != set(rg.rot_next):
-        raise RibbonError("inconsistent cyclic orders: darts are not a disjoint union")
-    seen: set[Dart] = set()
-    walks: list[tuple[Dart, ...]] = []
-    for start in darts:
-        if start in seen:
-            continue
-        walk = []
-        d = start
-        while True:
-            walk.append(d)
-            seen.add(d)
-            d = rg.rot_next[rg.partner(d)]
-            if d == start:
-                break
-            if d in seen:
-                raise RibbonError("boundary tracing merged two walks")
-        walks.append(tuple(walk))
-    return tuple(walks)
-
-
 def _is_connected(rg: RibbonGraph) -> bool:
     if not rg.vertices:
         return True
@@ -398,7 +398,7 @@ def euler_and_genus(rg: RibbonGraph) -> tuple[int, int]:
     if not _is_connected(rg):
         raise RibbonError("ribbon graph must be connected")
     chi = len(rg.vertices) - len(rg.edges)
-    capped = chi + len(trace_boundary(rg))
+    capped = chi + len(rg.walks)
     if capped % 2 or capped > 2:
         raise RibbonError(f"capped Euler characteristic {capped} is impossible")
     return chi, (2 - capped) // 2
@@ -409,7 +409,7 @@ def face_edge_vectors(rg: RibbonGraph) -> tuple[tuple[int, ...], ...]:
     contributes +1 to its arc when it is the tail, -1 when the head.  The
     vectors are cycles and sum to zero."""
     vectors = []
-    for walk in trace_boundary(rg):
+    for walk in rg.walks:
         vec = [0] * len(rg.edges)
         for d in walk:
             e, s = rg.edge_of_dart(d)

@@ -403,6 +403,11 @@ class TestHurwitzReplay:
         usage_error("hurwitz", "replay", "--file", str(tmp_path / "absent.json"))
         assert "cannot read" in capsys.readouterr().err
 
+    def test_out_into_missing_directory_is_usage_error(self, capsys, tmp_path, replay_path):
+        target = tmp_path / "absent" / "out.json"
+        usage_error("hurwitz", "replay", "--file", str(replay_path), "--out", str(target))
+        assert f"cannot write {target}" in capsys.readouterr().err
+
     def test_payload_missing_key_is_usage_error(self, capsys, replay_path):
         replay_path.write_text('{"b":2}')
         usage_error("hurwitz", "replay", "--file", str(replay_path))
@@ -490,3 +495,32 @@ class TestUsage:
     def test_seed_is_not_an_option(self, capsys, argv):
         usage_error(*argv, "--seed", "0")
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-psi", "--b", "2"),
+            ("auroux", "--b", "2"),
+            ("export", "config", "--b", "2"),
+            ("monodromy", "emit", "--b", "2"),
+            ("invariants", "--a", "14", "--b", "8", "--c", "6"),
+            ("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[1]"),
+        ],
+    )
+    def test_out_into_missing_directory(self, capsys, tmp_path, argv):
+        target = tmp_path / "absent" / "out.json"
+        usage_error(*argv, "--out", str(target))
+        assert f"cannot write {target}" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
+        deep = "[" * 3000 + "]" * 3000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        for argv in (
+            ("hurwitz", "replay", "--file", str(path)),
+            ("auroux", "--b", "2", "--replay", str(path)),
+        ):
+            usage_error(*argv)
+            assert f"malformed JSON in {path}" in capsys.readouterr().err
+        usage_error("braid", "eq", "--n", "3", "--lhs", deep, "--rhs", "[1]")
+        assert "braid words are JSON integer arrays" in capsys.readouterr().err

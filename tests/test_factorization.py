@@ -25,6 +25,7 @@ from twistbench.factorization import (
     auroux_certificate,
     bare,
     fiber_sum,
+    greedy_match_script,
     hurwitz_move,
     hurwitz_search,
     invert_script,
@@ -561,3 +562,65 @@ class TestSearchOracle:
             )
             assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
         assert expected is None
+
+
+def _reference_greedy_match_script(start, goal, letter_key):
+    """Oracle: the normalizer that applied a trial script for every
+    candidate and keyed the letter it brought to the position, kept as
+    it was."""
+    if len(start) != len(goal):
+        return None
+    goal_keys = [letter_key(letter) for letter in goal.letters]
+    fact = start
+    script: list = []
+    for position, want in enumerate(goal_keys):
+        for candidate in range(position, len(fact)):
+            trial_script = tuple(
+                ("right", i) for i in range(candidate - 1, position - 1, -1)
+            )
+            trial = apply_script(fact, trial_script)
+            if letter_key(trial[position]) == want:
+                fact = trial
+                script.extend(trial_script)
+                break
+        else:
+            return None
+    return tuple(script)
+
+
+class TestGreedyOracle:
+    """The normalizer that picks its candidate by key before moving returns
+    exactly the script of the one that tried every candidate."""
+
+    @pytest.mark.parametrize("b,moves", [(2, 24), (3, 80)])
+    def test_blocks_agree(self, b, moves):
+        m = reference_model(b)
+        key = lambda t: letter_matrix(m, t)
+        start, goal = mu_nu_block(b), mu_nu_normal_form(b)
+        script = greedy_match_script(start, goal, key)
+        assert script == _reference_greedy_match_script(start, goal, key)
+        assert len(script) == moves
+
+    @settings(max_examples=150, deadline=None)
+    @given(fact_st, st.data())
+    def test_structural_key_agrees(self, fact, data):
+        goal = apply_script(fact, scripts(data, fact, 6))
+        key = lambda t: t
+        script = greedy_match_script(fact, goal, key)
+        assert script == _reference_greedy_match_script(fact, goal, key)
+        if script is not None:
+            assert apply_script(fact, script).letters == goal.letters
+
+    def test_one_move_per_script_step(self, model, monkeypatch):
+        # [DERIVED] the trial-per-candidate normalizer made 72 moves at b=2
+        calls = []
+        original = factorization._move
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorization, "_move", counting)
+        key = lambda t: letter_matrix(model, t)
+        script = greedy_match_script(mu_nu_block(2), mu_nu_normal_form(2), key)
+        assert len(calls) == len(script) == 24

@@ -4,11 +4,13 @@
 (genus/rank/admissibility table over all sixteen sign tuples) and by the
 two-curve twist identities checked by hand before freezing.
 """
-from functools import lru_cache
+import hashlib
+from functools import cached_property, lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistbench import canonical, homology, intlin
 from twistbench.coxeter import psi_factorization
 from twistbench.homology import (
     AdmissibilityError,
@@ -31,7 +33,12 @@ from twistbench.intlin import (
     outer,
     transpose,
 )
-from twistbench.surface import build_reference_configuration, curve, ribbon_from_system
+from twistbench.surface import (
+    RibbonGraph,
+    build_reference_configuration,
+    curve,
+    ribbon_from_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +297,60 @@ class TestTwistKernel:
         model = cached_model(b)
         product = twist_word_matrix(model, psi_factorization(b))
         assert product.matrix == psi_reference(model).matrix
+
+
+class TestBuildWork:
+    """A model build computes each of its objects once, and computes the
+    same model as before it shared them."""
+
+    def test_reference_models_are_pinned(self):
+        # [DERIVED] sha256 measured before the build shared its boundary
+        # walks and Smith decompositions
+        rows = [
+            (m.fingerprint, m.section, m.kernel, psi_reference(m).matrix)
+            for m in map(reference_model, range(2, 7))
+        ]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "0214aa5bc629c9a61f29014dd905e40f2d9f223e34e59ce058a155fb5af20c1b"
+        )
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+        original = intlin.smith_normal_form
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(intlin, "smith_normal_form", counting)
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        return calls
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        calls = []
+        original = RibbonGraph.walks.func
+
+        def walks(rg):
+            calls.append(rg)
+            return original(rg)
+
+        prop = cached_property(walks)
+        prop.__set_name__(RibbonGraph, "walks")
+        monkeypatch.setattr(RibbonGraph, "walks", prop)
+        return calls
+
+    def test_build_reduces_three_matrices_and_traces_once(self, smith_calls, traces):
+        # faces, curve classes and the induced form; kernel and section
+        # come from the decomposition of the curve classes
+        rg = ribbon_from_system(build_reference_configuration(2))
+        smith_calls.clear()  # a first "auto" build runs the sign calibration
+        traces.clear()
+        homology_model(rg)
+        assert len(smith_calls) == 3
+        assert traces == [rg]
+
+    def test_probe_traces_once(self, traces):
+        canonical.probe_signs(2, (1, 1, 1, 1), check_product=True)
+        assert len(traces) == 1

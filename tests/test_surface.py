@@ -3,6 +3,8 @@
 Expected values marked [DERIVED] were computed by independent counting
 (curve/crossing formulas, Euler characteristic by hand) and frozen here.
 """
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,6 @@ from twistbench.surface import (
     parse_curve,
     ribbon_from_system,
     subsystem,
-    trace_boundary,
 )
 
 
@@ -92,13 +93,13 @@ class TestRibbonAndBoundary:
     def test_single_curve_is_annulus(self):
         # [DERIVED] neighbourhood of one embedded curve: 2 boundary walks, genus 0
         rg = ribbon_from_system(chain_system(1))
-        assert len(trace_boundary(rg)) == 2
+        assert len(rg.walks) == 2
         assert euler_and_genus(rg) == (0, 0)
 
     def test_two_curve_chain_is_punctured_torus(self):
         # [DERIVED] one crossing, hand-traced: single boundary walk, genus 1
         rg = ribbon_from_system(chain_system(2))
-        walks = trace_boundary(rg)
+        walks = rg.walks
         assert len(walks) == 1
         assert euler_and_genus(rg) == (-1, 1)
 
@@ -106,7 +107,7 @@ class TestRibbonAndBoundary:
     def test_chain_walks_and_genus(self, length):
         # [DERIVED] chain of odd length: 2 walks, genus (len-1)/2; even: 1, len/2
         rg = ribbon_from_system(chain_system(length))
-        walks = trace_boundary(rg)
+        walks = rg.walks
         _, genus = euler_and_genus(rg)
         if length % 2:
             assert (len(walks), genus) == (2, (length - 1) // 2)
@@ -124,9 +125,9 @@ class TestRibbonAndBoundary:
 
     def test_boundary_is_deterministic_partition(self):
         rg = ribbon_from_system(build_reference_configuration(2, sigma_signs=(1, 1, 1, 1)))
-        walks1 = trace_boundary(rg)
-        walks2 = trace_boundary(rg)
-        assert walks1 == walks2
+        again = ribbon_from_system(build_reference_configuration(2, sigma_signs=(1, 1, 1, 1)))
+        walks1 = rg.walks
+        assert walks1 == again.walks
         seen = [d for walk in walks1 for d in walk]
         assert len(seen) == len(set(seen)) == len(rg.darts)
 
@@ -145,6 +146,15 @@ class TestRibbonAndBoundary:
         assert all(x == 0 for x in vec)
         for c in rg.system.curves:
             assert any(x != 0 for x in curve_edge_vector(rg, c))
+
+    def test_inconsistent_rotations_raise_on_every_access(self):
+        rg = ribbon_from_system(chain_system(2))
+        doubled = dataclasses.replace(
+            rg, rotation_table=rg.rotation_table + rg.rotation_table[:1]
+        )
+        for _ in range(2):
+            with pytest.raises(RibbonError):
+                doubled.walks
 
     def test_disconnected_system_rejected(self):
         a1, a2 = curve("alpha", 1), curve("alpha", 2)
@@ -165,11 +175,11 @@ class TestSubsystem:
         assert sub.curves == keep
         assert len(sub.crossings) == 2
         rg = ribbon_from_system(sub)
-        assert len(trace_boundary(rg)) == 2  # odd chain of 3
+        assert len(rg.walks) == 2  # odd chain of 3
 
     def test_single_kept_curve_gets_marked_point(self):
         s = build_reference_configuration(2, sigma_signs=(1, 1, 1, 1))
         sub = subsystem(s, (curve("alpha", 3),))
         rg = ribbon_from_system(sub)
-        assert len(trace_boundary(rg)) == 2
+        assert len(rg.walks) == 2
         assert euler_and_genus(rg) == (0, 0)
