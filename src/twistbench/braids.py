@@ -16,14 +16,13 @@ a closed surface (the sphere relation) genuinely fails here.
 """
 from __future__ import annotations
 
-from .laminations import LaminationCoords, test_family, word_action
+from .laminations import test_family, word_action
 from .words import Word, free_reduce, invert
 
 __all__ = [
     "BraidError",
     "braid_word",
     "exponent_sum",
-    "lamination_act",
     "word_fingerprint",
     "braid_equal",
     "artin_image",
@@ -48,11 +47,6 @@ def braid_word(letters, n: int) -> Word:
 
 def exponent_sum(word) -> int:
     return sum(s for _, s in word)
-
-
-def lamination_act(word, lam: LaminationCoords) -> LaminationCoords:
-    """Apply a braid word to a lamination, rightmost letter first."""
-    return word_action(lam, braid_word(word, lam.n))
 
 
 def word_fingerprint(word, n: int) -> tuple:

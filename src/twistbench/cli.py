@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .braids import BraidError, braid_equal, verify_manfredini
+from .braids import braid_equal, verify_manfredini
 from .canonical import canonical_sigma_signs
 from .coxeter import psi_factorization
 from .factorization import (
@@ -53,7 +53,6 @@ from .monodromy import (
     default_colouring,
     default_composition,
     lifted_composition,
-    monodromy_blocks,
     x_block,
     y_block,
 )
@@ -443,12 +442,9 @@ def cmd_invariants(args, argv, parser) -> int:
 def cmd_braid(args, argv, parser) -> int:
     checks = []
     if args.action == "eq":
-        try:
-            w1 = braid_word_from_ints(_parse_int_list(parser, args.lhs))
-            w2 = braid_word_from_ints(_parse_int_list(parser, args.rhs))
-            equal = braid_equal(w1, w2, args.n)
-        except (BraidError, ValueError) as err:
-            parser.error(str(err))
+        w1 = braid_word_from_ints(_parse_int_list("lhs", args.lhs))
+        w2 = braid_word_from_ints(_parse_int_list("rhs", args.rhs))
+        equal = braid_equal(w1, w2, args.n)
         checks.append(
             Check(
                 "words-equal",
@@ -459,10 +455,7 @@ def cmd_braid(args, argv, parser) -> int:
     else:  # manfredini
         if args.k is None:
             parser.error("braid manfredini requires --k")
-        try:
-            results = verify_manfredini(args.n, args.k)
-        except BraidError as err:
-            parser.error(str(err))
+        results = verify_manfredini(args.n, args.k)
         status = {"holds": "pass", "fails": "fail", "skipped": "inconclusive"}
         for name, outcome in results:
             checks.append(
@@ -476,13 +469,18 @@ def cmd_braid(args, argv, parser) -> int:
     return _finish(report, args.format, args.out)
 
 
-def _parse_int_list(parser, text: str) -> list:
+def _parse_int_list(option: str, text: str) -> list:
+    """The JSON integer array given as ``--option``; anything else is a
+    ValueError naming the option and quoting at most 40 characters."""
     try:
         values = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
-        parser.error(f"braid words are JSON integer arrays, got {text!r}")
+        values = None
     if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
-        parser.error(f"braid words are JSON integer arrays, got {text!r}")
+        more = "..." if len(text) > 40 else ""
+        raise ValueError(
+            f"--{option}: braid words are JSON integer arrays, got {text[:40]!r}{more}"
+        )
     return values
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "homology_model",
     "reference_model",
     "dehn_twist",
-    "compose",
     "is_symplectic",
     "twist_word_matrix",
     "psi_curve_images",
@@ -84,21 +83,15 @@ class NotWellDefinedError(AdmissibilityError):
 @dataclass(frozen=True)
 class MappingClassMatrix:
     """Integer matrix action on the homology lattice, tagged with the model
-    fingerprint it belongs to and (optionally) the twist word it came from."""
+    fingerprint it belongs to and (optionally) the twist word it came from.
+
+    Twist products are built only by :func:`twist_word_matrix`; a matrix is
+    checked against its model with :meth:`HomologyModel.check_fingerprint`.
+    """
 
     matrix: IntMatrix
     model_fingerprint: str
     word: tuple[tuple[CurveId, int], ...] | None = None
-
-    def __matmul__(self, other: "MappingClassMatrix") -> "MappingClassMatrix":
-        if self.model_fingerprint != other.model_fingerprint:
-            raise AdmissibilityError("cannot compose matrices over different models")
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return MappingClassMatrix(
-            mat_mul(self.matrix, other.matrix), self.model_fingerprint, word
-        )
 
 
 def _spanning_tree_projection(rg: RibbonGraph) -> tuple[int, ...]:
@@ -193,9 +186,6 @@ class HomologyModel:
 
     def pairing(self, c1: CurveId, c2: CurveId) -> int:
         return self.intersection(self.curve_class(c1), self.curve_class(c2))
-
-    def identity_matrix(self) -> MappingClassMatrix:
-        return MappingClassMatrix(identity(self.rank), self.fingerprint, ())
 
     def check_fingerprint(self, m: MappingClassMatrix) -> None:
         if m.model_fingerprint != self.fingerprint:
@@ -299,17 +289,6 @@ def dehn_twist(model: HomologyModel, c: CurveId, sign: int = +1) -> MappingClass
     its inverse for ``sign=-1``.  The direction convention is pinned by the
     pair identities T_a T_b(a) = -b, T_b T_a(b) = a for <a, b> = +1."""
     return twist_word_matrix(model, ((c, sign),))
-
-
-def compose(ms) -> MappingClassMatrix:
-    """Right-to-left composition: the last listed matrix acts first."""
-    ms = list(ms)
-    if not ms:
-        raise ValueError("compose() needs at least one matrix; use identity_matrix()")
-    out = ms[0]
-    for m in ms[1:]:
-        out = out @ m
-    return out
 
 
 def is_symplectic(m: MappingClassMatrix, model: HomologyModel) -> bool:

@@ -14,7 +14,7 @@ across the colour boundary (``z`` is the half-twist on strands
         (y1^2)_{z x_{m-1}..x1} ... (y_{m-1}^2)_{y_{m-2}..y1 z x_{m-1}..x1}
 
 and the strand-reversal mirror ``Y`` (starting ``y_{m-1} y_{m-1} ...``).
-How many copies of each block compose to the full factorization is a
+How many copies of each block make up the full factorization is a
 caller decision; :func:`composition_search` tabulates the constraints
 (every arrangement preserves colour and induces the identity strand
 permutation, and no arrangement of up to six blocks lifts to a
@@ -44,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .braids import braid_equal, braid_word
-from .braids import permutation_image as strand_permutation
+from .braids import braid_equal, braid_word, permutation_image
 from .factorization import Factorization, TwistLetter, bare
 from .surface import curve
 from .words import conjugate
@@ -65,7 +64,6 @@ __all__ = [
     "lifted_composition",
     "composition_search",
     "default_composition",
-    "permutation_image",
     "generation_check",
     "appendix_factorization",
     "mu_nu_block",
@@ -83,40 +81,10 @@ class MonodromyError(ValueError):
 
 @dataclass(frozen=True)
 class Colouring:
-    """Partition of the strands ``1..n`` into labelled blocks."""
+    """Partition of the strands ``1..n`` into labelled blocks, given as
+    ``(label, sorted strands)`` pairs; built by :func:`default_colouring`."""
 
     blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(
-            (label, tuple(sorted(int(s) for s in strands)))
-            for label, strands in self.blocks
-        )
-        object.__setattr__(self, "blocks", blocks)
-        strands = [s for _, block in blocks for s in block]
-        if len(set(strands)) != len(strands):
-            raise ValueError("colour blocks overlap")
-        if not strands or set(strands) != set(range(1, max(strands) + 1)):
-            raise ValueError("colour blocks must cover the strands 1..n")
-        labels = [label for label, _ in blocks]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate colour label")
-
-    @property
-    def n(self) -> int:
-        return sum(len(block) for _, block in self.blocks)
-
-    def block(self, label) -> tuple:
-        for lab, block in self.blocks:
-            if lab == label:
-                return block
-        raise KeyError(label)
-
-    def label_of(self, strand: int):
-        for lab, block in self.blocks:
-            if strand in block:
-                return lab
-        raise KeyError(strand)
 
     def preserved_by(self, perm) -> bool:
         """Does the strand permutation map every block onto itself?"""
@@ -174,7 +142,7 @@ class BicolouredLetter:
         )
         braid_word(((self.core, 1),), self.strands)
         colouring = default_colouring(self.m)
-        perm = strand_permutation(self.braid_word(), self.strands)
+        perm = permutation_image(self.braid_word(), self.strands)
         if not colouring.preserved_by(perm):
             raise MonodromyError(
                 f"letter {self.label()} does not preserve the colour blocks"
@@ -426,7 +394,7 @@ def composition_search(b: int = 2, max_blocks: int = 6) -> dict:
     """Constraint table for candidate block compositions.
 
     The block multiplicities are under-determined: the construction only
-    fixes the two block words, not how many copies of each compose to
+    fixes the two block words, not how many copies of each make up
     the factorization over a larger disc.  Every letter of both blocks
     preserves the colouring and both block products induce the identity
     strand permutation, so those two constraints hold for *every*
@@ -444,14 +412,14 @@ def composition_search(b: int = 2, max_blocks: int = 6) -> dict:
     from .intlin import identity, mat_mul
 
     model = reference_model(b)
-    colouring = default_colouring(2 * b)
+    unmoved = tuple(range(1, 4 * b + 1))
     matrices = {}
     permutation_identity = {}
     for label in ("X", "Y"):
         block = _block_of(b, label)
         matrices[label] = product_matrix(model, lift_to_twists(block)).matrix
-        perm = permutation_image(block, colouring)
-        permutation_identity[label] = perm == tuple(range(1, colouring.n + 1))
+        word = sum((letter.braid_word() for letter in block), ())
+        permutation_identity[label] = permutation_image(word, 4 * b) == unmoved
     eye = identity(model.rank)
     trivial = []
     for length in range(1, max_blocks + 1):
@@ -484,22 +452,7 @@ def default_composition(b: int = 2) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# permutation image and generator bookkeeping
-
-
-def permutation_image(letters, colouring: Colouring) -> tuple:
-    """Permutation of the strands induced by the letters (rightmost of
-    the concatenated braid word acting first), after checking that every
-    single letter preserves the colouring."""
-    word = []
-    for letter in letters:
-        perm = strand_permutation(letter.braid_word(), colouring.n)
-        if not colouring.preserved_by(perm):
-            raise MonodromyError(
-                f"letter {letter.label()} does not preserve the colouring"
-            )
-        word.extend(letter.braid_word())
-    return strand_permutation(tuple(word), colouring.n)
+# generator bookkeeping
 
 
 def generation_check(blocks) -> dict:

@@ -3,8 +3,8 @@
 Every emitter returns deterministic text: JSON uses sorted keys and
 fixed separators, DOT iterates curves and crossings in system order, so
 identical inputs give identical bytes.  Braid words serialize as signed
-integer arrays (sign = generator sign), twist words as arrays of
-``{curve, sign}`` objects, and move scripts as replayable arrays;
+integer arrays (sign = generator sign), twist letters as ``{core,
+sign, conjugator}`` objects, and move scripts as replayable arrays;
 round-trip loaders validate as they parse.
 """
 from __future__ import annotations
@@ -21,10 +21,6 @@ __all__ = [
     "sha256_hex",
     "system_to_dict",
     "system_to_dot",
-    "matrix_to_dict",
-    "twist_word_to_json",
-    "twist_word_from_json",
-    "pretty_twist_word",
     "letter_to_dict",
     "letter_from_dict",
     "factorization_to_dict",
@@ -121,47 +117,14 @@ def system_to_dot(sys: CurveSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_dict(m) -> dict:
-    """Row-major integer arrays plus the owning model's fingerprint so a
-    matrix cannot be replayed against a different model."""
-    return {
-        "matrix": [list(row) for row in m.matrix],
-        "model_fingerprint": m.model_fingerprint,
-        "word": twist_word_to_json(m.word) if m.word is not None else None,
-    }
-
-
 # ---------------------------------------------------------------------------
-# twist words and factorizations
+# twist letters and factorizations
 
 
 def _curve_label(core) -> str:
     if isinstance(core, CurveId):
         return core.label
     raise TypeError(f"only curve cores serialize here, got {core!r}")
-
-
-def twist_word_to_json(word) -> list:
-    return [{"curve": _curve_label(c), "sign": s} for c, s in word]
-
-
-def twist_word_from_json(items) -> tuple:
-    word = []
-    for item in items:
-        sign = _field(item, "sign", int)
-        if sign not in (1, -1):
-            raise ValueError(f"bad twist sign {sign!r}")
-        word.append((parse_curve(_field(item, "curve", str)), sign))
-    return tuple(word)
-
-
-def pretty_twist_word(word) -> str:
-    """T-notation, leftmost printed first (rightmost acts first)."""
-    if not word:
-        return "Id"
-    return " ".join(
-        f"T[{_curve_label(c)}]" + ("" if s == 1 else "^-1") for c, s in word
-    )
 
 
 def letter_to_dict(letter: TwistLetter) -> dict:

@@ -273,10 +273,6 @@ class RibbonGraph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def rotations(self) -> dict[object, tuple[Dart, ...]]:
-        return dict(self.rotation_table)
-
-    @cached_property
     def darts(self) -> tuple[Dart, ...]:
         return tuple(d for _, rot in self.rotation_table for d in rot)
 

@@ -2,7 +2,7 @@
 
 A word is a tuple of ``(generator, sign)`` letters with sign ±1 over any
 hashable generator alphabet (curve ids for twist words, integer indices
-for braid words).  Words compose by concatenation with the rightmost
+for braid words).  Words multiply by concatenation with the rightmost
 letter acting first, so the conjugate ``w^{-1} x w`` applies ``w``, then
 ``x``, then undoes ``w``.
 

@@ -16,13 +16,17 @@ from twistbench.braids import (
     braid_equal,
     braid_word,
     exponent_sum,
-    lamination_act,
     permutation_image,
     sphere_relation_word,
     verify_manfredini,
     word_fingerprint,
 )
-from twistbench.laminations import LaminationCoords, halftwist_action, round_curve
+from twistbench.laminations import (
+    LaminationCoords,
+    halftwist_action,
+    round_curve,
+    word_action,
+)
 from twistbench.laminations import test_family as probe_family
 from twistbench.words import invert
 
@@ -48,7 +52,7 @@ class TestWords:
 
     def test_action_order_is_rightmost_first(self):
         lam = round_curve(4, 2, 3)
-        image = lamination_act(((1, 1), (2, -1)), lam)
+        image = word_action(lam, ((1, 1), (2, -1)))
         assert image.normal == halftwist_action(halftwist_action(lam, 2, -1), 1).normal
 
 

@@ -1,5 +1,6 @@
 """Command surface: exit codes, determinism, file outputs."""
 import ast
+import hashlib
 import json
 import os
 import resource
@@ -239,6 +240,20 @@ class TestExports:
         assert payload["composition_default"] == ["X", "Y"]
         assert len(payload["blocks"]["X"]) == 10
 
+    @pytest.mark.parametrize(
+        "b, digest",
+        [
+            (2, "1acccb7491634b8d828dbc07214420523f313227ffaeedaca5b710e8a882b5ba"),
+            (3, "4fd3c0edb62b028a478d5172994f5eea31818aeeb54dae812db368bd94d99925"),
+        ],
+    )
+    def test_monodromy_emit_bytes_pinned(self, capsys, b, digest):
+        # [DERIVED] sha256 of the stdout: the emitted colouring and blocks
+        # stay byte-stable
+        code, out = run(capsys, "monodromy", "emit", "--b", str(b))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_export_only_config(self):
         # the monodromy blocks have one command, ``monodromy emit``
         usage_error("export", "monodromy", "--b", "2", "--format", "json")
@@ -322,6 +337,13 @@ class TestBraid:
         usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "oops")
         usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[0]")
         usage_error("braid", "eq", "--n", "2", "--lhs", "[2]", "--rhs", "[1]")
+
+    def test_eq_malformed_input_is_quoted_short(self, capsys):
+        deep = "[" * 3000 + "]" * 3000
+        usage_error("braid", "eq", "--n", "3", "--lhs", deep, "--rhs", "[1]")
+        err = capsys.readouterr().err
+        assert "--lhs" in err and "--rhs" not in err
+        assert len(err.encode()) < 1024
 
     def test_eq_long_word_stays_small(self):
         # the free-group images of (s1 s2^-1)^20 grow exponentially and do

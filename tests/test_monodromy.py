@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from twistbench.braids import braid_equal, word_fingerprint
+from twistbench.braids import braid_equal, permutation_image, word_fingerprint
 from twistbench.coxeter import psi_factorization
 from twistbench.factorization import (
     Factorization,
@@ -28,7 +28,6 @@ from twistbench.factorization import (
 from twistbench.homology import reference_model, twist_word_matrix
 from twistbench.monodromy import (
     BicolouredLetter,
-    Colouring,
     MonodromyError,
     appendix_factorization,
     composition_search,
@@ -42,7 +41,6 @@ from twistbench.monodromy import (
     monodromy_blocks,
     mu_nu_block,
     mu_nu_normal_form,
-    permutation_image,
     rewrite_cross_colour,
     x_block,
     y_block,
@@ -67,25 +65,9 @@ def model():
 class TestColouring:
     def test_default(self):
         col = default_colouring(4)
-        assert col.n == 8
-        assert col.block("x") == (1, 2, 3, 4)
-        assert col.block("y") == (5, 6, 7, 8)
-        assert col.label_of(3) == "x" and col.label_of(5) == "y"
-
-    def test_validation(self):
+        assert col.blocks == (("x", (1, 2, 3, 4)), ("y", (5, 6, 7, 8)))
         with pytest.raises(ValueError):
-            Colouring((("a", (1, 2)), ("b", (2, 3))))  # overlap
-        with pytest.raises(ValueError):
-            Colouring((("a", (1, 3)),))  # gap
-        with pytest.raises(ValueError):
-            Colouring((("a", (1,)), ("a", (2,))))  # duplicate label
-
-    def test_lookup_errors(self):
-        col = default_colouring(2)
-        with pytest.raises(KeyError):
-            col.block("q")
-        with pytest.raises(KeyError):
-            col.label_of(9)
+            default_colouring(1)
 
     def test_preserved_by(self):
         col = default_colouring(2)
@@ -320,15 +302,10 @@ class TestComposition:
             default_composition(1)
 
     def test_blocks_act_trivially_on_strands(self):
-        col = default_colouring(4)
         identity = tuple(range(1, 9))
-        assert permutation_image(x_block(4), col) == identity
-        assert permutation_image(y_block(4), col) == identity
-
-    def test_permutation_image_checks_the_colouring(self):
-        finer = Colouring((("a", (1, 2)), ("b", (3, 4, 5, 6, 7, 8))))
-        with pytest.raises(MonodromyError):
-            permutation_image([BicolouredLetter(8, 2)], finer)
+        for block in (x_block(4), y_block(4)):
+            word = sum((letter.braid_word() for letter in block), ())
+            assert permutation_image(word, 8) == identity
 
 
 class TestGeneration:

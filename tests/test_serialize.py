@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistbench.factorization import Factorization, auroux_certificate, bare
-from twistbench.homology import reference_model, twist_word_matrix
+from twistbench.homology import reference_model
 from twistbench.coxeter import psi_factorization
 from twistbench.monodromy import default_colouring, lifted_composition, mu_nu_block, x_block, y_block
 from twistbench.serialize import (
@@ -19,8 +19,6 @@ from twistbench.serialize import (
     factorization_to_dict,
     letter_from_dict,
     letter_to_dict,
-    matrix_to_dict,
-    pretty_twist_word,
     replay_file_from_dict,
     replay_file_to_dict,
     script_from_json,
@@ -29,8 +27,6 @@ from twistbench.serialize import (
     stable_json,
     system_to_dict,
     system_to_dot,
-    twist_word_from_json,
-    twist_word_to_json,
 )
 from twistbench.surface import CurveId
 
@@ -93,41 +89,6 @@ class TestSystemExports:
         assert len(nodes) == 12
         assert len(edges) == 24
         assert '  c0 [label="alpha_1 x alpha_2 (+)"];' in lines
-
-    def test_matrix_dict_carries_fingerprint(self, model):
-        m = twist_word_matrix(model, ((CurveId("alpha", 1), 1),))
-        d = matrix_to_dict(m)
-        assert d["model_fingerprint"] == model.fingerprint
-        assert d["matrix"][0][0] == m.matrix[0][0]
-        assert d["word"] == [{"curve": "alpha_1", "sign": 1}]
-        assert matrix_to_dict(model.identity_matrix())["word"] == []
-
-
-curve_ids = st.tuples(
-    st.sampled_from(["alpha", "beta", "gamma", "delta"]), st.integers(1, 5)
-).map(lambda t: CurveId(*t)) | st.just(CurveId("sigma"))
-twist_words = st.lists(
-    st.tuples(curve_ids, st.sampled_from([1, -1])), max_size=12
-).map(tuple)
-
-
-class TestTwistWords:
-    def test_reference_word_round_trips(self):
-        word = psi_factorization(2)
-        assert twist_word_from_json(twist_word_to_json(word)) == word
-
-    @given(twist_words)
-    def test_round_trip(self, word):
-        assert twist_word_from_json(twist_word_to_json(word)) == word
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            twist_word_from_json([{"curve": "alpha_1", "sign": 2}])
-
-    def test_pretty_printer(self):
-        assert pretty_twist_word(()) == "Id"
-        word = ((CurveId("alpha", 1), 1), (CurveId("sigma"), -1))
-        assert pretty_twist_word(word) == "T[alpha_1] T[sigma]^-1"
 
 
 class TestLettersAndFactorizations:
