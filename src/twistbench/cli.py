@@ -13,6 +13,11 @@ and stable exports.  Every command echoes its invocation in a
   distinguish "unverified at this budget" from "contradicted".
 
 Outputs are deterministic given identical flags.
+
+Each ``cmd_*`` imports the layers it runs when it runs, so a process
+loads only what its command uses: ``braid`` and ``invariants`` never
+load the homology stack, and ``verify-psi`` and ``export config`` never
+load the braid and lamination layers.
 """
 from __future__ import annotations
 
@@ -23,52 +28,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .braids import braid_equal, verify_manfredini
-from .canonical import canonical_sigma_signs
-from .coxeter import psi_factorization
-from .factorization import (
-    ConjugatorCapError,
-    MoveError,
-    apply_script,
-    auroux_certificate,
-    replay_certificate,
-)
-from .homology import (
-    AdmissibilityError,
-    is_symplectic,
-    psi_reference,
-    reference_model,
-    twist_word_matrix,
-)
-from .invariants import (
-    CoverType,
-    chi_report,
-    deformation_dimension,
-    dimension_consistency,
-    family_enumerate,
-    invariants,
-    theorem_hypotheses,
-)
-from .monodromy import (
-    default_colouring,
-    default_composition,
-    lifted_composition,
-    x_block,
-    y_block,
-)
-from .serialize import (
-    braid_word_from_ints,
-    blocks_to_dict,
-    certificate_from_dict,
-    certificate_to_dict,
-    colouring_to_dict,
-    replay_file_from_dict,
-    sha256_hex,
-    stable_json,
-    system_to_dict,
-    system_to_dot,
-)
-from .surface import build_reference_configuration
+from .serialize import sha256_hex, stable_json
 
 __all__ = ["Check", "VerificationReport", "main"]
 
@@ -190,6 +150,16 @@ def _parse_sign_mode(parser, value):
 
 
 def cmd_verify_psi(args, argv, parser) -> int:
+    from .canonical import canonical_sigma_signs
+    from .coxeter import psi_factorization
+    from .homology import (
+        AdmissibilityError,
+        is_symplectic,
+        psi_reference,
+        reference_model,
+        twist_word_matrix,
+    )
+
     checks = []
     signs = canonical_sigma_signs() if args.sign_mode == "auto" else args.sign_mode
     checks.append(
@@ -255,12 +225,24 @@ def cmd_verify_psi(args, argv, parser) -> int:
 
 
 def _composition(args):
+    from .monodromy import default_composition
+
     if args.composition is None:
         return default_composition(args.b)
     return tuple(args.composition.split(","))
 
 
 def cmd_auroux(args, argv, parser) -> int:
+    from .coxeter import psi_factorization
+    from .factorization import (
+        ConjugatorCapError,
+        MoveError,
+        auroux_certificate,
+        replay_certificate,
+    )
+    from .monodromy import lifted_composition
+    from .serialize import certificate_from_dict, certificate_to_dict
+
     checks = []
     composition = _composition(args)
 
@@ -337,6 +319,9 @@ def cmd_auroux(args, argv, parser) -> int:
 
 
 def cmd_export(args, argv, parser) -> int:
+    from .serialize import system_to_dict, system_to_dot
+    from .surface import build_reference_configuration
+
     system = build_reference_configuration(args.b)
     if args.format == "dot":
         _emit(system_to_dot(system), args.out)
@@ -346,6 +331,9 @@ def cmd_export(args, argv, parser) -> int:
 
 
 def cmd_monodromy(args, argv, parser) -> int:
+    from .monodromy import default_colouring, default_composition, x_block, y_block
+    from .serialize import blocks_to_dict, colouring_to_dict
+
     m = 2 * args.b
     payload = {
         "b": args.b,
@@ -363,6 +351,16 @@ def cmd_monodromy(args, argv, parser) -> int:
 
 
 def cmd_invariants(args, argv, parser) -> int:
+    from .invariants import (
+        CoverType,
+        chi_report,
+        deformation_dimension,
+        dimension_consistency,
+        family_enumerate,
+        invariants,
+        theorem_hypotheses,
+    )
+
     d = args.d if args.d is not None else args.b
     cover = CoverType(args.a, args.b, args.c, d)
     inv = invariants(cover)
@@ -440,6 +438,9 @@ def cmd_invariants(args, argv, parser) -> int:
 
 
 def cmd_braid(args, argv, parser) -> int:
+    from .braids import braid_equal, verify_manfredini
+    from .serialize import braid_word_from_ints
+
     checks = []
     if args.action == "eq":
         w1 = braid_word_from_ints(_parse_int_list("lhs", args.lhs))
@@ -470,13 +471,16 @@ def cmd_braid(args, argv, parser) -> int:
 
 
 def _parse_int_list(option: str, text: str) -> list:
-    """The JSON integer array given as ``--option``; anything else is a
+    """The JSON integer array given as ``--option``; anything else (JSON
+    ``true``/``false`` included, though Python counts them as ints) is a
     ValueError naming the option and quoting at most 40 characters."""
     try:
         values = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
         values = None
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in values
+    ):
         more = "..." if len(text) > 40 else ""
         raise ValueError(
             f"--{option}: braid words are JSON integer arrays, got {text[:40]!r}{more}"
@@ -489,6 +493,9 @@ def _parse_int_list(option: str, text: str) -> list:
 
 
 def cmd_hurwitz(args, argv, parser) -> int:
+    from .factorization import ConjugatorCapError, MoveError, apply_script
+    from .serialize import replay_file_from_dict
+
     b, fact, script, expected = replay_file_from_dict(_read_json(parser, args.file))
     checks = []
     try:
@@ -587,6 +594,8 @@ def _validate(args, parser) -> None:
             )
     if args.command == "verify-psi":
         args.sign_mode = _parse_sign_mode(parser, args.sign_mode)
+    if args.command == "braid" and args.n < 2:
+        parser.error(f"--n must be at least 2 strands, got {args.n}")
     if args.command == "braid" and args.action == "eq":
         if args.lhs is None or args.rhs is None:
             parser.error("braid eq needs --lhs and --rhs braid words")

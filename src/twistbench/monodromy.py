@@ -58,7 +58,6 @@ __all__ = [
     "x_block",
     "y_block",
     "mirror_letter",
-    "monodromy_blocks",
     "rewrite_cross_colour",
     "lift_to_twists",
     "lifted_composition",
@@ -220,15 +219,6 @@ def y_block(m: int) -> tuple:
     twists ``(z^2)_{y1..y_{m-1}}``, ``(x_i^2)_{x_{i+1}..x_{m-1} z
     y1..y_{m-1}}``."""
     return tuple(mirror_letter(letter) for letter in x_block(m))
-
-
-def monodromy_blocks(b: int) -> list:
-    """``[X-block, Y-block]`` over ``4b`` strands (``m = 2b``); the
-    composition of blocks into a full factorization is the caller's
-    choice (see :func:`default_composition`)."""
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"genus parameter b must be an integer >= 2, got {b!r}")
-    return [x_block(2 * b), y_block(2 * b)]
 
 
 # ---------------------------------------------------------------------------

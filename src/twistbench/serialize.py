@@ -6,15 +6,15 @@ identical inputs give identical bytes.  Braid words serialize as signed
 integer arrays (sign = generator sign), twist letters as ``{core,
 sign, conjugator}`` objects, and move scripts as replayable arrays;
 round-trip loaders validate as they parse.
+
+Only the loaders, and ``_curve_label``, import the classes they build or
+check, when they run; a process that only writes stable JSON loads none
+of the other layers.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-
-from .factorization import AurouxCertificate, AurouxStep, Factorization, TwistLetter
-from .monodromy import Colouring
-from .surface import CurveId, CurveSystem, parse_curve
 
 __all__ = [
     "stable_json",
@@ -122,6 +122,8 @@ def system_to_dot(sys: CurveSystem) -> str:
 
 
 def _curve_label(core) -> str:
+    from .surface import CurveId
+
     if isinstance(core, CurveId):
         return core.label
     raise TypeError(f"only curve cores serialize here, got {core!r}")
@@ -136,6 +138,9 @@ def letter_to_dict(letter: TwistLetter) -> dict:
 
 
 def letter_from_dict(item: dict) -> TwistLetter:
+    from .factorization import TwistLetter
+    from .surface import parse_curve
+
     return TwistLetter(
         parse_curve(_field(item, "core", str)),
         _field(item, "sign", int),
@@ -151,6 +156,8 @@ def factorization_to_dict(fact: Factorization) -> dict:
 
 
 def factorization_from_dict(item: dict) -> Factorization:
+    from .factorization import Factorization
+
     return Factorization(tuple(letter_from_dict(t) for t in _field(item, "letters", list)))
 
 
@@ -234,6 +241,9 @@ def certificate_to_dict(cert: AurouxCertificate, **context) -> dict:
 
 
 def certificate_from_dict(item: dict) -> AurouxCertificate:
+    from .factorization import AurouxCertificate, AurouxStep
+    from .surface import parse_curve
+
     return AurouxCertificate(
         base_cores=tuple(parse_curve(c) for c in _field(item, "base_cores", list)),
         steps=tuple(

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import twistbench
-from twistbench import canonical, cli, factorization, homology
+from twistbench import canonical, factorization, homology
 from twistbench.cli import Check, VerificationReport, main
 
 
@@ -200,7 +200,7 @@ class TestAuroux:
             pytest.fail("auroux built a homology model")
 
         canonical.canonical_sigma_signs.cache_clear()
-        monkeypatch.setattr(cli, "reference_model", forbidden)
+        monkeypatch.setattr(homology, "reference_model", forbidden)
         monkeypatch.setattr(homology, "homology_model", forbidden)
         monkeypatch.setattr(canonical, "homology_model", forbidden)
         yield
@@ -337,6 +337,19 @@ class TestBraid:
         usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "oops")
         usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[0]")
         usage_error("braid", "eq", "--n", "2", "--lhs", "[2]", "--rhs", "[1]")
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_fewer_than_two_strands_is_usage_error(self, capsys, n):
+        usage_error("braid", "eq", "--n", n, "--lhs", "[]", "--rhs", "[]")
+        assert "--n must be at least 2" in capsys.readouterr().err
+        usage_error("braid", "manfredini", "--n", n, "--k", "1")
+        assert "--n must be at least 2" in capsys.readouterr().err
+
+    def test_json_booleans_are_not_generators(self, capsys):
+        usage_error("braid", "eq", "--n", "3", "--lhs", "[true]", "--rhs", "[1]")
+        assert "--lhs: braid words are JSON integer arrays" in capsys.readouterr().err
+        usage_error("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[1,false]")
+        assert "--rhs: braid words are JSON integer arrays" in capsys.readouterr().err
 
     def test_eq_malformed_input_is_quoted_short(self, capsys):
         deep = "[" * 3000 + "]" * 3000
@@ -546,3 +559,47 @@ class TestUsage:
             assert f"malformed JSON in {path}" in capsys.readouterr().err
         usage_error("braid", "eq", "--n", "3", "--lhs", deep, "--rhs", "[1]")
         assert "braid words are JSON integer arrays" in capsys.readouterr().err
+
+
+class TestImportIsolation:
+    """Each command loads only the layers it runs: the modules in
+    ``sys.modules`` after ``main`` returns, in a fresh interpreter."""
+
+    PROBE = (
+        "import json, sys\n"
+        "from twistbench import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('twistbench.'))\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+    )
+    HOMOLOGY_STACK = (
+        "homology", "intlin", "surface", "coxeter", "canonical",
+        "factorization", "monodromy",
+    )
+    BRAID_STACK = ("braids", "laminations", "factorization", "monodromy", "invariants")
+
+    def loaded(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            env=package_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0, proc.stderr
+        return {name.split(".", 1)[1] for name in modules}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("braid", "eq", "--n", "3", "--lhs", "[1,2,1]", "--rhs", "[2,1,2]"),
+            ("braid", "manfredini", "--n", "4", "--k", "2"),
+            ("invariants", "--a", "14", "--b", "8", "--c", "6"),
+        ],
+    )
+    def test_braid_and_invariants_skip_the_homology_stack(self, argv):
+        assert not self.loaded(*argv) & set(self.HOMOLOGY_STACK)
+
+    @pytest.mark.parametrize(
+        "argv", [("verify-psi", "--b", "2"), ("export", "config", "--b", "2")]
+    )
+    def test_homology_commands_skip_the_braid_stack(self, argv):
+        assert not self.loaded(*argv) & set(self.BRAID_STACK)

@@ -26,6 +26,132 @@ from twistbench.laminations import (
 from twistbench.laminations import test_family as probe_family
 
 
+# ---------------------------------------------------------------------------
+# oracle: the breadth-first derivation as first written, which re-sorts
+# every triangle at each flip and matches every state against a pattern
+# rotation table rebuilt per state
+
+
+def _oracle_canon_triangle(tri: tuple) -> tuple:
+    rotations = [tri[k:] + tri[:k] for k in range(3)]
+    return min(rotations)
+
+
+def _oracle_canon_state(tris) -> tuple:
+    return tuple(sorted(_oracle_canon_triangle(t) for t in tris))
+
+
+def _oracle_rotate_last(tri: tuple, name):
+    hits = [k for k, side in enumerate(tri) if side[0] == name]
+    if len(hits) != 1:
+        return None  # self-folded or absent: not flippable here
+    k = hits[0]
+    return tri[k + 1:] + tri[: k + 1]
+
+
+def _oracle_flip(state: tuple, name):
+    holders = [t for t in state if any(s[0] == name for s in t)]
+    if len(holders) != 2:
+        return None
+    r1 = _oracle_rotate_last(holders[0], name)
+    r2 = _oracle_rotate_last(holders[1], name)
+    if r1 is None or r2 is None:
+        return None
+    a, b, e1 = r1
+    c, d, e2 = r2
+    if not (e2[1] == e1[2] and e2[2] == e1[1]):
+        raise LaminationError(f"inconsistent gluing along {name}")
+    f1 = (name, c[2], a[2])
+    f2 = (name, a[2], c[2])
+    new1 = (b, c, f1)
+    new2 = (d, a, f2)
+    rest = [t for t in state if t is not holders[0] and t is not holders[1]]
+    new_state = _oracle_canon_state(rest + [new1, new2])
+    op = (name, a[0], b[0], c[0], d[0])
+    return new_state, op
+
+
+def _oracle_matchings(state: tuple, pattern: tuple, window: set):
+    pattern_rotations: dict = {}
+    for t_index, tri in enumerate(pattern):
+        for k in range(3):
+            rot = tri[k:] + tri[:k]
+            pattern_rotations.setdefault(
+                (rot[0][1], rot[0][2], rot[1][2]), []
+            ).append((t_index, rot))
+
+    def extend(assign: dict, used: frozenset, remaining: list):
+        if not remaining:
+            yield dict(assign)
+            return
+        tri = remaining[0]
+        key = (tri[0][1], tri[0][2], tri[1][2])
+        for t_index, rot in pattern_rotations.get(key, ()):
+            if t_index in used:
+                continue
+            trial = dict(assign)
+            ok = True
+            for (nm, t, h), (pnm, pt, ph) in zip(tri, rot):
+                if (t, h) != (pt, ph):
+                    ok = False
+                    break
+                if nm in window:
+                    if pnm not in window or trial.get(nm, pnm) != pnm:
+                        ok = False
+                        break
+                    trial[nm] = pnm
+                else:
+                    if nm != pnm:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            if len(set(trial.values())) != len(trial):
+                continue
+            yield from extend(trial, used | {t_index}, remaining[1:])
+
+    yield from extend({}, frozenset(), list(state))
+
+
+def _oracle_derive_case(n: int, i: int, max_depth: int = 10):
+    patch, window, ring = laminations._patch_window_ring(n, i)
+    pattern = laminations._swapped_pattern(patch, i)
+    flip_names = sorted(window)
+
+    def solutions_of(state):
+        out = []
+        for phi in _oracle_matchings(state, pattern, window):
+            inv = {vv: kk for kk, vv in phi.items()}
+            out.append(tuple(sorted(inv.items())))
+        return out
+
+    start = patch
+    seen = {start}
+    frontier = [(start, ())]
+    found = []
+    for depth in range(max_depth + 1):
+        for state, ops in frontier:
+            for sol in solutions_of(state):
+                found.append((ops, sol))
+        if found:
+            return found, depth, window, ring
+        new_frontier = []
+        for state, ops in frontier:
+            for name in flip_names:
+                res = _oracle_flip(state, name)
+                if res is None:
+                    continue
+                new_state, op = res
+                if new_state in seen:
+                    continue
+                seen.add(new_state)
+                new_frontier.append((new_state, ops + (op,)))
+        frontier = new_frontier
+        if not frontier:
+            break
+    raise LaminationError(f"no half-twist flip sequence found for n={n}, i={i}")
+
+
 class TestCoordinates:
     def test_edge_counts(self):
         for n in (2, 3, 4, 7):
@@ -103,6 +229,32 @@ class TestDerivation:
         assert digest.hexdigest() == (
             "bfc46ae7358f4eb6ef5fac961d0df1b32a50002bffb1c72de531b0f55f4f1daa"
         )
+
+    @pytest.mark.parametrize("case", sorted(laminations._REFERENCE))
+    def test_derivation_matches_oracle(self, case):
+        # same solutions in the same order, at the same depth, with the
+        # same window and ring as the search that re-sorts every flip
+        ref = laminations._REFERENCE[case]
+        assert laminations._derive_case(*ref) == _oracle_derive_case(*ref)
+
+    def test_flips_match_oracle_on_every_state(self):
+        # every flip from every state within four flips of the interior
+        # patch (the depth its search reaches) gives the oracle's state and
+        # op, so the merge keeps the sorted order that decides which holder
+        # comes first
+        patch, window, _ = laminations._patch_window_ring(6, 3)
+        seen, frontier = {patch}, [patch]
+        for _ in range(5):
+            new_frontier = []
+            for state in frontier:
+                for name in sorted(window):
+                    res = laminations._flip(state, name)
+                    assert res == _oracle_flip(state, name)
+                    if res is not None and res[0] not in seen:
+                        seen.add(res[0])
+                        new_frontier.append(res[0])
+            frontier = new_frontier
+        assert len(seen) > 2000
 
     def test_windows_are_local(self):
         report = derivation_report()

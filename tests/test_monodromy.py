@@ -38,7 +38,6 @@ from twistbench.monodromy import (
     lift_to_twists,
     lifted_composition,
     mirror_letter,
-    monodromy_blocks,
     mu_nu_block,
     mu_nu_normal_form,
     rewrite_cross_colour,
@@ -155,11 +154,7 @@ class TestBlocks:
         assert halves == [t for pair in zip(halves[::2], halves[::2]) for t in pair]
 
     def test_blocks_validation(self):
-        with pytest.raises(ValueError):
-            monodromy_blocks(1)
-        with pytest.raises(ValueError):
-            monodromy_blocks("2")
-        assert [len(block) for block in monodromy_blocks(2)] == [10, 10]
+        assert [len(block) for block in (x_block(4), y_block(4))] == [10, 10]
 
 
 class TestRewrite:
@@ -300,6 +295,8 @@ class TestComposition:
             lifted_composition(2, ("X", "Q"))
         with pytest.raises(ValueError):
             default_composition(1)
+        with pytest.raises(ValueError):
+            default_composition("2")
 
     def test_blocks_act_trivially_on_strands(self):
         identity = tuple(range(1, 9))
@@ -310,7 +307,7 @@ class TestComposition:
 
 class TestGeneration:
     def test_both_blocks_cover_all_generators(self):
-        report = generation_check(monodromy_blocks(2))
+        report = generation_check([x_block(4), y_block(4)])
         assert report["all_generators_present"]
         assert report["missing"] == ()
 
