@@ -28,7 +28,6 @@ __all__ = [
     "artin_image",
     "permutation_image",
     "verify_manfredini",
-    "sphere_relation_word",
 ]
 
 class BraidError(ValueError):
@@ -116,13 +115,6 @@ def permutation_image(word, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # relation batteries
-
-
-def sphere_relation_word(n: int) -> Word:
-    """sigma_1 .. sigma_{n-1} sigma_{n-1} .. sigma_1; trivial for braids
-    on a sphere, nontrivial in this disk model."""
-    ups = tuple((i, 1) for i in range(1, n))
-    return ups + tuple(reversed(ups))
 
 
 def verify_manfredini(n: int, k: int) -> tuple:

@@ -3,11 +3,10 @@
 A letter is a conjugate ``(core^sign)_w = w^{-1} T_core^sign w`` of a
 single twist, stored as (core, sign, conjugator word).  Reduced words
 in, reduced words out: the constructor freely reduces outside input once,
-and moves, conjugates and products only join reduced words, cancelling
-where they meet (``words.join``, ``words.join_conjugate``).  A
-factorization is a sequence of letters whose product is read left to
-right with the rightmost letter acting first, matching twist-word
-composition.
+and moves and products only join reduced words, cancelling where they
+meet (``words.join_conjugate``).  A factorization is a sequence of
+letters whose product is read left to right with the rightmost letter
+acting first, matching twist-word composition.
 
 The two elementary moves swap adjacent letters without changing the
 product:
@@ -22,7 +21,7 @@ homology model except ``product_matrix`` and ``letter_matrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import words
 from .homology import HomologyModel, MappingClassMatrix, twist_word_matrix
@@ -41,14 +40,11 @@ __all__ = [
     "apply_script",
     "letter_matrix",
     "product_matrix",
-    "rotate_to_front",
     "strip_to_front",
     "AurouxStep",
     "AurouxCertificate",
     "auroux_certificate",
     "replay_certificate",
-    "fiber_sum",
-    "twisted_fiber_sum",
     "hurwitz_search",
     "greedy_match_script",
 ]
@@ -91,8 +87,8 @@ class ConjugatorCapError(MoveError):
 @dataclass(frozen=True)
 class TwistLetter:
     """``(core^sign)_conjugator``.  The constructor freely reduces the
-    conjugator; every letter derived from reduced letters (moves,
-    inverses, conjugates) joins reduced words and skips that pass."""
+    conjugator; every letter a move derives from reduced letters joins
+    reduced words and skips that pass."""
 
     core: object
     sign: int
@@ -124,12 +120,6 @@ class TwistLetter:
         """The expansion, freely reduced."""
         return words.join_conjugate((), (self.core, self.sign), self.conjugator)
 
-    def inverse(self) -> "TwistLetter":
-        return TwistLetter._reduced(self.core, -self.sign, self.conjugator)
-
-    def conjugated(self, by: Iterable) -> "TwistLetter":
-        conjugator = words.join(self.conjugator, words.free_reduce(by))
-        return TwistLetter._reduced(self.core, self.sign, conjugator)
 
 
 def bare(core, sign: int = 1) -> TwistLetter:
@@ -148,12 +138,6 @@ class Factorization:
 
     def __getitem__(self, i) -> TwistLetter:
         return self.letters[i]
-
-    def word(self) -> Word:
-        out: list = []
-        for letter in self.letters:
-            out.extend(letter.expansion())
-        return tuple(out)
 
     def cores(self) -> tuple:
         return tuple(t.core for t in self.letters)
@@ -230,15 +214,6 @@ def product_matrix(model: HomologyModel, fact: Factorization) -> MappingClassMat
     for t in fact.letters:
         word = words.join_conjugate(word, (t.core, t.sign), t.conjugator)
     return twist_word_matrix(model, word)
-
-
-def rotate_to_front(fact: Factorization, index: int) -> tuple[Factorization, tuple]:
-    """Bubble the letter at ``index`` to position 0 unchanged, using right
-    moves; everything it passes is conjugated by it."""
-    if not 0 <= index < len(fact):
-        raise IndexError(f"letter index {index} out of range")
-    script = tuple(("right", i) for i in range(index - 1, -1, -1))
-    return apply_script(fact, script), script
 
 
 def strip_to_front(fact: Factorization, index: int) -> tuple[Factorization, tuple]:
@@ -327,16 +302,6 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
             raise MoveError(k, f"replayed front letter differs for core {step.core!r}")
         fronts.append(front)
     return fronts
-
-
-def fiber_sum(left: Factorization, right: Factorization) -> Factorization:
-    return Factorization(left.letters + right.letters)
-
-
-def twisted_fiber_sum(left: Factorization, right: Factorization, word: Iterable) -> Factorization:
-    """Concatenate after conjugating every letter of ``right`` by the word."""
-    word = tuple(word)
-    return Factorization(left.letters + tuple(t.conjugated(word) for t in right.letters))
 
 
 def hurwitz_search(

@@ -51,6 +51,7 @@ from .surface import (
     CurveId,
     CurveSystem,
     RibbonGraph,
+    build_reference_configuration,
     curve_edge_vector,
     euler_and_genus,
     face_edge_vectors,
@@ -64,10 +65,8 @@ __all__ = [
     "MappingClassMatrix",
     "homology_model",
     "reference_model",
-    "dehn_twist",
     "is_symplectic",
     "twist_word_matrix",
-    "psi_curve_images",
     "psi_reference",
 ]
 
@@ -279,16 +278,7 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
 
 
 def reference_model(b: int, sigma_signs="auto") -> HomologyModel:
-    from .surface import build_reference_configuration
-
     return homology_model(ribbon_from_system(build_reference_configuration(b, sigma_signs)))
-
-
-def dehn_twist(model: HomologyModel, c: CurveId, sign: int = +1) -> MappingClassMatrix:
-    """Twist action on homology: ``x -> x - <x, c> c`` for ``sign=+1`` and
-    its inverse for ``sign=-1``.  The direction convention is pinned by the
-    pair identities T_a T_b(a) = -b, T_b T_a(b) = a for <a, b> = +1."""
-    return twist_word_matrix(model, ((c, sign),))
 
 
 def is_symplectic(m: MappingClassMatrix, model: HomologyModel) -> bool:
@@ -315,7 +305,10 @@ def _transvection(model: HomologyModel, c: CurveId, sign: int) -> tuple[tuple, t
 
 def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
     """Matrix of a twist word ``[l1, ..., lk]`` (the rightmost letter acts
-    first, matching the global composition convention).
+    first, matching the global composition convention).  The letter
+    ``(c, +1)`` acts by ``x -> x - <x, c> c`` and ``(c, -1)`` by its
+    inverse; the direction convention is pinned by the pair identities
+    T_a T_b(a) = -b, T_b T_a(b) = a for <a, b> = +1.
 
     Each letter is a rank-one update of the running product,
     ``M T_c^s = M - s (M v)(J v)^T``, applied row by row in place and
@@ -339,43 +332,19 @@ def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
     return MappingClassMatrix(freeze(rows), model.fingerprint, letters)
 
 
-#: the two curve-level descriptions of the gluing involution; both negate
-#: sigma and swap the families pairwise.
-PSI_PAIRINGS = {
-    "alpha-delta": {"alpha": "delta", "delta": "alpha", "beta": "gamma", "gamma": "beta"},
-    "alpha-beta": {"alpha": "beta", "beta": "alpha", "gamma": "delta", "delta": "gamma"},
-}
-
-
-def psi_curve_images(
-    model: HomologyModel, pairing: str = "alpha-delta"
-) -> dict[CurveId, tuple[CurveId, int]]:
-    if pairing not in PSI_PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}; choose from {sorted(PSI_PAIRINGS)}")
-    swap = PSI_PAIRINGS[pairing]
-    images: dict[CurveId, tuple[CurveId, int]] = {}
-    for c in model.curve_order:
-        if c.family == "sigma":
-            images[c] = (c, -1)
-        else:
-            images[c] = (CurveId(swap[c.family], c.index), -1)
-    return images
-
-
-def psi_reference(
-    model: HomologyModel, pairing: str = "alpha-delta"
-) -> MappingClassMatrix:
+def psi_reference(model: HomologyModel) -> MappingClassMatrix:
     """The lattice involution sending each curve class to minus its partner
-    class (alpha_i <-> delta_i and beta_i <-> gamma_i under the default
-    pairing; the alternate pairing swaps alpha <-> beta and gamma <-> delta
-    instead, a pure relabelling).  Raises if the prescription conflicts with
-    the relations among curve classes."""
-    images = psi_curve_images(model, pairing)
-    # column j = class of psi(curve_j), a signed column of ``classes``
+    class: sigma to minus itself, alpha_i <-> delta_i and beta_i <->
+    gamma_i.  Raises if the prescription conflicts with the relations among
+    curve classes."""
+    partner = {
+        "sigma": "sigma", "alpha": "delta", "delta": "alpha", "beta": "gamma", "gamma": "beta",
+    }
+    # column j = class of psi(curve_j), a negated column of ``classes``
     moved = from_columns(
         [
-            tuple(s * x for x in model.curve_class(target))
-            for target, s in (images[c] for c in model.curve_order)
+            tuple(-x for x in model.curve_class(CurveId(partner[c.family], c.index)))
+            for c in model.curve_order
         ]
     )
     if model.kernel and not is_zero(mat_mul(moved, model.kernel)):

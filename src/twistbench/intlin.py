@@ -23,13 +23,10 @@ __all__ = [
     "transpose",
     "mat_mul",
     "mat_mul_many",
-    "mat_neg",
     "mat_vec",
-    "outer",
     "column",
     "from_columns",
     "is_zero",
-    "is_identity",
     "is_antisymmetric",
     "smith_normal_form",
     "kernel_basis",
@@ -75,16 +72,8 @@ def mat_mul_many(first: IntMatrix, *rest: IntMatrix) -> IntMatrix:
     return out
 
 
-def mat_neg(a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_vec(matrix: IntMatrix, vec: IntVector) -> IntVector:
     return tuple(sum(x * y for x, y in zip(row, vec)) for row in matrix)
-
-
-def outer(u: IntVector, v: IntVector) -> IntMatrix:
-    return tuple(tuple(x * y for y in v) for x in u)
 
 
 def column(matrix: IntMatrix, j: int) -> IntVector:
@@ -97,10 +86,6 @@ def from_columns(cols) -> IntMatrix:
 
 def is_zero(matrix: IntMatrix) -> bool:
     return all(all(x == 0 for x in row) for row in matrix)
-
-
-def is_identity(matrix: IntMatrix) -> bool:
-    return matrix == identity(len(matrix))
 
 
 def is_antisymmetric(matrix: IntMatrix) -> bool:

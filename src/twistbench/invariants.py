@@ -157,20 +157,20 @@ def theorem_hypotheses(a: int, b: int, c: int, k: int) -> dict:
     }
 
 
-def family_enumerate(a: int, b: int, c: int, k: int, force: bool = False) -> tuple:
+def family_enumerate(a: int, b: int, c: int, k: int) -> tuple:
     """The ``k/2 + 1`` cover types ``((2a+2i, 2b), (2c-2i, 2b))`` for
     ``0 <= i <= k/2``, each with its invariants; all members share
     (chi, K^2, divisibility, fibre genus) since every invariant depends
-    only on ``a+c`` and ``b``.  Refuses odd ``k`` outright and failing
-    hypotheses unless ``force`` is set."""
+    only on ``a+c`` and ``b``.  Refuses odd ``k`` and failing
+    hypotheses."""
     if not isinstance(k, int) or k < 1 or k % 2:
         raise ValueError(f"the family parameter k must be a positive even integer, got {k!r}")
     checklist = theorem_hypotheses(a, b, c, k)
-    if not checklist["all_pass"] and not force:
+    if not checklist["all_pass"]:
         failed = [key for key in ("I", "II", "III") if not checklist[key]["passed"]]
         raise ValueError(
             f"hypotheses {', '.join(failed)} fail for (a, b, c, k) = "
-            f"({a}, {b}, {c}, {k}); pass force=True to enumerate anyway"
+            f"({a}, {b}, {c}, {k})"
         )
     members = []
     for i in range(k // 2 + 1):

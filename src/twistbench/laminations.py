@@ -44,7 +44,6 @@ __all__ = [
     "edge_index",
     "round_curve",
     "test_family",
-    "halftwist_action",
     "word_action",
     "derivation_report",
 ]
@@ -474,11 +473,11 @@ def derivation_report() -> dict:
 class LaminationCoords:
     """Crossing numbers of an integral lamination with the base arcs.
 
-    Construct through ``round_curve`` or ``from_normal``.  Every
-    construction validates the coordinates per triangle (even corner sums,
-    triangle inequality): input once on the way in, and a braid image once
-    per word on the way out (``word_action`` acts on raw tuples between
-    the two).
+    Construct as ``LaminationCoords(n, values)`` or through
+    ``round_curve``.  Every construction validates the coordinates per
+    triangle (even corner sums, triangle inequality): input once on the
+    way in, and a braid image once per word on the way out
+    (``word_action`` acts on raw tuples between the two).
     """
 
     n: int
@@ -500,12 +499,6 @@ class LaminationCoords:
             if a > b + c or b > a + c or c > a + b:
                 raise LaminationError(f"triangle inequality fails in {tri}")
 
-    def is_empty(self) -> bool:
-        return all(x == 0 for x in self.normal)
-
-
-def from_normal(n: int, values) -> LaminationCoords:
-    return LaminationCoords(n, tuple(values))
 
 
 def round_curve(n: int, j: int, k: int) -> LaminationCoords:
@@ -537,10 +530,3 @@ def word_action(lam: LaminationCoords, word) -> LaminationCoords:
     for i, s in reversed(word):
         values = _act_with(_case_data(n, i), values, s)
     return LaminationCoords(n, values)
-
-
-def halftwist_action(lam: LaminationCoords, i: int, sign: int = 1) -> LaminationCoords:
-    """Image of the lamination under the half-twist swapping punctures
-    i and i+1 (sign -1 for the inverse twist): the one-letter case of
-    ``word_action``."""
-    return word_action(lam, ((i, sign),))

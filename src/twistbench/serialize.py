@@ -38,6 +38,12 @@ __all__ = [
 ]
 
 
+def _is(value, kind: type) -> bool:
+    """``isinstance(value, kind)``, except that JSON ``true``/``false``,
+    which Python counts as ints, are no ``int``."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def _field(item, key: str, kind: type):
     """``item[key]``, checked to be a ``kind``; a missing or ill-typed key
     is a ValueError naming it."""
@@ -46,7 +52,7 @@ def _field(item, key: str, kind: type):
     if key not in item:
         raise ValueError(f"missing key {key!r}")
     value = item[key]
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise ValueError(
             f"key {key!r} must be {kind.__name__}, got {type(value).__name__}"
         )
@@ -59,8 +65,8 @@ def _pairs(items, key: str, first: type, second: type):
         if not (
             isinstance(pair, (list, tuple))
             and len(pair) == 2
-            and isinstance(pair[0], first)
-            and isinstance(pair[1], second)
+            and _is(pair[0], first)
+            and _is(pair[1], second)
         ):
             raise ValueError(
                 f"key {key!r} must hold [{first.__name__}, {second.__name__}] "
@@ -270,9 +276,21 @@ def replay_file_to_dict(b: int, fact: Factorization, script, result: Factorizati
 
 
 def replay_file_from_dict(item: dict) -> tuple:
-    return (
-        _field(item, "b", int),
-        factorization_from_dict(_field(item, "factorization", dict)),
-        script_from_json(_field(item, "script", list)),
-        factorization_from_dict(_field(item, "result", dict)),
-    )
+    """``(b, factorization, script, result)``; ``b`` must be at least 2,
+    and every curve the two factorizations name must lie in the reference
+    configuration of that ``b``."""
+    b = _field(item, "b", int)
+    if b < 2:
+        raise ValueError(f"key 'b' must be at least 2, got {b}")
+    fact = factorization_from_dict(_field(item, "factorization", dict))
+    script = script_from_json(_field(item, "script", list))
+    result = factorization_from_dict(_field(item, "result", dict))
+    chain = 2 * b - 1
+    for letter in fact.letters + result.letters:
+        for c in (letter.core, *(c for c, _ in letter.conjugator)):
+            if c.index > chain:
+                raise ValueError(
+                    f"curve {c.label} lies outside the configuration of key "
+                    f"'b' = {b}, whose chains have {chain} curves"
+                )
+    return b, fact, script, result

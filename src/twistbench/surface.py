@@ -147,15 +147,6 @@ class CurveSystem:
             if x.involves(c1) and x.involves(c2)
         )
 
-    def crossing_sign(self, i: int, c_first: CurveId) -> int:
-        """Sign of crossing ``i`` read with ``c_first`` as the first curve."""
-        x = self.crossings[i]
-        if c_first == x.first:
-            return x.sign
-        if c_first == x.second:
-            return -x.sign  # swapping the ordered pair flips the index
-        raise ConfigurationError(f"{c_first.label} not at crossing {i}")
-
 
 def _system_from_orders(
     curves: tuple[CurveId, ...],

@@ -30,7 +30,6 @@ from twistbench.factorization import (
     replay_certificate,
 )
 from twistbench.homology import (
-    dehn_twist,
     is_symplectic,
     psi_reference,
     reference_model,
@@ -204,7 +203,7 @@ def test_A7_certificate_pipeline():
     assert cert.all_bare
     model = reference_model(2)
     for step, front in zip(cert.steps, fronts):
-        assert letter_matrix(model, front) == dehn_twist(model, step.core).matrix
+        assert letter_matrix(model, front) == twist_word_matrix(model, ((step.core, 1),)).matrix
     assert main(["auroux", "--b", "2", "--format", "json"]) == 0
     finish("A7", t0, 30.0, "13 cores extracted, bare fronts, CLI exit 0")
 

@@ -17,16 +17,10 @@ from twistbench.braids import (
     braid_word,
     exponent_sum,
     permutation_image,
-    sphere_relation_word,
     verify_manfredini,
     word_fingerprint,
 )
-from twistbench.laminations import (
-    LaminationCoords,
-    halftwist_action,
-    round_curve,
-    word_action,
-)
+from twistbench.laminations import round_curve, word_action
 from twistbench.laminations import test_family as probe_family
 from twistbench.words import invert
 
@@ -53,7 +47,7 @@ class TestWords:
     def test_action_order_is_rightmost_first(self):
         lam = round_curve(4, 2, 3)
         image = word_action(lam, ((1, 1), (2, -1)))
-        assert image.normal == halftwist_action(halftwist_action(lam, 2, -1), 1).normal
+        assert image.normal == word_action(word_action(lam, ((2, -1),)), ((1, 1),)).normal
 
 
 class TestRelations:
@@ -80,8 +74,10 @@ class TestRelations:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_sphere_relation_fails_in_disk(self, n):
         # the relation that holds after capping the boundary with a disk
-        # genuinely fails in this model, as it must
-        word = sphere_relation_word(n)
+        # genuinely fails in this model, as it must:
+        # sigma_1 .. sigma_{n-1} sigma_{n-1} .. sigma_1
+        ups = tuple((i, 1) for i in range(1, n))
+        word = ups + ups[::-1]
         assert len(word) == 2 * (n - 1)
         assert not braid_equal(word, (), n)
 
@@ -198,6 +194,6 @@ class TestFingerprint:
         images = []
         for lam in probe_family(n):
             for i, s in reversed(w):
-                lam = LaminationCoords(n, halftwist_action(lam, i, s).normal)
+                lam = word_action(lam, ((i, s),))
             images.append(lam.normal)
         assert word_fingerprint(w, n) == (exponent_sum(w), tuple(images))

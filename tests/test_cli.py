@@ -14,6 +14,7 @@ import pytest
 import twistbench
 from twistbench import canonical, factorization, homology
 from twistbench.cli import Check, VerificationReport, main
+from twistbench.serialize import stable_json
 
 
 def run(capsys, *argv):
@@ -25,6 +26,14 @@ def usage_error(*argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def report_digest(out):
+    """sha256 of a JSON report without its ``environment`` key, which
+    holds the Python version."""
+    payload = json.loads(out)
+    del payload["environment"]
+    return hashlib.sha256(stable_json(payload).encode()).hexdigest()
 
 
 def package_env():
@@ -185,6 +194,15 @@ class TestAuroux:
         assert check["status"] == "inconclusive"
         assert "over the cap of 10000" in check["details"]
 
+    def test_step_sign_boolean_is_usage_error(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["steps"][0]["sign"] = True
+        cert.write_text(json.dumps(payload))
+        usage_error("auroux", "--b", "2", "--replay", str(cert))
+        assert "key 'sign' must be int, got bool" in capsys.readouterr().err
+
     def test_replay_payload_missing_key_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text('{"b":2}')
@@ -254,6 +272,19 @@ class TestExports:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "c77bdea42d8c317762dc55efa3fda8f0e0dd2c4c883539fd330354ee8b729638"),
+            ("dot", "b4c509018d7e06ff7e0751b13870360ef50d0743a9e75d2857c47dac02b1a88a"),
+        ],
+    )
+    def test_config_bytes_pinned(self, capsys, fmt, digest):
+        # [DERIVED] sha256 of the stdout: the configuration of b=2
+        code, out = run(capsys, "export", "config", "--b", "2", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_export_only_config(self):
         # the monodromy blocks have one command, ``monodromy emit``
         usage_error("export", "monodromy", "--b", "2", "--format", "json")
@@ -278,6 +309,39 @@ class TestExports:
         default = run(capsys, *argv)
         assert default[0] == 0
         assert default == run(capsys, *argv, "--format", "json")
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ("verify-psi", "--b", "2"),
+                "0d6d6987c67192097b3fff0dd840a65321c630794caa6f54d9c387a7532e3377",
+                id="verify-psi",
+            ),
+            pytest.param(
+                ("auroux", "--b", "2"),
+                "06f9098f9681adcc1c7d4671d80371303634b448512306c7052a1d8f1e357a8d",
+                id="auroux",
+            ),
+            pytest.param(
+                ("invariants", "--a", "14", "--b", "8", "--c", "6", "--k", "2"),
+                "bcd2581c55a893abb4f8531a7970253a67fdd46a2bb8708412468cb03b529e39",
+                id="invariants",
+            ),
+            pytest.param(
+                ("braid", "manfredini", "--n", "6", "--k", "3"),
+                "c66fd8468597d121de20a870ff6f1581137efb18366d2dcf4df466b46b67aa42",
+                id="braid-manfredini",
+            ),
+        ],
+    )
+    def test_json_report_pinned(self, capsys, argv, digest):
+        # [DERIVED] sha256 of the JSON report without its environment
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert report_digest(out) == digest
 
 
 class TestInvariants:
@@ -416,6 +480,16 @@ class TestHurwitzReplay:
         assert code == 0
         assert "result-matches" in out
 
+    def test_report_pinned(self, capsys, replay_path, monkeypatch):
+        # [DERIVED] sha256 of the JSON report without its environment; the
+        # relative path keeps the echoed command fixed
+        monkeypatch.chdir(replay_path.parent)
+        code, out = run(capsys, "hurwitz", "replay", "--file", "replay.json", "--format", "json")
+        assert code == 0
+        assert report_digest(out) == (
+            "02f9a3dba386352cea6f2260b346ae04c1669396dcabcc2d0cdec694e71928f9"
+        )
+
     def test_edited_result_fails(self, capsys, replay_path):
         payload = json.loads(replay_path.read_text())
         letters = payload["result"]["letters"]
@@ -447,6 +521,63 @@ class TestHurwitzReplay:
         replay_path.write_text('{"b":2}')
         usage_error("hurwitz", "replay", "--file", str(replay_path))
         assert "missing key 'factorization'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("script", 0, 1), "key 'script' must hold [str, int] pairs"),
+            (("factorization", "letters", 0, "sign"), "key 'sign' must be int, got bool"),
+        ],
+        ids=["move-index", "letter-sign"],
+    )
+    def test_json_boolean_is_no_int(self, capsys, replay_path, path, message):
+        payload = json.loads(replay_path.read_text())
+        *head, last = path
+        target = payload
+        for key in head:
+            target = target[key]
+        target[last] = True
+        replay_path.write_text(json.dumps(payload))
+        usage_error("hurwitz", "replay", "--file", str(replay_path))
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            (True, "key 'b' must be int, got bool"),
+            (1, "key 'b' must be at least 2, got 1"),
+            (-5, "key 'b' must be at least 2, got -5"),
+        ],
+    )
+    def test_b_must_be_an_int_of_at_least_two(self, capsys, replay_path, b, message):
+        payload = json.loads(replay_path.read_text())
+        payload["b"] = b
+        replay_path.write_text(json.dumps(payload))
+        usage_error("hurwitz", "replay", "--file", str(replay_path))
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "part, slot", [("factorization", "core"), ("result", "conjugator")]
+    )
+    def test_curve_outside_b_configuration(self, capsys, replay_path, part, slot):
+        # b=2 chains have 3 curves, so alpha_4 is not in the configuration
+        payload = json.loads(replay_path.read_text())
+        letter = next(t for t in payload[part]["letters"] if t["conjugator"])
+        if slot == "core":
+            letter["core"] = "alpha_4"
+        else:
+            letter["conjugator"][0][0] = "alpha_4"
+        replay_path.write_text(json.dumps(payload))
+        usage_error("hurwitz", "replay", "--file", str(replay_path))
+        assert (
+            "curve alpha_4 lies outside the configuration of key 'b' = 2"
+            in capsys.readouterr().err
+        )
+        # b=3 chains have 5 curves: the file loads and replays
+        payload["b"] = 3
+        replay_path.write_text(json.dumps(payload))
+        code, out = run(capsys, "hurwitz", "replay", "--file", str(replay_path))
+        assert code in (0, 1) and "script-applies" in out
 
     def replay_under_one_gib(self, tmp_path, fact, script):
         """``hurwitz replay`` of ``script`` in a fresh process limited to

@@ -14,13 +14,11 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from twistbench.intlin import (
     freeze,
     identity,
-    is_identity,
     is_unimodular,
     kernel_basis,
     mat_mul,
     mat_mul_many,
     mat_vec,
-    outer,
     right_inverse,
     smith_normal_form,
     transpose,
@@ -65,8 +63,6 @@ def test_basic_ops_trivial():
     assert mat_mul(a, b) == freeze([[2, 1], [4, 3]])
     assert transpose(a) == freeze([[1, 3], [2, 4]])
     assert mat_vec(a, (1, 1)) == (3, 7)
-    assert outer((1, 2), (3, 4)) == freeze([[3, 4], [6, 8]])
-    assert is_identity(identity(3))
     assert mat_mul_many(a, b, identity(2)) == mat_mul(a, b)
 
 
@@ -75,7 +71,7 @@ def test_basic_ops_trivial():
 def test_smith_form_is_certified(m):
     snf = smith_normal_form(m)
     # transforms are genuine inverses and the factorization re-multiplies
-    assert is_identity(mat_mul(snf.U, snf.U_inv))
+    assert mat_mul(snf.U, snf.U_inv) == identity(len(snf.U))
     assert mat_mul_many(snf.U, m, snf.V) == snf.D
     # diagonal, non-negative, divisibility chain
     nrows, ncols = len(snf.D), len(snf.D[0])

@@ -139,13 +139,10 @@ class TestFamilies:
     def test_odd_k_rejected_outright(self):
         with pytest.raises(ValueError):
             family_enumerate(14, 8, 6, 3)
-        with pytest.raises(ValueError):
-            family_enumerate(14, 8, 6, 3, force=True)
 
-    def test_failing_hypotheses_need_force(self):
-        with pytest.raises(ValueError):
+    def test_failing_hypotheses_rejected(self):
+        with pytest.raises(ValueError, match=r"hypotheses I fail for \(a, b, c, k\) = \(10, 6, 4, 2\)$"):
             family_enumerate(10, 6, 4, 2)
-        assert len(family_enumerate(10, 6, 4, 2, force=True)) == 2
 
     @given(
         b=st.integers(4, 16).filter(lambda v: v % 2 == 0),
@@ -157,12 +154,12 @@ class TestFamilies:
     def test_members_always_share_invariants(self, b, c, k_half, slack):
         k = 2 * k_half  # k/2 < c, so every member has a positive degree
         a = 2 * c + 2 + 2 * slack  # even and >= 2c+1
-        if not theorem_hypotheses(a, b, c, k)["all_pass"]:
-            members = family_enumerate(a, b, c, k, force=True)
-        else:
-            members = family_enumerate(a, b, c, k)
-        assert len(members) == k // 2 + 1
-        assert len({inv for _, inv in members}) == 1
+        # the members are the types of family_enumerate, whose hypotheses
+        # need not hold here
+        members = [CoverType(a + i, b, c - i, b) for i in range(k // 2 + 1)]
+        assert len({invariants(t) for t in members}) == 1
+        if theorem_hypotheses(a, b, c, k)["all_pass"]:
+            assert family_enumerate(a, b, c, k) == tuple((t, invariants(t)) for t in members)
 
 
 class TestDimension:

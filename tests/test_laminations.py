@@ -18,8 +18,6 @@ from twistbench.laminations import (
     derivation_report,
     edge_index,
     edge_names,
-    from_normal,
-    halftwist_action,
     round_curve,
     word_action,
 )
@@ -176,27 +174,23 @@ class TestCoordinates:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LaminationError):
-            from_normal(4, (0,) * 8)
+            LaminationCoords(4, (0,) * 8)
 
     def test_negative_rejected(self):
         with pytest.raises(LaminationError):
-            from_normal(4, (-1,) + (0,) * 8)
+            LaminationCoords(4, (-1,) + (0,) * 8)
 
     def test_odd_parity_rejected(self):
         values = [0] * 9
         values[edge_index(4)[("h", 1)]] = 1
         with pytest.raises(LaminationError):
-            from_normal(4, values)
+            LaminationCoords(4, tuple(values))
 
     def test_triangle_violation_rejected(self):
         values = [0] * 9
         values[edge_index(4)[("h", 1)]] = 2  # 2 > 0 + 0 in its triangles
         with pytest.raises(LaminationError):
-            from_normal(4, values)
-
-    def test_is_empty(self):
-        assert from_normal(4, (0,) * 9).is_empty()
-        assert not round_curve(4, 1, 1).is_empty()
+            LaminationCoords(4, tuple(values))
 
     def test_family_size_and_distinctness(self):
         for n in (2, 3, 4, 5):
@@ -266,27 +260,27 @@ class TestDerivation:
 class TestAction:
     def test_half_twist_swaps_puncture_curves(self):
         r1, r2 = round_curve(4, 1, 1), round_curve(4, 2, 2)
-        assert halftwist_action(r1, 1).normal == r2.normal
-        assert halftwist_action(r2, 1).normal == r1.normal
+        assert word_action(r1, ((1, 1),)).normal == r2.normal
+        assert word_action(r2, ((1, 1),)).normal == r1.normal
 
     def test_half_twist_fixes_enclosing_curves(self):
         pair = round_curve(4, 1, 2)
-        assert halftwist_action(pair, 1).normal == pair.normal
+        assert word_action(pair, ((1, 1),)).normal == pair.normal
         peripheral = round_curve(4, 1, 4)
         for i in (1, 2, 3):
-            assert halftwist_action(peripheral, i).normal == peripheral.normal
+            assert word_action(peripheral, ((i, 1),)).normal == peripheral.normal
 
     def test_handedness_matters(self):
         # [DERIVED] image vectors of the curve around punctures 2,3 under
         # the two handednesses of the first half-twist; they are mirror
         # images of each other, pinned up to the global mirror freedom
         c = round_curve(4, 2, 3)
-        assert halftwist_action(c, 1, +1).normal == (1, 2, 1, 0, 1, 1, 1, 0, 1)
-        assert halftwist_action(c, 1, -1).normal == (1, 0, 1, 0, 1, 1, 1, 2, 1)
+        assert word_action(c, ((1, +1),)).normal == (1, 2, 1, 0, 1, 1, 1, 0, 1)
+        assert word_action(c, ((1, -1),)).normal == (1, 0, 1, 0, 1, 1, 1, 2, 1)
 
     def test_sign_validation(self):
         with pytest.raises(LaminationError):
-            halftwist_action(round_curve(4, 1, 1), 1, 0)
+            word_action(round_curve(4, 1, 1), ((1, 0),))
 
     def test_word_sign_validation(self):
         with pytest.raises(LaminationError):
@@ -306,9 +300,9 @@ class TestAction:
 
     def test_index_validation(self):
         with pytest.raises(LaminationError):
-            halftwist_action(round_curve(4, 1, 1), 4)
+            word_action(round_curve(4, 1, 1), ((4, 1),))
         with pytest.raises(LaminationError):
-            halftwist_action(round_curve(4, 1, 1), 0)
+            word_action(round_curve(4, 1, 1), ((0, 1),))
 
     @given(
         n=st.integers(2, 5),
@@ -325,9 +319,9 @@ class TestAction:
         )
         out = lam
         for i, s in word:
-            out = halftwist_action(out, i, s)
+            out = word_action(out, ((i, s),))
         for i, s in reversed(word):
-            out = halftwist_action(out, i, -s)
+            out = word_action(out, ((i, -s),))
         assert out.normal == lam.normal
 
     @given(n=st.integers(3, 5), data=st.data())
@@ -338,7 +332,7 @@ class TestAction:
 
         def act(word, lam):
             for j in reversed(word):
-                lam = halftwist_action(lam, j)
+                lam = word_action(lam, ((j, 1),))
             return lam
 
         assert act((i, i + 1, i), lam).normal == act((i + 1, i, i + 1), lam).normal

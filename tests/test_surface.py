@@ -85,8 +85,9 @@ class TestReferenceConfiguration:
         sigma = curve("sigma")
         for family, sign in zip(("alpha", "beta", "gamma", "delta"), (1, -1, 1, -1)):
             first = curve(family, 1)
-            assert s.crossing_sign(s.shared_crossings(sigma, first)[0], sigma) == sign
-            assert s.crossing_sign(s.shared_crossings(sigma, first)[0], first) == -sign
+            [i] = s.shared_crossings(sigma, first)
+            x = s.crossings[i]
+            assert (x.first, x.second, x.sign) == (sigma, first, sign)
 
 
 class TestRibbonAndBoundary:
