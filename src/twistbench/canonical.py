@@ -14,17 +14,21 @@ whose configuration
 
 The calibration probes the tuples in order and stops at the first that
 passes; it is cached, and ``build_reference_configuration(b, "auto")``
-uses it for every b.
+uses it for every b.  ``probe_signs`` is the one pipeline of the product
+identity: ``verify-psi`` renders its checks from the model, involution
+and product that one probe keeps.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .coxeter import psi_factorization
 from .homology import (
     AdmissibilityError,
+    HomologyModel,
+    MappingClassMatrix,
     homology_model,
     psi_reference,
     twist_word_matrix,
@@ -38,7 +42,9 @@ ALL_SIGN_TUPLES = tuple(itertools.product((1, -1), repeat=4))
 
 @dataclass(frozen=True)
 class SignProbe:
-    """Diagnostics for one sign tuple on one fibre."""
+    """Diagnostics for one sign tuple on one fibre, with the homology
+    model, the involution and the six-factor product the probe built
+    (None where it stopped before them)."""
 
     signs: tuple[int, int, int, int]
     admissible: bool
@@ -48,6 +54,9 @@ class SignProbe:
     psi_defined: bool
     product_matches: bool | None  # None when the product check was not run
     detail: str = ""
+    model: HomologyModel | None = field(default=None, compare=False, repr=False)
+    psi: MappingClassMatrix | None = field(default=None, compare=False, repr=False)
+    product: MappingClassMatrix | None = field(default=None, compare=False, repr=False)
 
 
 def probe_signs(b: int, signs, check_product: bool = False) -> SignProbe:
@@ -62,12 +71,12 @@ def probe_signs(b: int, signs, check_product: bool = False) -> SignProbe:
     try:
         psi = psi_reference(model)
     except AdmissibilityError as exc:
-        return SignProbe(signs, True, walks, genus, rank, False, None, str(exc))
-    matches: bool | None = None
+        return SignProbe(signs, True, walks, genus, rank, False, None, str(exc), model)
+    product = matches = None
     if check_product:
         product = twist_word_matrix(model, psi_factorization(b))
         matches = product.matrix == psi.matrix
-    return SignProbe(signs, True, walks, genus, rank, True, matches)
+    return SignProbe(signs, True, walks, genus, rank, True, matches, "", model, psi, product)
 
 
 @lru_cache(maxsize=None)

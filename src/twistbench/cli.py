@@ -150,56 +150,41 @@ def _parse_sign_mode(parser, value):
 
 
 def cmd_verify_psi(args, argv, parser) -> int:
-    from .canonical import canonical_sigma_signs
-    from .coxeter import psi_factorization
-    from .homology import (
-        AdmissibilityError,
-        is_symplectic,
-        psi_reference,
-        reference_model,
-        twist_word_matrix,
-    )
+    from .canonical import canonical_sigma_signs, probe_signs
+    from .homology import is_symplectic
 
-    checks = []
     signs = canonical_sigma_signs() if args.sign_mode == "auto" else args.sign_mode
-    checks.append(
+    checks = [
         Check(
             "sign-convention",
             "pass",
             f"sigma crossing signs {signs}"
             + (" (from search)" if args.sign_mode == "auto" else " (explicit)"),
         )
-    )
-    try:
-        model = reference_model(args.b, signs)
-    except AdmissibilityError as err:
-        checks.append(Check("model-admissible", "fail", str(err)))
-        model = None
-    if model is not None:
+    ]
+    probe = probe_signs(args.b, signs, check_product=True)
+    if not probe.admissible:
+        checks.append(Check("model-admissible", "fail", probe.detail))
+    else:
         checks.append(
             Check(
                 "model-admissible",
                 "pass",
-                f"rank {model.rank}, genus {model.genus}, torsion-free",
+                f"rank {probe.rank}, genus {probe.genus}, torsion-free",
             )
         )
-        try:
-            reference = psi_reference(model)
-        except AdmissibilityError as err:
+        if not probe.psi_defined:
             # NotWellDefinedError, or an involution that does not square to
             # one or does not preserve the form
-            checks.append(Check("reference-well-defined", "fail", str(err)))
-            reference = None
-        if reference is not None:
-            word = psi_factorization(args.b)
-            product = twist_word_matrix(model, word)
-            equal = product.matrix == reference.matrix
+            checks.append(Check("reference-well-defined", "fail", probe.detail))
+        else:
+            model, product = probe.model, probe.product
             checks.append(
                 Check(
                     "product-equals-reference",
-                    "pass" if equal else "fail",
+                    "pass" if probe.product_matches else "fail",
                     f"six-factor product vs curve-swap involution, "
-                    f"{len(word)} letters",
+                    f"{len(product.word)} letters",
                 )
             )
             checks.append(
@@ -212,7 +197,7 @@ def cmd_verify_psi(args, argv, parser) -> int:
             checks.append(
                 Check(
                     "reference-symplectic",
-                    "pass" if is_symplectic(reference, model) else "fail",
+                    "pass" if is_symplectic(probe.psi, model) else "fail",
                     "M^T J M = J",
                 )
             )
@@ -249,6 +234,10 @@ def cmd_auroux(args, argv, parser) -> int:
     if args.replay:
         payload = _read_json(parser, args.replay)
         cert = certificate_from_dict(payload)
+        b = payload.get("b")
+        if type(b) is not int or b != args.b:
+            found = json.dumps(b) if b is None or isinstance(b, int) else type(b).__name__
+            raise ValueError(f"certificate key 'b' is {found}, not --b {args.b}")
         composition = payload.get("composition", list(composition))
         if not isinstance(composition, list):
             raise ValueError("key 'composition' must be a list of block labels")

@@ -112,12 +112,9 @@ class TwistLetter:
     def is_bare(self) -> bool:
         return not self.conjugator
 
-    def expansion(self) -> Word:
-        """Plain twist word: inverse conjugator, core, conjugator."""
-        return words.conjugate(((self.core, self.sign),), self.conjugator)
-
     def reduced_expansion(self) -> Word:
-        """The expansion, freely reduced."""
+        """The plain twist word (inverse conjugator, core, conjugator),
+        freely reduced."""
         return words.join_conjugate((), (self.core, self.sign), self.conjugator)
 
 

@@ -4,9 +4,10 @@ distinguished involution on curve classes.
 
 Pipeline (all exact over the integers, every step certified):
 
-1. a spanning tree of the crossing graph identifies the cycle lattice of
-   the graph with ``Z^m``, ``m = E - V + 1`` (coordinates = coefficients on
-   non-tree arcs);
+1. the spanning tree of the crossing graph (``RibbonGraph.spanning_tree``,
+   the walk that also tests connectivity for ``euler_and_genus``)
+   identifies the cycle lattice of the graph with ``Z^m``, ``m = E - V + 1``
+   (coordinates = coefficients on non-tree arcs);
 2. boundary-walk vectors span the face relations; their Smith normal form
    must have all invariant factors 1 (otherwise the quotient has torsion,
    which signals an inconsistent sign assignment) and rank ``F - 1``;
@@ -91,30 +92,6 @@ class MappingClassMatrix:
     matrix: IntMatrix
     model_fingerprint: str
     word: tuple[tuple[CurveId, int], ...] | None = None
-
-
-def _spanning_tree_projection(rg: RibbonGraph) -> tuple[int, ...]:
-    """Indices of the non-tree arcs (cycle-lattice coordinates)."""
-    tree: set[int] = set()
-    reached: set[object] = set()
-    adjacency: dict[object, list[tuple[object, int]]] = {v: [] for v in rg.vertices}
-    for i, (c, k) in enumerate(rg.edges):
-        tail = rg.vertex_of_dart[(c, k, "out")]
-        head = rg.vertex_of_dart[rg.partner((c, k, "out"))]
-        adjacency[tail].append((head, i))
-        adjacency[head].append((tail, i))
-    stack = [rg.vertices[0]]
-    reached.add(rg.vertices[0])
-    while stack:
-        v = stack.pop()
-        for w, i in adjacency[v]:
-            if w not in reached:
-                reached.add(w)
-                tree.add(i)
-                stack.append(w)
-    if len(reached) != len(rg.vertices):
-        raise AdmissibilityError("crossing graph is disconnected")
-    return tuple(i for i in range(len(rg.edges)) if i not in tree)
 
 
 @dataclass(frozen=True)
@@ -208,15 +185,13 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
     sys = rg.system
     _, genus = euler_and_genus(rg)
     walks = rg.walks
-    free = _spanning_tree_projection(rg)
+    free = tuple(i for i in range(len(rg.edges)) if i not in rg.spanning_tree)
 
     def fundamental(vec: tuple[int, ...]) -> IntVector:
         return tuple(vec[i] for i in free)
 
     m = len(free)
     faces = from_columns([fundamental(v) for v in face_edge_vectors(rg)])
-    if not faces:
-        faces = tuple((0,) * len(walks) for _ in range(m))
     snf = smith_normal_form(faces)
     if any(f != 1 for f in snf.invariant_factors):
         raise AdmissibilityError(

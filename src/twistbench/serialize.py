@@ -277,13 +277,20 @@ def replay_file_to_dict(b: int, fact: Factorization, script, result: Factorizati
 
 def replay_file_from_dict(item: dict) -> tuple:
     """``(b, factorization, script, result)``; ``b`` must be at least 2,
-    and every curve the two factorizations name must lie in the reference
-    configuration of that ``b``."""
+    every curve the two factorizations name must lie in the reference
+    configuration of that ``b``, and every move index must name a pair of
+    adjacent letters (moves keep the letter count)."""
     b = _field(item, "b", int)
     if b < 2:
         raise ValueError(f"key 'b' must be at least 2, got {b}")
     fact = factorization_from_dict(_field(item, "factorization", dict))
     script = script_from_json(_field(item, "script", list))
+    for step, (_, index) in enumerate(script):
+        if not 0 <= index < len(fact) - 1:
+            raise ValueError(
+                f"script step {step}: move index {index} out of range for "
+                f"{len(fact)} letters"
+            )
     result = factorization_from_dict(_field(item, "result", dict))
     chain = 2 * b - 1
     for letter in fact.letters + result.letters:

@@ -307,6 +307,31 @@ class RibbonGraph:
             walks.append(tuple(walk))
         return tuple(walks)
 
+    @cached_property
+    def spanning_tree(self) -> frozenset[int]:
+        """Indices of the arcs of a spanning tree of the crossing graph,
+        grown depth first from the first vertex with each vertex's arcs in
+        arc order.  A disconnected graph raises on every access (nothing
+        is cached)."""
+        adjacency: dict[object, list[tuple[object, int]]] = {v: [] for v in self.vertices}
+        for i, (c, k) in enumerate(self.edges):
+            tail = self.vertex_of_dart[(c, k, "out")]
+            head = self.vertex_of_dart[self.partner((c, k, "out"))]
+            adjacency[tail].append((head, i))
+            adjacency[head].append((tail, i))
+        stack = list(self.vertices[:1])
+        reached = set(stack)
+        tree: set[int] = set()
+        while stack:
+            for w, i in adjacency[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    tree.add(i)
+                    stack.append(w)
+        if len(reached) != len(self.vertices):
+            raise RibbonError("ribbon graph must be connected")
+        return frozenset(tree)
+
     def partner(self, dart: Dart) -> Dart:
         """The other end of the arc carrying this arc-end."""
         c, k, io = dart
@@ -360,30 +385,10 @@ def _dart_sort_key(d: Dart):
     return (c.family, c.index, k, io)
 
 
-def _is_connected(rg: RibbonGraph) -> bool:
-    if not rg.vertices:
-        return True
-    adjacency: dict[object, set[object]] = {v: set() for v in rg.vertices}
-    for d in rg.darts:
-        u = rg.vertex_of_dart[d]
-        w = rg.vertex_of_dart[rg.partner(d)]
-        adjacency[u].add(w)
-        adjacency[w].add(u)
-    stack = [rg.vertices[0]]
-    seen = {rg.vertices[0]}
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(rg.vertices)
-
-
 def euler_and_genus(rg: RibbonGraph) -> tuple[int, int]:
     """Euler characteristic of the ribbon surface and the genus of the
     closed surface obtained by capping every boundary walk with a disk."""
-    if not _is_connected(rg):
-        raise RibbonError("ribbon graph must be connected")
+    rg.spanning_tree  # a disconnected graph raises RibbonError
     chi = len(rg.vertices) - len(rg.edges)
     capped = chi + len(rg.walks)
     if capped % 2 or capped > 2:

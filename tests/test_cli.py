@@ -100,6 +100,30 @@ class TestVerifyPsi:
         assert "reference-well-defined" in out
         assert "does not preserve the form" in out
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--b", "2", "--sign-mode", "explicit:1,-1,1,-1"),
+                "a3a13aaebfd64fd4483e7cf37a23d51fee77b015c0c70a6534dd1d51f9789625",
+            ),
+            (
+                ("--b", "3", "--sign-mode", "explicit:1,1,1,-1", "--format", "json"),
+                "f2a632ae3f695e55e4a0b97da498662eb5300ffcef9049d1672f72805b3aafc8",
+            ),
+        ],
+        ids=["form-breaking-table", "not-well-defined-json"],
+    )
+    def test_failure_reports_pinned(self, capsys, argv, digest):
+        # [DERIVED] sha256 of stdout (of the JSON report without its
+        # environment), measured before verify-psi rendered the sign probe
+        code, out = run(capsys, "verify-psi", *argv)
+        assert code == 1
+        if "json" in argv:
+            assert report_digest(out) == digest
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_largest_accepted_fibre_above_old_cap(self, capsys):
         code, out = run(capsys, "verify-psi", "--b", "8")
         assert code == 0
@@ -202,6 +226,20 @@ class TestAuroux:
         cert.write_text(json.dumps(payload))
         usage_error("auroux", "--b", "2", "--replay", str(cert))
         assert "key 'sign' must be int, got bool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, b, found",
+        [(True, "2", "true"), (1, "2", "1"), (2, "3", "2"), ("2", "2", "str")],
+        ids=["boolean", "one", "other-b", "string"],
+    )
+    def test_replay_b_must_match(self, capsys, tmp_path, value, b, found):
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["b"] = value
+        cert.write_text(json.dumps(payload))
+        usage_error("auroux", "--b", b, "--replay", str(cert))
+        assert f"certificate key 'b' is {found}, not --b {b}" in capsys.readouterr().err
 
     def test_replay_payload_missing_key_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
@@ -501,12 +539,28 @@ class TestHurwitzReplay:
         assert "letters differ" in out
 
     def test_bad_move_index_fails_with_step(self, capsys, replay_path):
+        # moves keep the letter count, so the loader rejects the index
         payload = json.loads(replay_path.read_text())
         payload["script"][1] = ["right", 999]
         replay_path.write_text(json.dumps(payload))
+        usage_error("hurwitz", "replay", "--file", str(replay_path))
+        assert "script step 1: move index 999 out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_move_index_bounds(self, capsys, replay_path, past_end):
+        # n letters have n-1 adjacent pairs: indices 0 .. n-2
+        payload = json.loads(replay_path.read_text())
+        last = len(payload["factorization"]["letters"]) - 2
+        index = last + 1 if past_end else -1
+        payload["script"][0] = ["left", index]
+        replay_path.write_text(json.dumps(payload))
+        usage_error("hurwitz", "replay", "--file", str(replay_path))
+        assert f"script step 0: move index {index} out of range" in capsys.readouterr().err
+        payload["script"][0] = ["left", last]
+        replay_path.write_text(json.dumps(payload))
         code, out = run(capsys, "hurwitz", "replay", "--file", str(replay_path))
-        assert code == 1
-        assert "step 1" in out
+        # the last pair moves; only the recorded result no longer matches
+        assert code == 1 and "letters differ" in out
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         usage_error("hurwitz", "replay", "--file", str(tmp_path / "absent.json"))

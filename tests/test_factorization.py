@@ -36,7 +36,7 @@ from twistbench.factorization import (
 from twistbench.homology import reference_model, twist_word_matrix
 from twistbench.intlin import mat_mul
 from twistbench.monodromy import mu_nu_block, mu_nu_normal_form
-from twistbench.words import free_reduce, invert
+from twistbench.words import conjugate, free_reduce, invert
 
 
 @pytest.fixture(scope="module")
@@ -68,21 +68,27 @@ def scripts(data, fact, max_moves):
     )
 
 
+def expansion(t):
+    """The plain twist word of a letter: inverse conjugator, core,
+    conjugator."""
+    return conjugate(((t.core, t.sign),), t.conjugator)
+
+
 def slow_move(fact, index, direction):
     """Reference move: conjugate by the whole unreduced expansion and let
     the constructor free-reduce the full concatenation."""
     a, b = fact.letters[index], fact.letters[index + 1]
     if direction == "right":
-        pair = (b, TwistLetter(a.core, a.sign, a.conjugator + b.expansion()))
+        pair = (b, TwistLetter(a.core, a.sign, a.conjugator + expansion(b)))
     else:
-        pair = (TwistLetter(b.core, b.sign, b.conjugator + invert(a.expansion())), a)
+        pair = (TwistLetter(b.core, b.sign, b.conjugator + invert(expansion(a))), a)
     return Factorization(fact.letters[:index] + pair + fact.letters[index + 2:])
 
 
 def expanded_word(fact):
     """The plain twist word of a factorization: its letters' expansions,
     concatenated without reduction."""
-    return tuple(x for t in fact.letters for x in t.expansion())
+    return tuple(x for t in fact.letters for x in expansion(t))
 
 
 def random_fact(rng, curves, size):
@@ -96,7 +102,7 @@ def random_fact(rng, curves, size):
 class TestLetters:
     def test_expansion_shape(self):
         t = TwistLetter("c", -1, (("a", 1), ("b", -1)))
-        assert t.expansion() == (("b", 1), ("a", -1), ("c", -1), ("a", 1), ("b", -1))
+        assert expansion(t) == (("b", 1), ("a", -1), ("c", -1), ("a", 1), ("b", -1))
         assert not t.is_bare
         assert bare("c").is_bare
 
@@ -110,7 +116,7 @@ class TestLetters:
 
     @given(letters_st)
     def test_reduced_expansion(self, t):
-        assert t.reduced_expansion() == free_reduce(t.expansion())
+        assert t.reduced_expansion() == free_reduce(expansion(t))
 
 
 class TestMoves:
@@ -227,7 +233,7 @@ class TestProducts:
         a, b = curves_of(model)[0], curves_of(model)[12]
         # the conjugator starts with a power of the core, which cancels
         t = TwistLetter(a, -1, ((a, 1), (a, 1), (b, -1), (a, 1)))
-        assert letter_matrix(model, t) == twist_word_matrix(model, t.expansion()).matrix
+        assert letter_matrix(model, t) == twist_word_matrix(model, expansion(t)).matrix
 
     def test_letter_matrix_cache_lives_on_model(self):
         fresh = reference_model(2)
@@ -320,7 +326,7 @@ class TestFrontOperations:
         slow, slow_script = fact, []
         for i in range(index, 0, -1):
             target, neighbour = slow.letters[i], slow.letters[i - 1]
-            stripped = free_reduce(target.conjugator + invert(neighbour.expansion()))
+            stripped = free_reduce(target.conjugator + invert(expansion(neighbour)))
             op = ("left" if len(stripped) < len(target.conjugator) else "right", i - 1)
             slow = slow_move(slow, i - 1, op[0])
             slow_script.append(op)
@@ -551,7 +557,7 @@ class TestSearchOracle:
         goal = Factorization(
             (plain(1), plain(1), plain(2, ((1, 1),)), plain(2, ((1, 1),))) * 2
         )
-        key = lambda letter: word_fingerprint(letter.expansion(), 3)
+        key = lambda letter: word_fingerprint(expansion(letter), 3)
         for max_depth, budget in ((6, 20000), (3, 20000), (6, 50)):
             expected = _reference_hurwitz_search(
                 start, goal, key, max_depth=max_depth, budget=budget

@@ -45,6 +45,7 @@ from twistbench.monodromy import (
     y_block,
 )
 from twistbench.surface import curve
+from twistbench.words import conjugate
 
 
 #: [DERIVED] sha256 of ``repr(lifted_composition(b).letters)`` as lifted
@@ -409,7 +410,9 @@ class TestMoveScripts:
         goal = Factorization(
             (plain(1), plain(1), plain(2, ((1, 1),)), plain(2, ((1, 1),))) * 2
         )
-        key = lambda letter: word_fingerprint(letter.expansion(), 3)
+        key = lambda letter: word_fingerprint(
+            conjugate(((letter.core, letter.sign),), letter.conjugator), 3
+        )
         script = hurwitz_search(start, goal, key)
         assert script == (("right", 2), ("right", 1), ("right", 6), ("right", 5))
         out = apply_script(start, script)

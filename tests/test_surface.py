@@ -167,6 +167,18 @@ class TestRibbonAndBoundary:
         with pytest.raises(RibbonError):
             euler_and_genus(rg)
 
+    def test_disconnected_subsystem_raises_on_every_access(self):
+        # two chains that share no crossing once sigma is dropped
+        s = build_reference_configuration(2, sigma_signs=(1, 1, 1, 1))
+        keep = [curve(f, i) for f in ("alpha", "beta") for i in (1, 2)]
+        rg = ribbon_from_system(subsystem(s, keep))
+        for _ in range(2):
+            with pytest.raises(RibbonError, match="must be connected"):
+                rg.spanning_tree
+        assert "spanning_tree" not in vars(rg)
+        with pytest.raises(RibbonError, match="must be connected"):
+            euler_and_genus(rg)
+
 
 class TestSubsystem:
     def test_inherits_cyclic_order_and_renumbers(self):
