@@ -1,12 +1,16 @@
 """Batch command surface tying the modules together.
 
 Subcommands build configurations, run verifications, emit certificates
-and stable exports.  Every command echoes its invocation in a
-:class:`VerificationReport` whose exit code follows a fixed contract:
+and stable exports.  Each ``cmd_*`` takes the parsed arguments and
+returns data: its checks, or the text of an export.  :func:`main` alone
+puts the checks in one :class:`VerificationReport` that echoes the
+invocation, renders it as a table or JSON, writes it to stdout or
+``--out`` and returns its exit code, by a fixed contract:
 
 * 0 — every check passed (informational exports also exit 0);
 * 1 — at least one check failed;
-* 2 — usage error (bad flags, unsupported parameter ranges);
+* 2 — usage error (bad flags, unsupported parameter ranges, unreadable
+  or malformed input), raised as a ``ValueError``;
 * 3 — no check failed but at least one was inconclusive (for example a
   bounded search that exhausted its budget, or a relation instance that
   is skipped because an index falls off the generator range), so CI can
@@ -110,30 +114,40 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _finish(report: VerificationReport, fmt: str, out: str | None) -> int:
-    text = stable_json(report.to_dict()) if fmt == "json" else report.to_table()
-    _emit(text, out)
-    return report.exit_code
-
-
-def _read_json(parser, path: str):
-    """The JSON payload of an input file; an unreadable file is a usage
-    error, and malformed JSON (nesting too deep to parse included) a
-    ValueError."""
+def _read_json(path: str):
+    """The JSON payload of an input file; an unreadable file or malformed
+    JSON (nesting too deep to parse included) is a ValueError naming it."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as err:
-        parser.error(f"cannot read {path}: {err.strerror or err}")
+        raise ValueError(f"cannot read {path}: {err.strerror or err}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"malformed JSON in {path}: {err}") from None
     except RecursionError:
         raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
+
+
+def _replay_check(name, replay, passed, bad_step):
+    """The check ``name`` of ``replay()``, with the result (``None``
+    unless it passed): ``passed(result)`` details a pass, going over the
+    conjugator cap is inconclusive, and a bad move fails naming its step."""
+    from .factorization import ConjugatorCapError, MoveError
+
+    try:
+        result = replay()
+    except ConjugatorCapError as err:
+        return Check(name, "inconclusive", str(err)), None
+    except MoveError as err:
+        return Check(name, "fail", f"{bad_step} {err.step}: {err}"), None
+    return Check(name, "pass", passed(result)), result
 
 
 # ---------------------------------------------------------------------------
 # verify-psi
 
 
-def _parse_sign_mode(parser, value):
+def _parse_sign_mode(value):
     if value == "auto":
         return "auto"
     if value.startswith("explicit:"):
@@ -144,12 +158,12 @@ def _parse_sign_mode(parser, value):
             signs = ()
         if len(signs) == 4 and all(s in (1, -1) for s in signs):
             return signs
-    parser.error(
+    raise ValueError(
         f"--sign-mode must be 'auto' or 'explicit:s1,s2,s3,s4' with signs ±1, got {value!r}"
     )
 
 
-def cmd_verify_psi(args, argv, parser) -> int:
+def cmd_verify_psi(args) -> list:
     from .canonical import canonical_sigma_signs, probe_signs
     from .homology import is_symplectic
 
@@ -201,38 +215,26 @@ def cmd_verify_psi(args, argv, parser) -> int:
                     "M^T J M = J",
                 )
             )
-    report = VerificationReport(tuple(argv), tuple(checks), _environment())
-    return _finish(report, args.format, args.out)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # auroux
 
 
-def _composition(args):
-    from .monodromy import default_composition
-
-    if args.composition is None:
-        return default_composition(args.b)
-    return tuple(args.composition.split(","))
-
-
-def cmd_auroux(args, argv, parser) -> int:
+def cmd_auroux(args) -> list:
     from .coxeter import psi_factorization
-    from .factorization import (
-        ConjugatorCapError,
-        MoveError,
-        auroux_certificate,
-        replay_certificate,
-    )
-    from .monodromy import lifted_composition
+    from .factorization import auroux_certificate, replay_certificate
+    from .monodromy import default_composition, lifted_composition
     from .serialize import certificate_from_dict, certificate_to_dict
 
-    checks = []
-    composition = _composition(args)
+    if args.composition is None:
+        composition = default_composition(args.b)
+    else:
+        composition = tuple(args.composition.split(","))
 
     if args.replay:
-        payload = _read_json(parser, args.replay)
+        payload = _read_json(args.replay)
         cert = certificate_from_dict(payload)
         b = payload.get("b")
         if type(b) is not int or b != args.b:
@@ -241,24 +243,20 @@ def cmd_auroux(args, argv, parser) -> int:
         composition = payload.get("composition", list(composition))
         if not isinstance(composition, list):
             raise ValueError("key 'composition' must be a list of block labels")
+        if args.composition is not None and composition != args.composition.split(","):
+            found = ",".join(str(label) for label in composition)
+            raise ValueError(
+                f"certificate key 'composition' is {found}, "
+                f"not --composition {args.composition}"
+            )
         fact = lifted_composition(args.b, tuple(composition))
-        try:
-            fronts = replay_certificate(fact, cert)
-            checks.append(
-                Check("certificate-replays", "pass", f"{len(fronts)} steps reproduced")
-            )
-        except ConjugatorCapError as err:
-            checks.append(Check("certificate-replays", "inconclusive", str(err)))
-        except MoveError as err:
-            checks.append(
-                Check(
-                    "certificate-replays",
-                    "fail",
-                    f"first bad move at step {err.step}: {err}",
-                )
-            )
-        report = VerificationReport(tuple(argv), tuple(checks), _environment())
-        return _finish(report, args.format, args.out)
+        check, _ = _replay_check(
+            "certificate-replays",
+            lambda: replay_certificate(fact, cert),
+            lambda fronts: f"{len(fronts)} steps reproduced",
+            "first bad move at step",
+        )
+        return [check]
 
     fact = lifted_composition(args.b, composition)
     cores = []
@@ -269,7 +267,7 @@ def cmd_auroux(args, argv, parser) -> int:
     missing = [c for c in cores if c not in present]
     if missing:
         names = ", ".join(str(c) for c in missing)
-        checks.append(
+        return [
             Check(
                 "core-coverage",
                 "fail",
@@ -277,69 +275,59 @@ def cmd_auroux(args, argv, parser) -> int:
                 f"composition {','.join(composition)} ({len(fact)} letters); "
                 "every reference core must appear in the lifted factorization",
             )
-        )
-        report = VerificationReport(tuple(argv), tuple(checks), _environment())
-        return _finish(report, args.format, None)
+        ]
 
-    checks.append(
-        Check("core-coverage", "pass", f"all {len(cores)} reference cores appear")
-    )
     cert = auroux_certificate(fact, cores)
     fronts = replay_certificate(fact, cert)
-    checks.append(Check("certificate-replays", "pass", f"{len(fronts)} steps reproduced"))
-    checks.append(
+    if args.certificate:
+        payload = certificate_to_dict(
+            cert, b=args.b, composition=list(composition)
+        )
+        _emit(stable_json(payload), args.certificate)
+    return [
+        Check("core-coverage", "pass", f"all {len(cores)} reference cores appear"),
+        Check("certificate-replays", "pass", f"{len(fronts)} steps reproduced"),
         Check(
             "fronts-bare",
             "pass" if cert.all_bare else "fail",
             "every moved letter arrives unconjugated and positive",
-        )
-    )
-    if args.out:
-        payload = certificate_to_dict(
-            cert, b=args.b, composition=list(composition)
-        )
-        _emit(stable_json(payload), args.out)
-    report = VerificationReport(tuple(argv), tuple(checks), _environment())
-    return _finish(report, args.format, None)
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # export config / monodromy emit
 
 
-def cmd_export(args, argv, parser) -> int:
+def cmd_export(args) -> str:
     from .serialize import system_to_dict, system_to_dot
     from .surface import build_reference_configuration
 
     system = build_reference_configuration(args.b)
     if args.format == "dot":
-        _emit(system_to_dot(system), args.out)
-    else:
-        _emit(stable_json(system_to_dict(system)), args.out)
-    return 0
+        return system_to_dot(system)
+    return stable_json(system_to_dict(system))
 
 
-def cmd_monodromy(args, argv, parser) -> int:
+def cmd_monodromy(args) -> str:
     from .monodromy import default_colouring, default_composition, x_block, y_block
     from .serialize import blocks_to_dict, colouring_to_dict
 
     m = 2 * args.b
-    payload = {
+    return stable_json({
         "b": args.b,
         "strands": 2 * m,
         "colouring": colouring_to_dict(default_colouring(m)),
         "composition_default": list(default_composition(args.b)),
         "blocks": blocks_to_dict({"X": x_block(m), "Y": y_block(m)}),
-    }
-    _emit(stable_json(payload), args.out)
-    return 0
+    })
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
-def cmd_invariants(args, argv, parser) -> int:
+def cmd_invariants(args) -> tuple:
     from .invariants import (
         CoverType,
         chi_report,
@@ -402,61 +390,42 @@ def cmd_invariants(args, argv, parser) -> int:
             )
         except ValueError as err:
             checks.append(Check("family-hypotheses", "fail", str(err)))
-    report = VerificationReport(tuple(argv), tuple(checks), _environment())
-    if args.format == "table":
-        lines = [report.to_table()]
-        lines.append(
-            "\n".join(
-                f"{key.ljust(14)} {value}"
-                for key, value in payload["invariants"].items()
-            )
-            + "\n"
-        )
-        if "note" in payload:
-            lines.append(f"note: {payload['note']}\n")
-        _emit("".join(lines), args.out)
-        return report.exit_code
-    merged = report.to_dict()
-    merged["payload"] = payload
-    _emit(stable_json(merged), args.out)
-    return report.exit_code
+    extra = "".join(
+        f"{key.ljust(14)} {value}\n" for key, value in payload["invariants"].items()
+    )
+    if "note" in payload:
+        extra += f"note: {payload['note']}\n"
+    return checks, payload, extra
 
 
 # ---------------------------------------------------------------------------
 # braid
 
 
-def cmd_braid(args, argv, parser) -> int:
+def cmd_braid(args) -> list:
     from .braids import braid_equal, verify_manfredini
     from .serialize import braid_word_from_ints
 
-    checks = []
     if args.action == "eq":
         w1 = braid_word_from_ints(_parse_int_list("lhs", args.lhs))
         w2 = braid_word_from_ints(_parse_int_list("rhs", args.rhs))
         equal = braid_equal(w1, w2, args.n)
-        checks.append(
+        return [
             Check(
                 "words-equal",
                 "pass" if equal else "fail",
                 f"curve action and exponent sum on {args.n} strands",
             )
+        ]
+    status = {"holds": "pass", "fails": "fail", "skipped": "inconclusive"}
+    return [
+        Check(
+            f"relation: {name}",
+            status[outcome],
+            "" if outcome != "skipped" else "generator index off range",
         )
-    else:  # manfredini
-        if args.k is None:
-            parser.error("braid manfredini requires --k")
-        results = verify_manfredini(args.n, args.k)
-        status = {"holds": "pass", "fails": "fail", "skipped": "inconclusive"}
-        for name, outcome in results:
-            checks.append(
-                Check(
-                    f"relation: {name}",
-                    status[outcome],
-                    "" if outcome != "skipped" else "generator index off range",
-                )
-            )
-    report = VerificationReport(tuple(argv), tuple(checks), _environment())
-    return _finish(report, args.format, args.out)
+        for name, outcome in verify_manfredini(args.n, args.k)
+    ]
 
 
 def _parse_int_list(option: str, text: str) -> list:
@@ -481,39 +450,40 @@ def _parse_int_list(option: str, text: str) -> list:
 # hurwitz replay
 
 
-def cmd_hurwitz(args, argv, parser) -> int:
-    from .factorization import ConjugatorCapError, MoveError, apply_script
+def cmd_hurwitz(args) -> list:
+    from .factorization import apply_script
     from .serialize import replay_file_from_dict
 
-    b, fact, script, expected = replay_file_from_dict(_read_json(parser, args.file))
-    checks = []
-    try:
-        result = apply_script(fact, script)
-        checks.append(Check("script-applies", "pass", f"{len(script)} moves"))
-        exact = result.letters == expected.letters
-        checks.append(
-            Check(
-                "result-matches",
-                "pass" if exact else "fail",
-                "letterwise structural equality" if exact else "letters differ",
-            )
-        )
-    except ConjugatorCapError as err:
-        checks.append(Check("script-applies", "inconclusive", str(err)))
-    except MoveError as err:
-        checks.append(Check("script-applies", "fail", f"step {err.step}: {err}"))
-    report = VerificationReport(tuple(argv), tuple(checks), _environment())
-    return _finish(report, args.format, args.out)
+    b, fact, script, expected = replay_file_from_dict(_read_json(args.file))
+    check, result = _replay_check(
+        "script-applies",
+        lambda: apply_script(fact, script),
+        lambda _: f"{len(script)} moves",
+        "step",
+    )
+    if result is None:
+        return [check]
+    exact = result.letters == expected.letters
+    return [
+        check,
+        Check(
+            "result-matches",
+            "pass" if exact else "fail",
+            "letterwise structural equality" if exact else "letters differ",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub, formats=("table", "json")):
-    """``--format`` (the first of ``formats`` is the default) and ``--out``."""
+def _add_common(sub, run, formats=("table", "json")):
+    """``--format`` (the first of ``formats`` is the default), ``--out``,
+    and ``run``, the command the subparser names."""
     sub.add_argument("--format", default=formats[0], choices=formats)
     sub.add_argument("--out", default=None, help="write output to a file")
+    sub.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,23 +497,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-psi", help="check the six-factor product on homology")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--sign-mode", default="auto")
-    _add_common(p)
+    _add_common(p, cmd_verify_psi)
 
     p = subs.add_parser("auroux", help="emit/replay a core-coverage certificate")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--composition", default=None, help="comma-separated block labels")
     p.add_argument("--replay", default=None, help="replay a certificate file")
-    _add_common(p)
+    p.add_argument("--format", default="table", choices=("table", "json"))
+    # the report always goes to stdout; --out names the certificate
+    p.add_argument("--out", dest="certificate", default=None, help="write the certificate to a file")
+    p.set_defaults(run=cmd_auroux)
 
     p = subs.add_parser("export", help="stable JSON/DOT exports")
     p.add_argument("what", choices=["config"])
     p.add_argument("--b", type=int, required=True)
-    _add_common(p, ("json", "dot"))
+    _add_common(p, cmd_export, ("json", "dot"))
 
     p = subs.add_parser("monodromy", help="monodromy block emission")
     p.add_argument("action", choices=["emit"])
     p.add_argument("--b", type=int, required=True)
-    _add_common(p, ("json",))
+    _add_common(p, cmd_monodromy, ("json",))
 
     p = subs.add_parser("invariants", help="numerical invariants and families")
     p.add_argument("--a", type=int, required=True)
@@ -551,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    _add_common(p)
+    _add_common(p, cmd_invariants)
 
     p = subs.add_parser("braid", help="braid word comparisons and relation checks")
     p.add_argument("action", choices=["eq", "manfredini"])
@@ -559,59 +532,74 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--lhs", default=None, help="JSON integer array (eq)")
     p.add_argument("--rhs", default=None, help="JSON integer array (eq)")
-    _add_common(p)
+    _add_common(p, cmd_braid)
 
     p = subs.add_parser("hurwitz", help="replay recorded move scripts bit-exactly")
     p.add_argument("action", choices=["replay"])
     p.add_argument("--file", required=True)
-    _add_common(p)
+    _add_common(p, cmd_hurwitz)
 
     return parser
 
 
-def _validate(args, parser) -> None:
+def _validate(args) -> None:
     if getattr(args, "b", None) is not None and args.command in (
         "verify-psi", "auroux", "export", "monodromy",
     ):
         if args.b < 2:
-            parser.error(f"--b must be at least 2, got {args.b}")
+            raise ValueError(f"--b must be at least 2, got {args.b}")
         if args.command == "verify-psi" and args.b > VERIFY_PSI_MAX_B:
-            parser.error(
+            raise ValueError(
                 f"verify-psi accepts --b up to {VERIFY_PSI_MAX_B}: the model "
                 "build and the reference checks grow as the cube of the rank "
                 f"8b-6, got {args.b}"
             )
     if args.command == "verify-psi":
-        args.sign_mode = _parse_sign_mode(parser, args.sign_mode)
+        args.sign_mode = _parse_sign_mode(args.sign_mode)
+    if args.command == "auroux" and args.replay and args.certificate:
+        raise ValueError(
+            "auroux --out writes a new certificate and cannot be combined with --replay"
+        )
     if args.command == "braid" and args.n < 2:
-        parser.error(f"--n must be at least 2 strands, got {args.n}")
+        raise ValueError(f"--n must be at least 2 strands, got {args.n}")
     if args.command == "braid" and args.action == "eq":
         if args.lhs is None or args.rhs is None:
-            parser.error("braid eq needs --lhs and --rhs braid words")
+            raise ValueError("braid eq needs --lhs and --rhs braid words")
+    if args.command == "braid" and args.action == "manfredini" and args.k is None:
+        raise ValueError("braid manfredini requires --k")
     if args.command == "invariants":
         for name in ("a", "b", "c"):
             if getattr(args, name) < 1:
-                parser.error(f"--{name} must be positive")
-
-
-DISPATCH = {
-    "verify-psi": cmd_verify_psi,
-    "auroux": cmd_auroux,
-    "export": cmd_export,
-    "monodromy": cmd_monodromy,
-    "invariants": cmd_invariants,
-    "braid": cmd_braid,
-    "hurwitz": cmd_hurwitz,
-}
+                raise ValueError(f"--{name} must be positive")
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.  A command returns the text
+    of an export (exit 0), its checks, or ``(checks, payload, extra table
+    lines)``; a ``ValueError`` from validation or the command is a usage
+    error."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
+    out = getattr(args, "out", None)
     try:
-        return DISPATCH[args.command](args, [args.command] + argv[1:], parser)
+        _validate(args)
+        result = args.run(args)
+        if isinstance(result, str):
+            _emit(result, out)
+            return 0
+        checks, payload, extra = result if isinstance(result, tuple) else (result, None, "")
+        report = VerificationReport(
+            (args.command, *argv[1:]), tuple(checks), _environment()
+        )
+        if args.format == "json":
+            data = report.to_dict()
+            if payload is not None:
+                data["payload"] = payload
+            _emit(stable_json(data), out)
+        else:
+            _emit(report.to_table() + extra, out)
+        return report.exit_code
     except ValueError as err:
         parser.error(str(err))
 

@@ -226,24 +226,13 @@ def y_block(m: int) -> tuple:
 
 
 def _rewrite_candidates(letter: BicolouredLetter):
-    """Candidate z-free conjugators ``w`` with ``letter = (z^2)_w``.
-
-    For ``(y_j^2)`` with the block conjugator ``y_{j-1}..y1 z
-    x_{m-1}..x1`` the candidate is ``y1^-1..y_j^-1 x_{m-1}..x1``; the
-    ``(x_i^2)`` case is its strand-reversal mirror.  A trailing extra
-    conjugator carries over unchanged."""
-    m, g = letter.m, letter.core
-    if g > m:
-        j = g - m
-        canonical = _descending(1, j - 1, offset=m) + ((m, 1),) + _descending(1, m - 1)
-        head = tuple((m + t, -1) for t in range(1, j + 1)) + _descending(1, m - 1)
-    else:
-        canonical = _descending(g + 1, m - 1)[::-1] + ((m, 1),) + tuple(
-            (m + t, 1) for t in range(1, m)
-        )
-        head = tuple((t, -1) for t in range(m - 1, g - 1, -1)) + tuple(
-            (m + t, 1) for t in range(1, m)
-        )
+    """Candidate z-free conjugators ``w`` with ``letter = (z^2)_w`` for a
+    ``(y_j^2)`` letter: with the block conjugator ``y_{j-1}..y1 z
+    x_{m-1}..x1`` the candidate is ``y1^-1..y_j^-1 x_{m-1}..x1``.  A
+    trailing extra conjugator carries over unchanged."""
+    m, j = letter.m, letter.core - letter.m
+    canonical = _descending(1, j - 1, offset=m) + ((m, 1),) + _descending(1, m - 1)
+    head = tuple((m + t, -1) for t in range(1, j + 1)) + _descending(1, m - 1)
     conj = letter.conjugator
     if conj[: len(canonical)] == canonical:
         yield head + conj[len(canonical) :]
@@ -256,7 +245,10 @@ def rewrite_cross_colour(letter: BicolouredLetter) -> BicolouredLetter:
     conjugator ``w`` so that it can be lifted.  Every rewrite is
     verified with the faithful braid comparator; a letter that is not a
     cross-colour full twist of the block shape raises
-    :class:`MonodromyError`."""
+    :class:`MonodromyError`.  An ``(x_i^2)`` letter is rewritten as the
+    mirror image of the rewrite of its mirror ``(y_{m-i}^2)``, which an
+    error then names: the strand reversal is an automorphism fixing
+    ``z``, so verifying the mirror proves the same equality."""
     if letter.power != 2:
         raise MonodromyError(
             f"only full-twist letters can be rewritten, got {letter.label()}"
@@ -271,6 +263,8 @@ def rewrite_cross_colour(letter: BicolouredLetter) -> BicolouredLetter:
                 f"conjugator of {letter.label()} is not z-free"
             )
         return BicolouredLetter(letter.strands, m, 2, letter.sign, conj)
+    if letter.core < m:
+        return mirror_letter(rewrite_cross_colour(mirror_letter(letter)))
     for cand_conj in _rewrite_candidates(letter):
         if any(g == m for g, _ in cand_conj):
             continue

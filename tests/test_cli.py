@@ -241,6 +241,28 @@ class TestAuroux:
         usage_error("auroux", "--b", b, "--replay", str(cert))
         assert f"certificate key 'b' is {found}, not --b {b}" in capsys.readouterr().err
 
+    def test_replay_composition_must_match(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        usage_error("auroux", "--b", "2", "--composition", "Yh,Xh", "--replay", str(cert))
+        assert (
+            "certificate key 'composition' is X,Y, not --composition Yh,Xh"
+            in capsys.readouterr().err
+        )
+        code, out = run(
+            capsys, "auroux", "--b", "2", "--composition", "X,Y", "--replay", str(cert)
+        )
+        assert code == 0 and "certificate-replays" in out
+
+    def test_replay_with_out_is_usage_error(self, capsys, tmp_path):
+        # --out names the certificate, so a replay must not overwrite it
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        before = cert.read_bytes()
+        usage_error("auroux", "--b", "2", "--replay", str(cert), "--out", str(cert))
+        assert "cannot be combined with --replay" in capsys.readouterr().err
+        assert cert.read_bytes() == before
+
     def test_replay_payload_missing_key_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text('{"b":2}')
@@ -380,6 +402,35 @@ class TestPinnedReports:
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 0
         assert report_digest(out) == digest
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            pytest.param(
+                ("invariants", "--a", "14", "--b", "8", "--c", "6", "--k", "2"),
+                0,
+                "10ee40e7c74b13211106c74a7b37f3557f7ef5c57db25a3af743b7dcf08639d8",
+                id="invariants",
+            ),
+            pytest.param(
+                ("auroux", "--b", "2", "--composition", "Xh,Yh"),
+                1,
+                "4c25157ec9e4b13f64fc47fb3dda93b630fd7c9a8ae24385c9fe921057c8fbb5",
+                id="auroux-missing-core",
+            ),
+            pytest.param(
+                ("braid", "eq", "--n", "3", "--lhs", "[1,2,1]", "--rhs", "[2,1,2]"),
+                0,
+                "4c9c96e1799b14c422b8080e24c56285676ac9cdc65dd4171254e82883341ba3",
+                id="braid-eq",
+            ),
+        ],
+    )
+    def test_table_report_pinned(self, capsys, argv, exit_code, digest):
+        # [DERIVED] sha256 of the table on stdout, which holds no environment
+        code, out = run(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInvariants:
@@ -734,14 +785,15 @@ class TestUsage:
 
     def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
         deep = "[" * 3000 + "]" * 3000
-        path = tmp_path / "deep.json"
-        path.write_text(deep)
-        for argv in (
-            ("hurwitz", "replay", "--file", str(path)),
-            ("auroux", "--b", "2", "--replay", str(path)),
-        ):
-            usage_error(*argv)
-            assert f"malformed JSON in {path}" in capsys.readouterr().err
+        for name, text in (("deep.json", deep), ("truncated.json", "[1,2\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            for argv in (
+                ("hurwitz", "replay", "--file", str(path)),
+                ("auroux", "--b", "2", "--replay", str(path)),
+            ):
+                usage_error(*argv)
+                assert f"malformed JSON in {path}" in capsys.readouterr().err
         usage_error("braid", "eq", "--n", "3", "--lhs", deep, "--rhs", "[1]")
         assert "braid words are JSON integer arrays" in capsys.readouterr().err
 

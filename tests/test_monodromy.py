@@ -174,7 +174,7 @@ class TestRewrite:
             == "(z^2)_{x3^-1 x2^-1 x1^-1 y1 y2 y3}"
         )
 
-    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_rewrites_are_braid_equal(self, m):
         for letter in x_block(m) + y_block(m):
             if letter.power != 2:
