@@ -13,9 +13,13 @@ import argparse
 from collections import Counter
 
 from twistbench.monodromy import (
+    appendix_factorization,
     composition_search,
     default_composition,
+    generation_check,
     lifted_composition,
+    x_block,
+    y_block,
 )
 
 
@@ -42,6 +46,14 @@ def main() -> int:
     width = max(len(k) for k in counts)
     for core, count in sorted(counts.items()):
         print(f"    {core.ljust(width)}  x{count}")
+    print()
+
+    generation = generation_check([x_block(2 * args.b), y_block(2 * args.b)])
+    print(f"both blocks contain every generator: {generation['all_generators_present']}")
+    print(f"  missing: {', '.join(generation['missing']) or 'none'}")
+    appendix = appendix_factorization(args.b)
+    print(f"printed global factorization: {len(appendix)} letters")
+    print(f"  all positive: {all(t.sign == 1 for t in appendix.letters)}")
     return 0
 
 

@@ -116,13 +116,14 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_json(path: str):
     """The JSON payload of an input file; an unreadable file or malformed
-    JSON (nesting too deep to parse included) is a ValueError naming it."""
+    JSON (bytes that are not UTF-8 and nesting too deep to parse
+    included) is a ValueError naming it."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as err:
         raise ValueError(f"cannot read {path}: {err.strerror or err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"malformed JSON in {path}: {err}") from None
     except RecursionError:
         raise ValueError(f"malformed JSON in {path}: nested too deeply") from None

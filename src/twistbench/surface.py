@@ -16,9 +16,10 @@ Conventions, fixed once and used everywhere:
   order of the four arc-ends is ``(first-in, second-in, first-out,
   second-out)`` for ``s = +1`` and ``(first-in, second-out, first-out,
   second-in)`` for ``s = -1``.
-- Arcs are directed along their curve's orientation.  The boundary of the
-  oriented regular neighbourhood is traced by the permutation
-  ``dart -> ccw-successor of its partner arc-end``.
+- Arcs are directed along their curve's orientation; arc ``e`` leaves
+  the arc-end (dart) ``2e`` and enters dart ``2e + 1``.  The boundary of
+  the oriented regular neighbourhood is traced by the permutation
+  ``d -> ccw-successor of d ^ 1``.
 
 A curve with no crossings cannot seed a four-valent vertex; following the
 usual annulus trick, the ribbon builder gives such a curve one marked point
@@ -109,10 +110,6 @@ class Crossing:
 
     def involves(self, c: CurveId) -> bool:
         return c == self.first or c == self.second
-
-
-# Darts are arc-ends: (curve, incidence position along the curve, "in"/"out").
-Dart = tuple
 
 
 @dataclass(frozen=True)
@@ -245,78 +242,61 @@ def subsystem(sys: CurveSystem, keep) -> CurveSystem:
 @dataclass(frozen=True)
 class RibbonGraph:
     """Vertices (crossings and marked points), directed arcs, and the
-    counterclockwise order of arc-ends at every vertex."""
+    counterclockwise order of arc-ends ("darts") at every vertex.
+
+    Dart ``2e`` is the tail and dart ``2e + 1`` the head of arc ``e``
+    (the e-th entry of ``edges``): the other end of dart ``d`` is
+    ``d ^ 1`` and its arc is ``d >> 1``."""
 
     system: CurveSystem
     vertices: tuple[object, ...]
     edges: tuple[tuple[CurveId, int], ...]
-    rotation_table: tuple[tuple[object, tuple[Dart, ...]], ...]
+    rotation_table: tuple[tuple[object, tuple[int, ...]], ...]
 
     @cached_property
-    def _arc_counts(self) -> dict[CurveId, int]:
-        counts: dict[CurveId, int] = {}
-        for c, _ in self.edges:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[CurveId, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def darts(self) -> tuple[Dart, ...]:
+    def darts(self) -> tuple[int, ...]:
         return tuple(d for _, rot in self.rotation_table for d in rot)
 
-    @cached_property
-    def rot_next(self) -> dict[Dart, Dart]:
-        nxt: dict[Dart, Dart] = {}
-        for _, rot in self.rotation_table:
-            for i, d in enumerate(rot):
-                nxt[d] = rot[(i + 1) % len(rot)]
-        return nxt
+    def _check_darts(self) -> None:
+        if sorted(self.darts) != list(range(2 * len(self.edges))):
+            raise RibbonError("inconsistent cyclic orders: darts are not the ends of the arcs")
 
     @cached_property
-    def vertex_of_dart(self) -> dict[Dart, object]:
-        return {
-            d: v for v, rot in self.rotation_table for d in rot
-        }
-
-    @cached_property
-    def walks(self) -> tuple[tuple[Dart, ...], ...]:
+    def walks(self) -> tuple[tuple[int, ...], ...]:
         """Boundary walks of the ribbon surface, as orbits of the permutation
-        ``dart -> ccw-successor of partner(dart)``; deterministic order.
-        Inconsistent data raises on every access (nothing is cached)."""
-        darts = sorted(self.darts, key=_dart_sort_key)
-        if len(set(darts)) != len(darts) or set(darts) != set(self.rot_next):
-            raise RibbonError("inconsistent cyclic orders: darts are not a disjoint union")
-        seen: set[Dart] = set()
-        walks: list[tuple[Dart, ...]] = []
-        for start in darts:
-            if start in seen:
-                continue
+        ``d -> ccw-successor of d ^ 1``, each started at its least dart.
+        Inconsistent darts raise on every access (nothing is cached)."""
+        self._check_darts()
+        step = [0] * len(self.darts)
+        for _, rot in self.rotation_table:
+            for d, after in zip(rot, rot[1:] + rot[:1]):
+                step[d ^ 1] = after
+        seen = [False] * len(step)
+        walks: list[tuple[int, ...]] = []
+        for d in range(len(step)):
             walk = []
-            d = start
-            while True:
+            while not seen[d]:
+                seen[d] = True
                 walk.append(d)
-                seen.add(d)
-                d = self.rot_next[self.partner(d)]
-                if d == start:
-                    break
-                if d in seen:
-                    raise RibbonError("boundary tracing merged two walks")
-            walks.append(tuple(walk))
+                d = step[d]
+            if walk:
+                walks.append(tuple(walk))
         return tuple(walks)
 
     @cached_property
     def spanning_tree(self) -> frozenset[int]:
         """Indices of the arcs of a spanning tree of the crossing graph,
         grown depth first from the first vertex with each vertex's arcs in
-        arc order.  A disconnected graph raises on every access (nothing
-        is cached)."""
+        arc order.  Inconsistent darts or a disconnected graph raise on
+        every access (nothing is cached)."""
+        self._check_darts()
+        vertex_of = [None] * len(self.darts)
+        for v, rot in self.rotation_table:
+            for d in rot:
+                vertex_of[d] = v
         adjacency: dict[object, list[tuple[object, int]]] = {v: [] for v in self.vertices}
-        for i, (c, k) in enumerate(self.edges):
-            tail = self.vertex_of_dart[(c, k, "out")]
-            head = self.vertex_of_dart[self.partner((c, k, "out"))]
+        for i in range(len(self.edges)):
+            tail, head = vertex_of[2 * i], vertex_of[2 * i + 1]
             adjacency[tail].append((head, i))
             adjacency[head].append((tail, i))
         stack = list(self.vertices[:1])
@@ -332,45 +312,35 @@ class RibbonGraph:
             raise RibbonError("ribbon graph must be connected")
         return frozenset(tree)
 
-    def partner(self, dart: Dart) -> Dart:
-        """The other end of the arc carrying this arc-end."""
-        c, k, io = dart
-        length = self._arc_counts[c]
-        if io == "out":
-            return (c, (k + 1) % length, "in")
-        return (c, (k - 1) % length, "out")
-
-    def edge_of_dart(self, dart: Dart) -> tuple[tuple[CurveId, int], int]:
-        """The arc this arc-end belongs to and +1 (tail) / -1 (head)."""
-        c, k, io = dart
-        if io == "out":
-            return (c, k), +1
-        return (c, (k - 1) % self._arc_counts[c]), -1
-
 
 def ribbon_from_system(sys: CurveSystem) -> RibbonGraph:
-    vertices: list[object] = []
-    rotation_table: list[tuple[object, tuple[Dart, ...]]] = []
+    edges: list[tuple[CurveId, int]] = []
+    first_arc: dict[CurveId, int] = {}
+    for c in sys.curves:
+        first_arc[c] = len(edges)
+        edges.extend((c, k) for k in range(max(1, len(sys.incidences_of(c)))))
 
+    def ends(c: CurveId, i: int) -> tuple[int, int]:
+        """The darts (in, out) of curve ``c`` at crossing ``i``: the head of
+        the arc arriving there and the tail of the arc leaving."""
+        order = sys.incidences_of(c)
+        k = order.index(i)
+        return 2 * (first_arc[c] + (k - 1) % len(order)) + 1, 2 * (first_arc[c] + k)
+
+    vertices: list[object] = []
+    rotation_table: list[tuple[object, tuple[int, ...]]] = []
     for i, x in enumerate(sys.crossings):
-        k1 = sys.incidences_of(x.first).index(i)
-        k2 = sys.incidences_of(x.second).index(i)
-        d1i, d1o = (x.first, k1, "in"), (x.first, k1, "out")
-        d2i, d2o = (x.second, k2, "in"), (x.second, k2, "out")
+        (d1i, d1o), (d2i, d2o) = ends(x.first, i), ends(x.second, i)
         rot = (d1i, d2i, d1o, d2o) if x.sign == +1 else (d1i, d2o, d1o, d2i)
         vertices.append(("x", i))
         rotation_table.append((("x", i), rot))
-
-    edges: list[tuple[CurveId, int]] = []
     for c in sys.curves:
-        count = len(sys.incidences_of(c))
-        if count == 0:
+        if not sys.incidences_of(c):
             # marked point so that the curve still bounds an annulus ribbon
             v = ("mark", c.label)
+            e = first_arc[c]
             vertices.append(v)
-            rotation_table.append((v, ((c, 0, "in"), (c, 0, "out"))))
-            count = 1
-        edges.extend((c, k) for k in range(count))
+            rotation_table.append((v, (2 * e + 1, 2 * e)))
 
     return RibbonGraph(
         system=sys,
@@ -378,11 +348,6 @@ def ribbon_from_system(sys: CurveSystem) -> RibbonGraph:
         edges=tuple(edges),
         rotation_table=tuple(rotation_table),
     )
-
-
-def _dart_sort_key(d: Dart):
-    c, k, io = d
-    return (c.family, c.index, k, io)
 
 
 def euler_and_genus(rg: RibbonGraph) -> tuple[int, int]:
@@ -404,15 +369,10 @@ def face_edge_vectors(rg: RibbonGraph) -> tuple[tuple[int, ...], ...]:
     for walk in rg.walks:
         vec = [0] * len(rg.edges)
         for d in walk:
-            e, s = rg.edge_of_dart(d)
-            vec[rg.edge_index[e]] += s
+            vec[d >> 1] += -1 if d & 1 else 1
         vectors.append(tuple(vec))
     return tuple(vectors)
 
 
 def curve_edge_vector(rg: RibbonGraph, c: CurveId) -> tuple[int, ...]:
-    vec = [0] * len(rg.edges)
-    for e, i in rg.edge_index.items():
-        if e[0] == c:
-            vec[i] = 1
-    return tuple(vec)
+    return tuple(int(arc_curve == c) for arc_curve, _ in rg.edges)

@@ -785,9 +785,13 @@ class TestUsage:
 
     def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
         deep = "[" * 3000 + "]" * 3000
-        for name, text in (("deep.json", deep), ("truncated.json", "[1,2\n")):
+        for name, data in (
+            ("deep.json", deep.encode()),
+            ("truncated.json", b"[1,2\n"),
+            ("binary.json", b"\xff\xfe"),
+        ):
             path = tmp_path / name
-            path.write_text(text)
+            path.write_bytes(data)
             for argv in (
                 ("hurwitz", "replay", "--file", str(path)),
                 ("auroux", "--b", "2", "--replay", str(path)),

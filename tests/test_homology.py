@@ -5,6 +5,7 @@
 two-curve twist identities checked by hand before freezing.
 """
 import hashlib
+import itertools
 from functools import cached_property, lru_cache
 
 import pytest
@@ -293,6 +294,35 @@ class TestBuildWork:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "0214aa5bc629c9a61f29014dd905e40f2d9f223e34e59ce058a155fb5af20c1b"
         )
+
+    MODEL_PINS = {
+        2: "61be8e95ec06a54ed0db449432a2b2832198a8b16224cc2e9686d95e5eef490c",
+        3: "a99d8cba15d13d76f08b1fa123583c93d99c00e98f944f34da503d685bb0b680",
+        4: "71e9416b4699fc3473eef177fbffa03d322488cb75b7fd3245d06bc8fee0a205",
+        5: "87d959af76e6ce4cf4bae15ec4ebd9d0538e4bca0671adf6aab8c32a25c52e3c",
+        6: "c44dd6589bd63d06655f2863fd0f380fbc1271f8fc1930cfc613c0569c4491a1",
+    }
+    SIGN_TUPLES_PIN = "2d2160c85bb58bcfecdebd9f6a0b4c668264b724d0c827566dc100e11f7b398e"
+
+    def test_model_bytes_are_pinned(self):
+        # [DERIVED] sha256 measured while the ribbon graph still named its
+        # arc-ends by (curve, position, in/out) tuples; a change of the
+        # dart encoding must leave every model byte as it was
+        def row(m):
+            return repr(
+                (m.fingerprint, m.classes, m.form, m.section, m.kernel,
+                 psi_reference(m).matrix)
+            )
+
+        for b, digest in self.MODEL_PINS.items():
+            assert hashlib.sha256(row(reference_model(b)).encode()).hexdigest() == digest
+        rows = []
+        for signs in itertools.product((1, -1), repeat=4):
+            try:
+                rows.append(row(reference_model(2, signs)))
+            except AdmissibilityError as err:
+                rows.append(repr(err))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.SIGN_TUPLES_PIN
 
     @pytest.fixture
     def smith_calls(self, monkeypatch):

@@ -156,6 +156,15 @@ class TestRibbonAndBoundary:
         for _ in range(2):
             with pytest.raises(RibbonError):
                 doubled.walks
+        # a vertex dropped from the table leaves darts missing
+        truncated = dataclasses.replace(rg, rotation_table=rg.rotation_table[:-1])
+        for _ in range(2):
+            with pytest.raises(RibbonError):
+                truncated.walks
+            with pytest.raises(RibbonError):
+                truncated.spanning_tree
+            with pytest.raises(RibbonError):
+                euler_and_genus(truncated)
 
     def test_disconnected_system_rejected(self):
         a1, a2 = curve("alpha", 1), curve("alpha", 2)
