@@ -1,28 +1,53 @@
-"""Braid words, equality decision via lamination actions, and relation
-checking.
+"""Braid words, equality decision via Dynnikov coordinates, and
+relation checking.
 
 A braid word is a tuple of (generator index, sign) letters over n
 strands, composed like twist words: the rightmost letter acts first.
-Equality is decided by exponent sum plus the action on a separating
-family of round-curve laminations; the centre (the full twist) is the
-only kernel of the curve action and is caught by the exponent sum.  That
-is the one decider.  The free-group (Artin) representation, where
-sigma_i sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i, is kept
-only as a test oracle for short words: its images grow exponentially
-with the word length, so it is not a second route.
+Equality is decided by exponent sum plus the image of one integral
+lamination E under the word.  That is the one decider.
+
+The lamination lives on n + 1 punctures: the n strand punctures and one
+fixed basepoint puncture to their right.  It is stored by its Dynnikov
+coordinates (a_1..a_{n-1}, b_1..b_{n-1}) and starts at
+E = (0, ..., 0; -1, ..., -1).  sigma_i moves only punctures i and i+1,
+so it never moves the basepoint and changes at most coordinates i-1 and
+i by a closed max/min formula; no generator is a special case.  The
+rule is hard-coded from the literature: Dynnikov, "On a Yang-Baxter map
+and the Dehornoy ordering", Russian Math. Surveys 57 (2002); Dehornoy,
+Dynnikov, Rolfsen and Wiest, "Ordering Braids" (AMS, 2008), ch. XII;
+Hall and Yurttas, Topology Appl. 156 (2009); Thiffeault, Chaos 20
+(2010); Thiffeault and Budisic, "Braidlab", arXiv:1410.0849, whose
+basepoint loops are the same construction.  The check behind it is the
+half-twist action that ``laminations`` derives from flips of a
+triangulation: the tests compare the two engines' decisions, and
+``scripts/derive_flip_rules.py`` reruns the derivation.
+
+The basepoint makes the decision faithful.  B_n acts freely on the
+orbit of E in the disc with a basepoint (Dehornoy et al., ch. XII), so
+equal images mean equal braids.  On the n strand punctures alone the
+action on E is not faithful modulo the centre: at n = 3,
+sigma_1 sigma_2^-1 and sigma_2^-1 sigma_1^3 sigma_2^-1 sigma_1^-1 have
+the same exponent sum and the same image of E there.  With the
+basepoint the full twist moves E as well, so the exponent sum is only
+the cheap first comparison.
+
+The free-group (Artin) representation, where sigma_i sends x_i to
+x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i, is kept only as a test oracle
+for short words: its images grow exponentially with the word length, so
+it is not a second route.
 
 This is a disk model: the extra relation that holds for braids moved to
 a closed surface (the sphere relation) genuinely fails here.
 """
 from __future__ import annotations
 
-from .laminations import test_family, word_action
 from .words import Word, free_reduce, invert
 
 __all__ = [
     "BraidError",
     "braid_word",
     "exponent_sum",
+    "dynnikov_action",
     "word_fingerprint",
     "braid_equal",
     "artin_image",
@@ -48,20 +73,52 @@ def exponent_sum(word) -> int:
     return sum(s for _, s in word)
 
 
+def dynnikov_action(word, coords) -> tuple:
+    """Image of the Dynnikov coordinates ``coords`` = (a_1..a_{n-1},
+    b_1..b_{n-1}) of a lamination on the n strand punctures and the
+    basepoint, under a word on n strands, rightmost letter first."""
+    if len(coords) % 2 or not coords:
+        raise BraidError(f"need 2(n-1) >= 2 Dynnikov coordinates, got {len(coords)}")
+    half = len(coords) // 2
+    word = braid_word(word, half + 1)
+    a, b = list(coords[:half]), list(coords[half:])
+    for i, s in reversed(word):
+        if i == 1:
+            b1 = b[0]
+            if s == 1:
+                b[0] = max(b1, 0) - a[0]
+                a[0] = b1 - max(b[0], 0)
+            else:
+                b[0] = a[0] + max(b1, 0)
+                a[0] = max(b[0], 0) - b1
+            continue
+        j = i - 2  # sigma_i acts on coordinates i-1 and i
+        a0, b0, a1, b1 = a[j], b[j], a[j + 1], b[j + 1]
+        if s == 1:
+            c = a0 - min(b0, 0) - a1 + max(b1, 0)
+            a[j] = a0 + max(b0, 0) + max(max(b1, 0) - c, 0)
+            b[j] = b1 - max(c, 0)
+            a[j + 1] = a1 + min(b1, 0) + min(min(b0, 0) + c, 0)
+            b[j + 1] = b0 + max(c, 0)
+        else:
+            d = a0 + min(b0, 0) - a1 - max(b1, 0)
+            a[j] = a0 - max(b0, 0) - max(max(b1, 0) + d, 0)
+            b[j] = b1 + min(d, 0)
+            a[j + 1] = a1 - min(b1, 0) - min(min(b0, 0) - d, 0)
+            b[j + 1] = b0 - min(d, 0)
+    return tuple(a + b)
+
+
 def word_fingerprint(word, n: int) -> tuple:
     """Canonical value of the braid element: exponent sum plus the
-    images of the probe family.  The probe action separates everything
-    except the centre, which the exponent sum separates, so equal
-    fingerprints mean equal elements."""
+    Dynnikov image of E on the n strand punctures and the basepoint, so
+    equal fingerprints mean equal elements."""
     word = braid_word(word, n)
-    return (
-        exponent_sum(word),
-        tuple(word_action(p, word).normal for p in test_family(n)),
-    )
+    return exponent_sum(word), dynnikov_action(word, (0,) * (n - 1) + (-1,) * (n - 1))
 
 
 def braid_equal(w1, w2, n: int) -> bool:
-    """Equal exponent sums and equal action on the probe family."""
+    """Equal exponent sums and equal Dynnikov images of E."""
     return word_fingerprint(w1, n) == word_fingerprint(w2, n)
 
 

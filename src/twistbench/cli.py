@@ -20,8 +20,9 @@ Outputs are deterministic given identical flags.
 
 Each ``cmd_*`` imports the layers it runs when it runs, so a process
 loads only what its command uses: ``braid`` and ``invariants`` never
-load the homology stack, and ``verify-psi`` and ``export config`` never
-load the braid and lamination layers.
+load the homology stack, ``verify-psi`` and ``export config`` never
+load the braid layer, and no command loads the lamination layer, which
+is the test oracle of the braid decider.
 """
 from __future__ import annotations
 

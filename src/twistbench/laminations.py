@@ -1,4 +1,12 @@
-"""Integral laminations on a punctured disk and the half-twist action.
+"""Integral laminations on a punctured disk and the half-twist action:
+the triangulation-coordinate engine that is the oracle for the braid
+decider.
+
+``braids`` decides equality with a Dynnikov update rule hard-coded from
+the literature.  This module derives the half-twist action from flips
+instead, so it is the independent check behind that rule: the tests
+compare the two engines' decisions, and ``scripts/derive_flip_rules.py``
+and the benchmark setup run the derivation.
 
 The disk with n punctures is modelled as a sphere with punctures
 ``1..n`` plus one distinguished point ``0`` for the boundary side.  The
@@ -8,7 +16,7 @@ interior i); a lamination is stored by its crossing numbers with these
 3n-3 arcs, which satisfy an even-parity and triangle condition in every
 triangle.
 
-The generator action is not hard-coded.  For each local shape of the
+Here the generator action is not hard-coded.  For each local shape of the
 acting pair (leftmost, interior, rightmost, two-puncture disk) a flip
 sequence from the base triangulation to its image under the half-twist
 is derived once by breadth-first search over flips of the locally
@@ -21,11 +29,11 @@ relations, far commutation, non-triviality) and the first surviving
 assignment is frozen; the leftover global mirror freedom maps every
 generator to its inverse, which no equality test can observe.
 
-The derivation runs once per process, on first use, and is what a short
-braid comparison mostly pays for.  A flip re-canonicalises only its two
-new triangles and merges them into the sorted rest of the state; a state
-is matched against the target pattern only when its name-free shape key
-agrees; the battery computes each probe image once per assignment.  In
+The derivation runs once per process, on first use.  A flip
+re-canonicalises only its two new triangles and merges them into the
+sorted rest of the state; a state is matched against the target pattern
+only when its name-free shape key agrees; the battery computes each
+probe image once per assignment.  In
 a fresh process ``_candidates()`` plus ``_selected_cases()`` take a
 median of 28 ms (2-core x86-64, Python 3.11.7), most of it the interior
 case's search over about 600 states and 1,200 flips.

@@ -1,12 +1,17 @@
-"""Braid words, the curve-action equality test, its free-group test
-oracle, and the relation batteries.
+"""Braid words, the Dynnikov equality test, its oracles, and the
+relation batteries.
 
 The equality decision procedure is exercised against the defining
-relations on up to seven strands, against the free-group images of short
-random words, and its word-at-once fingerprint against a per-letter loop
-that validates every intermediate lamination; the relation-status tuples
-were computed once and frozen [DERIVED].
+relations on up to seven strands, against the free-group images of every
+short word (the class counts of exhaustive balls must agree), against the
+triangulation-coordinate engine of ``laminations`` on random word pairs,
+and its update rule against the relations on random integer coordinate
+vectors; the relation-status tuples were computed once and frozen
+[DERIVED].
 """
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +20,7 @@ from twistbench.braids import (
     artin_image,
     braid_equal,
     braid_word,
+    dynnikov_action,
     exponent_sum,
     permutation_image,
     verify_manfredini,
@@ -48,6 +54,10 @@ class TestWords:
         lam = round_curve(4, 2, 3)
         image = word_action(lam, ((1, 1), (2, -1)))
         assert image.normal == word_action(word_action(lam, ((2, -1),)), ((1, 1),)).normal
+        coords = (0, 0, 0, -1, -1, -1)
+        assert dynnikov_action(((1, 1), (2, -1)), coords) == dynnikov_action(
+            ((1, 1),), dynnikov_action(((2, -1),), coords)
+        )
 
 
 class TestRelations:
@@ -170,12 +180,41 @@ class TestRelationBattery:
             verify_manfredini(1, 1)
 
 
-class TestFingerprint:
-    def test_identity_fingerprint(self):
-        fp = word_fingerprint((), 3)
-        assert fp[0] == 0
-        assert fp[1] == tuple(lam.normal for lam in probe_family(3))
+def full_twist(n):
+    return tuple((i, 1) for i in range(1, n)) * n
 
+
+@st.composite
+def word_pairs(draw, n, max_size=8):
+    """A word and a second word that is random, or the first with a
+    relator inserted, one letter's generator changed (the exponent sum
+    stays), or the full twist appended."""
+    w1 = draw(words(n, max_size))
+    kind = draw(st.sampled_from(("random", "relator", "letter", "twist")))
+    if kind == "random":
+        return w1, draw(words(n, max_size))
+    if kind == "twist":
+        return w1, w1 + full_twist(n)
+    pos = draw(st.integers(0, len(w1)))
+    if kind == "letter" and w1:
+        pos = min(pos, len(w1) - 1)
+        _, s = w1[pos]
+        return w1, w1[:pos] + ((draw(st.integers(1, n - 1)), s),) + w1[pos + 1:]
+    i = draw(st.integers(1, n - 1))
+    relator = ((i, 1), (i, -1))
+    if n >= 3 and draw(st.booleans()):
+        i = min(i, n - 2)
+        relator = ((i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1))
+    return w1, w1[:pos] + relator + w1[pos:]
+
+
+def ball(n, length):
+    letters = [(i, s) for i in range(1, n) for s in (1, -1)]
+    for size in range(length + 1):
+        yield from itertools.product(letters, repeat=size)
+
+
+class TestFingerprint:
     @given(n=st.integers(2, 4), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_fingerprint_decides_equality(self, n, data):
@@ -184,16 +223,76 @@ class TestFingerprint:
             w1, w2, n
         )
 
-    @given(n=st.integers(2, 8), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_fingerprint_matches_letterwise_oracle(self, n, data):
-        # the fingerprint acts on raw tuples and validates each probe
-        # image once; the oracle rebuilds and re-validates a lamination
-        # after every letter
-        w = data.draw(words(n, 60))
-        images = []
-        for lam in probe_family(n):
-            for i, s in reversed(w):
-                lam = word_action(lam, ((i, s),))
-            images.append(lam.normal)
-        assert word_fingerprint(w, n) == (exponent_sum(w), tuple(images))
+    @pytest.mark.parametrize("n, length", [(3, 6), (4, 4), (5, 3)])
+    def test_ball_classes_match_free_group(self, n, length):
+        # every word of at most `length` letters: the fingerprint and the
+        # faithful free-group images split the ball into the same classes
+        pairs = {(word_fingerprint(w, n), artin_image(w, n)) for w in ball(n, length)}
+        fingerprints = {fp for fp, _ in pairs}
+        assert len(fingerprints) == len({image for _, image in pairs}) == len(pairs)
+
+    def test_basepoint_separates_recipe_collision(self):
+        # equal exponent sums and equal images of E on the three strand
+        # punctures alone; the basepoint puncture tells them apart
+        w1 = ((1, 1), (2, -1))
+        w2 = ((2, -1), (1, 1), (1, 1), (1, 1), (2, -1), (1, -1))
+        assert exponent_sum(w1) == exponent_sum(w2)
+        assert not braid_equal(w1, w2, 3)
+        assert artin_image(w1, 3) != artin_image(w2, 3)
+
+    @given(n=st.integers(2, 7), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_triangulation_engine(self, n, data):
+        w1, w2 = data.draw(word_pairs(n))
+        engine = exponent_sum(w1) == exponent_sum(w2) and all(
+            word_action(lam, w1) == word_action(lam, w2) for lam in probe_family(n)
+        )
+        assert braid_equal(w1, w2, n) == engine
+
+    @given(
+        n=st.integers(2, 11),
+        data=st.data(),
+        values=st.lists(st.integers(-40, 40), min_size=20, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_relations_on_random_vectors(self, n, data, values):
+        # the update rule is a B_n action on all of Z^(2n-2), not only on
+        # the orbit of E
+        coords = tuple(values[: 2 * (n - 1)])
+        i = data.draw(st.integers(1, n - 1))
+
+        def act(*letters):
+            return dynnikov_action(letters, coords)
+
+        assert act((i, 1), (i, -1)) == coords == act((i, -1), (i, 1))
+        if i <= n - 2:
+            assert act((i, 1), (i + 1, 1), (i, 1)) == act((i + 1, 1), (i, 1), (i + 1, 1))
+        for j in range(i + 2, n):
+            assert act((i, 1), (j, 1)) == act((j, 1), (i, 1))
+            assert act((i, -1), (j, 1)) == act((j, 1), (i, -1))
+
+    def test_coordinate_validation(self):
+        with pytest.raises(BraidError):
+            dynnikov_action(((1, 1),), (0, 0, -1))
+        with pytest.raises(BraidError):
+            dynnikov_action(((2, 1),), (0, -1))
+        with pytest.raises(BraidError):
+            word_fingerprint((), 1)
+
+
+class TestSpeed:
+    """Generous wall-clock gates on the decider; each is a few tenths of
+    a second with the Dynnikov action."""
+
+    def test_manfredini_on_300_strands(self):
+        start = time.perf_counter()
+        assert all(status == "holds" for _, status in verify_manfredini(300, 150))
+        assert time.perf_counter() - start < 2
+
+    def test_long_words_on_50_strands(self):
+        letters = [((k * 7) % 49 + 1, 1 if k % 3 else -1) for k in range(10_000)]
+        word = tuple(letters)
+        start = time.perf_counter()
+        assert braid_equal(word + invert(word), (), 50)
+        assert not braid_equal(word, word + full_twist(50), 50)
+        assert time.perf_counter() - start < 2

@@ -424,6 +424,31 @@ class TestPinnedReports:
                 "4c9c96e1799b14c422b8080e24c56285676ac9cdc65dd4171254e82883341ba3",
                 id="braid-eq",
             ),
+            pytest.param(
+                # one letter changes the strand permutation
+                ("braid", "eq", "--n", "4", "--lhs", "[1,2,-3,2]", "--rhs", "[1,3,-3,2]"),
+                1,
+                "6fddd6fef085c2ea7f5e4d44f6f1886ea1cd4ce0ed756063d2567563082abf6a",
+                id="braid-eq-permutation",
+            ),
+            pytest.param(
+                # the right side is the left times the full twist
+                ("braid", "eq", "--n", "3", "--lhs", "[1,-2]", "--rhs", "[1,-2,1,2,1,2,1,2]"),
+                1,
+                "65226228d0eb290f613076736abda54d4676a2ed896a547d31a740bc42d5d126",
+                id="braid-eq-full-twist",
+            ),
+        ]
+        + [
+            pytest.param(("auroux", "--b", str(b)), 0, digest, id=f"auroux-b{b}")
+            for b, digest in (
+                (3, "40520921b4a6b265ae86a107d5bfe0359fd35474d09dc91f5220c0915c16b7c4"),
+                (4, "c9b075d67356dbbfafeacfcef6e8c1431315e6de720341f432793adb9c5704c1"),
+                (5, "8ac46b1f7b2c8621123c279a1bedd91c0f574d352cad4e225d7be1893fe8b634"),
+                (6, "baa5ee86aa40dd04a0b201ec346d5a9583b3390009301dbaef4db4d92465707b"),
+                (7, "8d1c7a6f5935f2425d19262c94f9327f0d295d6580f317d9605b6b4da09cdd44"),
+                (8, "908e4590a9fb117afa6c2437a88914f89f61ebd492db449c1968b6889465a491"),
+            )
         ],
     )
     def test_table_report_pinned(self, capsys, argv, exit_code, digest):
@@ -838,6 +863,17 @@ class TestImportIsolation:
     )
     def test_braid_and_invariants_skip_the_homology_stack(self, argv):
         assert not self.loaded(*argv) & set(self.HOMOLOGY_STACK)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("braid", "eq", "--n", "3", "--lhs", "[1,2,1]", "--rhs", "[2,1,2]"),
+            ("braid", "manfredini", "--n", "4", "--k", "2"),
+            ("auroux", "--b", "2"),
+        ],
+    )
+    def test_braid_decider_skips_the_flip_derivation(self, argv):
+        assert "laminations" not in self.loaded(*argv)
 
     @pytest.mark.parametrize(
         "argv", [("verify-psi", "--b", "2"), ("export", "config", "--b", "2")]

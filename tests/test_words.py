@@ -114,7 +114,8 @@ class TestWords:
 
 
 def test_braids_loads_no_homology_stack():
-    """Braid words need only the word calculus and the laminations."""
+    """Braid words need only the word calculus: the Dynnikov decider does
+    not load the flip derivation in ``laminations``."""
     env = dict(os.environ)
     src = str(Path(twistbench.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -128,5 +129,5 @@ def test_braids_loads_no_homology_stack():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "twistbench.words" in loaded
-    for heavy in ("homology", "factorization", "intlin", "surface"):
+    for heavy in ("homology", "factorization", "intlin", "surface", "laminations"):
         assert f"twistbench.{heavy}" not in loaded
