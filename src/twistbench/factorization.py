@@ -16,16 +16,22 @@ product:
 
 The calculus is generic over the core type: homology contexts use curve
 ids, braid contexts use generator indices.  Nothing here touches a
-homology model except ``product_matrix`` and ``letter_matrix``.
+homology model except ``product_matrix`` and ``letter_matrix``.  They
+import ``homology`` only where they compute a matrix, so commands that
+move letters without a model (``hurwitz replay``, ``monodromy emit``)
+never load it or ``intlin``, and a cached letter matrix pays no import.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import words
-from .homology import HomologyModel, MappingClassMatrix, twist_word_matrix
 from .words import Word
+
+if TYPE_CHECKING:
+    from .homology import HomologyModel, MappingClassMatrix
 
 __all__ = [
     "MoveError",
@@ -84,29 +90,26 @@ class ConjugatorCapError(MoveError):
         )
 
 
-@dataclass(frozen=True)
-class TwistLetter:
+class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
     """``(core^sign)_conjugator``.  The constructor freely reduces the
     conjugator; every letter a move derives from reduced letters joins
-    reduced words and skips that pass."""
+    reduced words and skips that pass.
 
-    core: object
-    sign: int
-    conjugator: Word = ()
+    An immutable tuple ``(core, sign, conjugator)``, so hashing and
+    equality run in C.  It equals, and hashes like, the plain tuple:
+    ``TwistLetter(c, 1) == (c, 1, ())``."""
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    __slots__ = ()
+
+    def __new__(cls, core, sign: int, conjugator: Word = ()) -> "TwistLetter":
+        if sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1")
-        object.__setattr__(self, "conjugator", words.free_reduce(self.conjugator))
+        return tuple.__new__(cls, (core, sign, words.free_reduce(conjugator)))
 
     @classmethod
     def _reduced(cls, core, sign: int, conjugator: Word) -> "TwistLetter":
         """A letter over a conjugator that is already freely reduced."""
-        letter = object.__new__(cls)
-        object.__setattr__(letter, "core", core)
-        object.__setattr__(letter, "sign", sign)
-        object.__setattr__(letter, "conjugator", conjugator)
-        return letter
+        return tuple.__new__(cls, (core, sign, conjugator))
 
     @property
     def is_bare(self) -> bool:
@@ -200,11 +203,15 @@ def letter_matrix(model: HomologyModel, letter: TwistLetter):
     cache = model.letter_matrices
     hit = cache.get(letter)
     if hit is None:
+        from .homology import twist_word_matrix
+
         hit = cache[letter] = twist_word_matrix(model, letter.reduced_expansion()).matrix
     return hit
 
 
 def product_matrix(model: HomologyModel, fact: Factorization) -> MappingClassMatrix:
+    from .homology import twist_word_matrix
+
     # join the reduced expansions: moves leave the reduced word small
     # even when individual conjugators have grown large
     word = ()
@@ -321,6 +328,14 @@ def hurwitz_search(
     the other, so each expansion (one unit of ``budget``) evaluates
     ``letter_key`` once, on the new letter, and builds the neighbour's
     key from its parent's.
+
+    Keys must be congruent for moves: the key of the letter a move
+    creates depends only on the keys of the two letters swapped and the
+    direction.  Then a state's neighbours depend only on its key, so
+    skipping a state whose key was seen loses no script, and a move
+    could be looked up from ``(id_a, id_b, direction)``.  The letter
+    itself, its ``letter_matrix`` and the braid fingerprint of its
+    expansion are congruent keys.
     """
     if len(start) != len(goal):
         return None

@@ -27,6 +27,7 @@ usual annulus trick, the ribbon builder gives such a curve one marked point
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,16 +60,22 @@ class RibbonError(ValueError):
     """Degenerate or inconsistent ribbon-graph data."""
 
 
-@dataclass(frozen=True, order=True)
-class CurveId:
-    family: str
-    index: int = 0  # 1..n within a family; 0 for the unique sigma
+class CurveId(namedtuple("CurveId", ("family", "index"))):
+    """A curve of the configuration: ``index`` is 1..n within a family
+    and 0 for the unique ``sigma``.
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES + ("sigma",):
-            raise ConfigurationError(f"unknown family {self.family!r}")
-        if (self.family == "sigma") != (self.index == 0):
-            raise ConfigurationError(f"bad index {self.index} for {self.family}")
+    An immutable tuple ``(family, index)``, so hashing, equality and the
+    order (by family, then index) run in C.  It equals, and hashes like,
+    the plain tuple: ``CurveId("alpha", 1) == ("alpha", 1)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, index: int = 0) -> "CurveId":
+        if family not in FAMILIES + ("sigma",):
+            raise ConfigurationError(f"unknown family {family!r}")
+        if (family == "sigma") != (index == 0):
+            raise ConfigurationError(f"bad index {index} for {family}")
+        return tuple.__new__(cls, (family, index))
 
     @property
     def label(self) -> str:

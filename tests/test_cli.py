@@ -575,20 +575,21 @@ class TestBraid:
         usage_error("braid", "manfredini", "--n", "4", "--k", "4")
 
 
+@pytest.fixture
+def replay_path(tmp_path):
+    from twistbench.factorization import apply_script
+    from twistbench.monodromy import lifted_composition
+    from twistbench.serialize import replay_file_to_dict, stable_json
+
+    fact = lifted_composition(2)
+    script = (("right", 3), ("left", 5))
+    payload = replay_file_to_dict(2, fact, script, apply_script(fact, script))
+    path = tmp_path / "replay.json"
+    path.write_text(stable_json(payload))
+    return path
+
+
 class TestHurwitzReplay:
-    @pytest.fixture
-    def replay_path(self, tmp_path):
-        from twistbench.factorization import apply_script
-        from twistbench.monodromy import lifted_composition
-        from twistbench.serialize import replay_file_to_dict, stable_json
-
-        fact = lifted_composition(2)
-        script = (("right", 3), ("left", 5))
-        payload = replay_file_to_dict(2, fact, script, apply_script(fact, script))
-        path = tmp_path / "replay.json"
-        path.write_text(stable_json(payload))
-        return path
-
     def test_good_file_replays(self, capsys, replay_path):
         code, out = run(capsys, "hurwitz", "replay", "--file", str(replay_path))
         assert code == 0
@@ -880,3 +881,13 @@ class TestImportIsolation:
     )
     def test_homology_commands_skip_the_braid_stack(self, argv):
         assert not self.loaded(*argv) & set(self.BRAID_STACK)
+
+    # the letter calculus imports homology only to compute a matrix, so
+    # commands that move letters without a model load neither layer
+    def test_hurwitz_replay_skips_the_homology_model(self, replay_path):
+        assert not self.loaded("hurwitz", "replay", "--file", str(replay_path)) & {
+            "homology", "intlin"
+        }
+
+    def test_monodromy_emit_skips_the_homology_model(self):
+        assert not self.loaded("monodromy", "emit", "--b", "3") & {"homology", "intlin"}

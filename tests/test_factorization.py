@@ -36,6 +36,7 @@ from twistbench.factorization import (
 from twistbench.homology import reference_model, twist_word_matrix
 from twistbench.intlin import mat_mul
 from twistbench.monodromy import mu_nu_block, mu_nu_normal_form
+from twistbench.surface import curve
 from twistbench.words import conjugate, free_reduce, invert
 
 
@@ -113,6 +114,42 @@ class TestLetters:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             TwistLetter("c", 2)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_bad_sign_class_and_message(self, sign):
+        with pytest.raises(ValueError) as err:
+            TwistLetter("c", sign, (("a", 1),))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "letter sign must be +1 or -1"
+
+    def test_repr_of_a_conjugated_letter(self):
+        t = TwistLetter(curve("alpha", 1), -1, ((curve("beta", 2), 1),))
+        assert repr(t) == (
+            "TwistLetter(core=CurveId(family='alpha', index=1), sign=-1, "
+            "conjugator=((CurveId(family='beta', index=2), 1),))"
+        )
+
+    def test_only_the_constructor_reduces(self):
+        unreduced = (("a", 1), ("b", 1), ("b", -1), ("d", -1))
+        assert TwistLetter("c", 1, unreduced).conjugator == (("a", 1), ("d", -1))
+        assert TwistLetter("c", 1, conjugator=list(unreduced)).conjugator == (
+            ("a", 1), ("d", -1)
+        )
+        assert TwistLetter._reduced("c", 1, unreduced).conjugator == unreduced
+
+    def test_fields_are_read_only(self):
+        t = TwistLetter("c", 1, (("a", 1),))
+        for field, value in (("core", "d"), ("sign", -1), ("conjugator", ())):
+            with pytest.raises(AttributeError):
+                setattr(t, field, value)
+        assert t == TwistLetter("c", 1, (("a", 1),))
+
+    def test_equals_its_plain_tuple(self):
+        # value semantics of the tuple base: a letter equals, and hashes
+        # like, the plain (core, sign, conjugator) tuple
+        t = TwistLetter("c", -1, (("a", 1),))
+        assert t == ("c", -1, (("a", 1),))
+        assert hash(bare("c")) == hash(("c", 1, ()))
 
     @given(letters_st)
     def test_reduced_expansion(self, t):
@@ -436,6 +473,75 @@ class TestSearch:
         G = Factorization((bare(curves[0]), bare(curves[1])))
         key = lambda t: letter_matrix(model, t)
         assert hurwitz_search(F, G, key) is None
+
+
+class TestMoveCongruence:
+    """The contract of ``hurwitz_search`` that a move table from
+    ``(id_a, id_b, direction)`` needs: the key of the letter a move
+    creates depends only on the keys of the two letters swapped and the
+    direction.  Each case builds a second pair with the same keys as the
+    first and compares the keys of the moved pairs, in both directions."""
+
+    @staticmethod
+    def assert_moves_agree(pair, twin, key):
+        assert [key(t) for t in pair] == [key(t) for t in twin]
+        for direction in ("right", "left"):
+            moved = hurwitz_move(Factorization(pair), 0, direction).letters
+            moved_twin = hurwitz_move(Factorization(twin), 0, direction).letters
+            assert [key(t) for t in moved] == [key(t) for t in moved_twin]
+
+    @staticmethod
+    def twin(data, letter, commutes, generators):
+        """The letter conjugated once more by a drawn generator that
+        commutes with its core, with the sign that does not cancel."""
+        partner = data.draw(
+            st.sampled_from([g for g in generators if g != letter.core and commutes(letter.core, g)])
+        )
+        conjugator = letter.conjugator
+        sign = conjugator[0][1] if conjugator and conjugator[0][0] == partner else 1
+        return TwistLetter(letter.core, letter.sign, ((partner, sign),) + conjugator)
+
+    @staticmethod
+    def letters_over(generators):
+        return st.builds(
+            TwistLetter,
+            core=st.sampled_from(generators),
+            sign=st.sampled_from((1, -1)),
+            conjugator=st.lists(
+                st.tuples(st.sampled_from(generators), st.sampled_from((1, -1))), max_size=3
+            ).map(tuple),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(letters_st, min_size=2, max_size=2))
+    def test_structural_key(self, pair):
+        # equal structural keys are equal letters, rebuilt here
+        twin = tuple(TwistLetter(*t) for t in pair)
+        self.assert_moves_agree(tuple(pair), twin, lambda t: t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_homology_key(self, model, data):
+        # conjugating by a curve disjoint from the core keeps the letter
+        # matrix but changes the word
+        curves = curves_of(model)
+        pair = tuple(data.draw(self.letters_over(curves)) for _ in range(2))
+        disjoint = lambda c, d: not model.system.shared_crossings(c, d)
+        twin = tuple(self.twin(data, t, disjoint, curves) for t in pair)
+        for t, u in zip(pair, twin):
+            assert t.reduced_expansion() != u.reduced_expansion()
+        self.assert_moves_agree(pair, twin, lambda t: letter_matrix(model, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_braid_fingerprint_key(self, data):
+        # on 5 strands every generator commutes with one two or more apart
+        n = 5
+        generators = tuple(range(1, n))
+        pair = tuple(data.draw(self.letters_over(generators)) for _ in range(2))
+        far = lambda i, j: abs(i - j) >= 2
+        twin = tuple(self.twin(data, t, far, generators) for t in pair)
+        self.assert_moves_agree(pair, twin, lambda t: word_fingerprint(expansion(t), n))
 
 
 def _reference_neighbours(fact: Factorization):

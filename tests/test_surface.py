@@ -54,6 +54,42 @@ class TestCurveId:
         ids = [curve("sigma"), curve("alpha", 2), curve("alpha", 1), curve("beta", 1)]
         assert sorted(ids) == sorted(ids, key=lambda c: (c.family, c.index))
 
+    def test_sort_order_of_a_configuration(self):
+        curves = list(build_reference_configuration(4).curves)
+        assert sorted(curves) == sorted(curves, key=lambda c: (c.family, c.index))
+        assert sorted(reversed(curves)) == sorted(curves)
+
+    def test_repr_names_the_fields(self):
+        assert repr(curve("alpha", 1)) == "CurveId(family='alpha', index=1)"
+        assert repr(curve("sigma")) == "CurveId(family='sigma', index=0)"
+
+    @pytest.mark.parametrize(
+        "family,index,message",
+        [
+            ("epsilon", 1, "unknown family 'epsilon'"),
+            ("alpha", 0, "bad index 0 for alpha"),
+            ("sigma", 2, "bad index 2 for sigma"),
+        ],
+    )
+    def test_error_class_and_message(self, family, index, message):
+        with pytest.raises(ConfigurationError) as err:
+            CurveId(family, index)
+        assert str(err.value) == message
+
+    def test_fields_are_read_only(self):
+        c = curve("beta", 3)
+        with pytest.raises(AttributeError):
+            c.index = 4
+        with pytest.raises(AttributeError):
+            c.family = "gamma"
+        assert c == curve("beta", 3)
+
+    def test_equals_its_plain_tuple(self):
+        # value semantics of the tuple base: an id equals, and hashes
+        # like, the plain (family, index) tuple
+        assert curve("alpha", 1) == ("alpha", 1)
+        assert hash(curve("sigma")) == hash(("sigma", 0))
+
 
 class TestReferenceConfiguration:
     def test_counts_b2(self):
