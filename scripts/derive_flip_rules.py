@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Show how the half-twist coordinate rules are derived, case by case.
 
-The update rule for a half-twist on triangulation coordinates is fixed
-by three requirements: the move is supported in a window of edges near
-the swapped punctures, it permutes the reference curves the way the
-swap must, and applying it twice equals the full twist.  For each
-boundary case (leftmost, interior, rightmost, two-puncture disc) the
-report lists the window, the ring of fixed edges around it, how many
-elementary flips realize the move, and how many candidate rules
-survived the constraints.
+For each boundary case (leftmost, interior, rightmost, two-puncture disc)
+a breadth-first search over flips of the edges in a window near the
+swapped punctures finds the shortest flip sequences that carry the base
+triangulation to its image under the swap.  The search cannot tell the
+two handednesses apart, so a case can have several shortest solutions;
+a consistency battery (inverses, braid relations, far commutation,
+non-triviality) then picks one per case.  The report lists the window,
+the ring of fixed edges around it, how many elementary flips realize the
+move, and how many shortest solutions the search found before the
+battery picked one.
 """
 import json
 
@@ -21,7 +23,7 @@ def main() -> int:
         window = " ".join(f"{kind}{idx}" for kind, idx in data["window"])
         ring = " ".join(f"{kind}{idx}" for kind, idx in data["ring"]) or "-"
         print(f"case {case:9} reference n,i = {tuple(data['reference'])}")
-        print(f"  flips: {data['flips']}   candidates kept: {data['candidates']}")
+        print(f"  flips: {data['flips']}   shortest solutions: {data['candidates']}")
         print(f"  window: {window}")
         print(f"  fixed ring: {ring}")
     print()

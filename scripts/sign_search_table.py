@@ -4,8 +4,8 @@
 For each tuple of signs at the four central crossings the probe reports
 whether the traced surface is admissible (four boundary walks, the
 expected closed genus, full-rank torsion-free homology), whether the
-curve-swap involution is well defined on classes, and — with
---check-product — whether the six-factor product reproduces it.
+curve-swap involution is well defined on classes, and whether the
+six-factor product reproduces it.
 """
 import argparse
 
@@ -15,28 +15,21 @@ from twistbench.canonical import canonical_sigma_signs, sigma_sign_search
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--b", type=int, default=2)
-    parser.add_argument(
-        "--check-product",
-        action="store_true",
-        help="also multiply out the six factors per admissible tuple (slower)",
-    )
     args = parser.parse_args()
 
-    probes = sigma_sign_search(args.b, check_product=args.check_product)
-    header = f"{'signs':16}  {'admissible':10}  {'walks':5}  {'genus':5}  {'rank':4}  {'psi':5}"
-    if args.check_product:
-        header += "  product"
+    probes = sigma_sign_search(args.b)
+    header = (
+        f"{'signs':16}  {'admissible':10}  {'walks':5}  {'genus':5}  {'rank':4}  {'psi':5}"
+        "  product"
+    )
     print(header)
     print("-" * len(header))
     for p in probes:
-        row = (
+        print(
             f"{','.join(f'{s:+d}' for s in p.signs):16}  "
             f"{str(p.admissible):10}  {p.walks:5}  {p.genus:5}  {p.rank:4}  "
-            f"{str(p.psi_defined):5}"
+            f"{str(p.psi_defined):5}  {p.product_matches}"
         )
-        if args.check_product:
-            row += f"  {p.product_matches}"
-        print(row)
     print()
     print(f"calibrated convention: {canonical_sigma_signs()}")
     return 0

@@ -1,22 +1,24 @@
-"""Calibration of the four crossing signs at the centre curve.
+"""The calibration that checks the crossing-sign convention at sigma.
 
-The reference configuration leaves the signs of the four crossings on
-``sigma`` as free parameters.  This module probes the sixteen sign
-tuples (``sigma_sign_search`` tabulates all of them) and fixes the
-canonical one: the lexicographically first tuple (+1 ordered before -1)
-whose configuration
+The reference configuration fixes the signs of the four crossings on
+``sigma`` as :data:`twistbench.surface.SIGMA_SIGNS`.  This module checks
+that convention against the other fifteen.  ``probe_signs`` runs one
+tuple, and ``sigma_sign_search`` tabulates all sixteen.  A tuple passes
+when its configuration
 
   * builds an admissible homology model (four boundary walks, torsion-free
     quotient, unimodular form), and
   * admits the well-defined curve-swapping involution, and
   * satisfies the product identity: the six-factor Coxeter word equals
-    that involution on homology, checked exactly at b = 2.
+    that involution on homology.
 
-The calibration probes the tuples in order and stops at the first that
-passes; it is cached, and ``build_reference_configuration(b, "auto")``
-uses it for every b.  ``probe_signs`` is the one pipeline of the product
-identity: ``verify-psi`` renders its checks from the model, involution
-and product that one probe keeps.
+``canonical_sigma_signs`` is the calibration: it probes the tuples at
+b = 2 in lexicographic order (+1 before -1), stops at the first that
+passes, and is cached.  The tests pin its answer to ``SIGMA_SIGNS``;
+``verify-psi --sign-mode auto`` runs it and builds with its answer.
+``probe_signs`` is the one pipeline of the product identity:
+``verify-psi`` renders its checks from the model, involution and
+product that one probe keeps.
 """
 from __future__ import annotations
 
@@ -52,14 +54,14 @@ class SignProbe:
     genus: int | None
     rank: int | None
     psi_defined: bool
-    product_matches: bool | None  # None when the product check was not run
+    product_matches: bool | None  # None where the probe stopped before it
     detail: str = ""
     model: HomologyModel | None = field(default=None, compare=False, repr=False)
     psi: MappingClassMatrix | None = field(default=None, compare=False, repr=False)
     product: MappingClassMatrix | None = field(default=None, compare=False, repr=False)
 
 
-def probe_signs(b: int, signs, check_product: bool = False) -> SignProbe:
+def probe_signs(b: int, signs) -> SignProbe:
     signs = tuple(signs)
     try:
         system = build_reference_configuration(b, sigma_signs=signs)
@@ -72,17 +74,15 @@ def probe_signs(b: int, signs, check_product: bool = False) -> SignProbe:
         psi = psi_reference(model)
     except AdmissibilityError as exc:
         return SignProbe(signs, True, walks, genus, rank, False, None, str(exc), model)
-    product = matches = None
-    if check_product:
-        product = twist_word_matrix(model, psi_factorization(b))
-        matches = product.matrix == psi.matrix
+    product = twist_word_matrix(model, psi_factorization(b))
+    matches = product.matrix == psi.matrix
     return SignProbe(signs, True, walks, genus, rank, True, matches, "", model, psi, product)
 
 
 @lru_cache(maxsize=None)
-def sigma_sign_search(b: int, check_product: bool = False) -> tuple[SignProbe, ...]:
+def sigma_sign_search(b: int) -> tuple[SignProbe, ...]:
     """Probe all sixteen sign tuples on the fibre for the given b."""
-    return tuple(probe_signs(b, signs, check_product) for signs in ALL_SIGN_TUPLES)
+    return tuple(probe_signs(b, signs) for signs in ALL_SIGN_TUPLES)
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +90,7 @@ def canonical_sigma_signs() -> tuple[int, int, int, int]:
     """Lexicographically first sign tuple passing the full calibration at b=2;
     the tuples after it are never probed."""
     for signs in ALL_SIGN_TUPLES:
-        probe = probe_signs(2, signs, check_product=True)
+        probe = probe_signs(2, signs)
         if probe.admissible and probe.psi_defined and probe.product_matches:
             return probe.signs
     raise AdmissibilityError("no sign tuple passes the product calibration")

@@ -178,7 +178,7 @@ def cmd_verify_psi(args) -> list:
             + (" (from search)" if args.sign_mode == "auto" else " (explicit)"),
         )
     ]
-    probe = probe_signs(args.b, signs, check_product=True)
+    probe = probe_signs(args.b, signs)
     if not probe.admissible:
         checks.append(Check("model-admissible", "fail", probe.detail))
     else:

@@ -11,12 +11,17 @@ with ``N(N+1)/2`` letters, the rightmost acting first.  Twist matrices do
 not depend on curve orientations, so the word is orientation-free; the
 orientation bookkeeping (the signs making consecutive chain intersections
 +1) only enters when stating how ``Delta`` permutes the chain classes.
+
+The words need no homology model.  ``coxeter_matrix`` and
+``verify_chain_action`` import ``homology`` and ``intlin`` where they
+compute, so ``auroux``, which lists its cores from the word, loads
+neither.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import words
-from .homology import HomologyModel, MappingClassMatrix, twist_word_matrix
-from .intlin import mat_vec
 from .surface import (
     CurveId,
     CurveSystem,
@@ -25,6 +30,9 @@ from .surface import (
     ribbon_from_system,
     subsystem,
 )
+
+if TYPE_CHECKING:
+    from .homology import HomologyModel, MappingClassMatrix
 
 __all__ = [
     "ChainError",
@@ -98,6 +106,8 @@ def coxeter(chain, power: int = 1) -> words.Word:
 
 
 def coxeter_matrix(model: HomologyModel, chain, power: int = 1) -> MappingClassMatrix:
+    from .homology import twist_word_matrix
+
     return twist_word_matrix(model, coxeter(chain, power))
 
 
@@ -150,6 +160,8 @@ def verify_chain_action(model: HomologyModel, chain) -> None:
     """Assert the Coxeter action on the reoriented chain classes: for odd
     chains Delta sends the i-th class to the (N+1-i)-th with sign (-1)^(i+1);
     for even chains Delta^2 negates every chain class."""
+    from .intlin import mat_vec
+
     chain = validate_chain(model.system, chain)
     eps = chain_signs(model, chain)
     classes = [

@@ -49,6 +49,7 @@ from .intlin import (
     transpose,
 )
 from .surface import (
+    SIGMA_SIGNS,
     CurveId,
     CurveSystem,
     RibbonGraph,
@@ -252,7 +253,7 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
     )
 
 
-def reference_model(b: int, sigma_signs="auto") -> HomologyModel:
+def reference_model(b: int, sigma_signs=SIGMA_SIGNS) -> HomologyModel:
     return homology_model(ribbon_from_system(build_reference_configuration(b, sigma_signs)))
 
 

@@ -460,7 +460,8 @@ def _case_data(n: int, i: int):
 
 
 def derivation_report() -> dict:
-    """Flip counts and candidate counts per derived case, for inspection."""
+    """Flip counts and the number of shortest flip solutions per derived
+    case, counted before the battery picks one, for inspection."""
     report = {}
     for case, (solutions, depth, window, ring) in _candidates().items():
         report[case] = {

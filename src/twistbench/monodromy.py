@@ -46,7 +46,7 @@ from functools import lru_cache
 
 from .braids import braid_equal, braid_word, permutation_image
 from .factorization import Factorization, TwistLetter, bare
-from .surface import curve
+from .surface import check_genus, curve
 from .words import conjugate
 
 __all__ = [
@@ -430,8 +430,7 @@ def default_composition(b: int = 2) -> tuple:
     :func:`composition_search` documents why no candidate is singled
     out, and every composition containing at least one block of each
     kind carries all thirteen twist cores after lifting."""
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"genus parameter b must be an integer >= 2, got {b!r}")
+    check_genus(b)
     return ("X", "Y")
 
 
@@ -487,8 +486,7 @@ def mu_nu_block(b: int) -> Factorization:
     ``mu_{2b}^2 nu_{2b}^2 ... mu_2^2 nu_2^2`` where ``mu_j`` is the
     alpha-chain letter of :func:`_conjugated_chain_letter` and ``nu_j``
     the gamma-chain one; ``4(2b-1)`` letters."""
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"genus parameter b must be an integer >= 2, got {b!r}")
+    check_genus(b)
     letters = []
     for j in range(2 * b, 1, -1):
         mu = _conjugated_chain_letter("alpha", j)
@@ -501,8 +499,7 @@ def mu_nu_normal_form(b: int) -> Factorization:
     """The claimed normal form of the mu/nu block: ``alpha_1 ..
     alpha_{2b-2} alpha_{2b-1}^2 alpha_{2b-2} .. alpha_1`` then the same
     in gamma; all letters bare, same length as the block."""
-    if not isinstance(b, int) or b < 2:
-        raise ValueError(f"genus parameter b must be an integer >= 2, got {b!r}")
+    check_genus(b)
     n = 2 * b - 1
     letters = []
     for family in ("alpha", "gamma"):

@@ -8,9 +8,11 @@ family once, in the cyclic order alpha, beta, gamma, delta along ``sigma``.
 Conventions, fixed once and used everywhere:
 
 - Curve orientations are chosen so that every chain crossing
-  ``(X_i, X_{i+1})`` has sign +1.  The four sigma-crossing signs are genuine
-  parameters of the construction; the canonical assignment is found by the
-  sign search in :mod:`twistbench.canonical`.
+  ``(X_i, X_{i+1})`` has sign +1.  The four sigma-crossing signs are
+  parameters of the construction; the convention is :data:`SIGMA_SIGNS`,
+  all +1.  :mod:`twistbench.canonical` checks it: its calibration probes
+  the sixteen tuples in order and returns the first under which the
+  product identity closes, which must be this one.
 - At a crossing of ``(first, second)`` with sign ``s`` (the oriented
   intersection index of ``first`` with ``second``), the counterclockwise
   order of the four arc-ends is ``(first-in, second-in, first-out,
@@ -33,6 +35,7 @@ from functools import cached_property
 
 __all__ = [
     "FAMILIES",
+    "SIGMA_SIGNS",
     "ConfigurationError",
     "RibbonError",
     "CurveId",
@@ -41,6 +44,7 @@ __all__ = [
     "RibbonGraph",
     "curve",
     "parse_curve",
+    "check_genus",
     "build_reference_configuration",
     "subsystem",
     "ribbon_from_system",
@@ -50,6 +54,9 @@ __all__ = [
 ]
 
 FAMILIES = ("alpha", "beta", "gamma", "delta")
+
+# signs of the crossings of sigma with alpha_1, beta_1, gamma_1, delta_1
+SIGMA_SIGNS = (1, 1, 1, 1)
 
 
 class ConfigurationError(ValueError):
@@ -174,23 +181,22 @@ def _system_from_orders(
     )
 
 
+def check_genus(b) -> None:
+    """The one rule on the genus parameter: an integer ``b >= 2``."""
+    if not isinstance(b, int) or b < 2:
+        raise ConfigurationError(f"genus parameter b must be an integer >= 2, got {b!r}")
+
+
 def build_reference_configuration(
-    b: int, sigma_signs="auto"
+    b: int, sigma_signs=SIGMA_SIGNS
 ) -> CurveSystem:
     """The reference configuration: four chains of ``n = 2b-1`` curves plus
     ``sigma`` through the first curve of each chain.
 
-    ``sigma_signs`` is either a 4-tuple of ±1 (signs of the crossings of
-    sigma with alpha_1, beta_1, gamma_1, delta_1, in this order) or
-    ``"auto"`` for the canonical assignment found by the recorded sign
-    search.
+    ``sigma_signs`` is a 4-tuple of ±1: the signs of the crossings of
+    sigma with alpha_1, beta_1, gamma_1, delta_1, in this order.
     """
-    if not isinstance(b, int) or b < 2:
-        raise ConfigurationError(f"genus parameter b must be an integer >= 2, got {b!r}")
-    if sigma_signs == "auto":
-        from .canonical import canonical_sigma_signs
-
-        sigma_signs = canonical_sigma_signs()
+    check_genus(b)
     sigma_signs = tuple(int(s) for s in sigma_signs)
     if len(sigma_signs) != 4 or any(s not in (+1, -1) for s in sigma_signs):
         raise ConfigurationError(f"sigma_signs must be four entries of ±1, got {sigma_signs!r}")

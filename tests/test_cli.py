@@ -891,3 +891,15 @@ class TestImportIsolation:
 
     def test_monodromy_emit_skips_the_homology_model(self):
         assert not self.loaded("monodromy", "emit", "--b", "3") & {"homology", "intlin"}
+
+    # the sign convention is a constant of surface, so printing the
+    # configuration runs no calibration
+    def test_export_config_skips_the_sign_calibration(self):
+        assert not self.loaded("export", "config", "--b", "2") & {
+            "canonical", "coxeter", "homology", "intlin"
+        }
+
+    # auroux lists its cores from the six-factor word, which coxeter
+    # builds without a homology model
+    def test_auroux_skips_the_homology_model(self):
+        assert not self.loaded("auroux", "--b", "2") & {"homology", "intlin"}

@@ -25,7 +25,7 @@ from twistbench.homology import (
     twist_word_matrix,
 )
 from twistbench.intlin import identity
-from twistbench.surface import build_reference_configuration, curve
+from twistbench.surface import SIGMA_SIGNS, build_reference_configuration, curve
 
 
 @pytest.fixture(scope="module")
@@ -142,13 +142,14 @@ class TestFactorization:
 
 class TestCanonicalSigns:
     def test_calibrated_tuple(self):
-        # [DERIVED] frozen by the b=2 calibration sweep
-        assert canonical_sigma_signs() == (1, 1, 1, 1)
+        # [DERIVED] frozen by the b=2 calibration sweep; the calibration
+        # checks the convention the configuration is built with
+        assert canonical_sigma_signs() == SIGMA_SIGNS == (1, 1, 1, 1)
 
     def test_calibration_is_first_passing_probe(self):
         first = next(
             p.signs
-            for p in sigma_sign_search(2, check_product=True)
+            for p in sigma_sign_search(2)
             if p.admissible and p.psi_defined and p.product_matches
         )
         assert canonical_sigma_signs() == first
@@ -168,7 +169,7 @@ class TestCanonicalSigns:
         assert len(calls) == 1
 
     def test_search_table_b2(self):
-        probes = sigma_sign_search(2, check_product=True)
+        probes = sigma_sign_search(2)
         assert len(probes) == 16
         assert all(p.admissible for p in probes)
         good = [p for p in probes if p.psi_defined]

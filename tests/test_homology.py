@@ -355,12 +355,12 @@ class TestBuildWork:
         # faces, curve classes and the induced form; kernel and section
         # come from the decomposition of the curve classes
         rg = ribbon_from_system(build_reference_configuration(2))
-        smith_calls.clear()  # a first "auto" build runs the sign calibration
+        smith_calls.clear()  # count the model build alone
         traces.clear()
         homology_model(rg)
         assert len(smith_calls) == 3
         assert traces == [rg]
 
     def test_probe_traces_once(self, traces):
-        canonical.probe_signs(2, (1, 1, 1, 1), check_product=True)
+        canonical.probe_signs(2, (1, 1, 1, 1))
         assert len(traces) == 1
