@@ -16,6 +16,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--b", type=int, default=2)
     args = parser.parse_args()
+    if args.b < 2:
+        # below 2 no probe builds a model, and the table cannot print one
+        parser.error(f"--b must be at least 2, got {args.b}")
 
     probes = sigma_sign_search(args.b)
     header = (

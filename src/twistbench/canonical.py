@@ -23,7 +23,7 @@ product that one probe keeps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .coxeter import psi_factorization
@@ -42,23 +42,42 @@ __all__ = ["SignProbe", "probe_signs", "sigma_sign_search", "canonical_sigma_sig
 ALL_SIGN_TUPLES = tuple(itertools.product((1, -1), repeat=4))
 
 
-@dataclass(frozen=True)
-class SignProbe:
+class SignProbe(
+    namedtuple(
+        "SignProbe",
+        (
+            "signs", "admissible", "walks", "genus", "rank",
+            "psi_defined", "product_matches", "detail",
+        ),
+    )
+):
     """Diagnostics for one sign tuple on one fibre, with the homology
     model, the involution and the six-factor product the probe built
-    (None where it stopped before them)."""
+    (None where it stopped before them).
 
-    signs: tuple[int, int, int, int]
-    admissible: bool
-    walks: int | None
-    genus: int | None
-    rank: int | None
-    psi_defined: bool
-    product_matches: bool | None  # None where the probe stopped before it
-    detail: str = ""
-    model: HomologyModel | None = field(default=None, compare=False, repr=False)
-    psi: MappingClassMatrix | None = field(default=None, compare=False, repr=False)
-    product: MappingClassMatrix | None = field(default=None, compare=False, repr=False)
+    The diagnostics are the tuple; ``model``, ``psi`` and ``product`` are
+    attributes outside it, so they take no part in equality, hashing or
+    ``repr``."""
+
+    def __new__(
+        cls,
+        signs: tuple[int, int, int, int],
+        admissible: bool,
+        walks: int | None,
+        genus: int | None,
+        rank: int | None,
+        psi_defined: bool,
+        product_matches: bool | None,
+        detail: str = "",
+        model: HomologyModel | None = None,
+        psi: MappingClassMatrix | None = None,
+        product: MappingClassMatrix | None = None,
+    ) -> "SignProbe":
+        self = tuple.__new__(
+            cls, (signs, admissible, walks, genus, rank, psi_defined, product_matches, detail)
+        )
+        self.model, self.psi, self.product = model, psi, product
+        return self
 
 
 def probe_signs(b: int, signs) -> SignProbe:

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import __version__
 from .serialize import sha256_hex, stable_json
@@ -47,22 +46,27 @@ DEFAULT_BUDGET = 20000
 VERIFY_PSI_MAX_B = 12
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    details: str = ""
+class Check(namedtuple("Check", ("name", "status", "details"))):
+    """One verdict: ``status`` is "pass", "fail" or "inconclusive"."""
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "inconclusive"):
-            raise ValueError(f"bad check status {self.status!r}")
+    __slots__ = ()
+
+    def __new__(cls, name: str, status: str, details: str = "") -> "Check":
+        if status not in ("pass", "fail", "inconclusive"):
+            raise ValueError(f"bad check status {status!r}")
+        return tuple.__new__(cls, (name, status, details))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    command: tuple
-    checks: tuple
-    environment: dict = field(default_factory=dict)
+class VerificationReport(namedtuple("VerificationReport", ("command", "checks", "environment"))):
+    """The checks of one invocation; ``environment`` (package and Python
+    versions and their fingerprint) is filled for JSON reports only."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, command: tuple, checks: tuple, environment: dict | None = None
+    ) -> "VerificationReport":
+        return tuple.__new__(cls, (command, checks, {} if environment is None else environment))
 
     @property
     def exit_code(self) -> int:
@@ -96,7 +100,7 @@ class VerificationReport:
 def _environment() -> dict:
     env = {
         "package": __version__,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
     }
     env["fingerprint"] = sha256_hex(stable_json(env))[:16]
     return env
@@ -591,9 +595,9 @@ def main(argv=None) -> int:
             _emit(result, out)
             return 0
         checks, payload, extra = result if isinstance(result, tuple) else (result, None, "")
-        report = VerificationReport(
-            (args.command, *argv[1:]), tuple(checks), _environment()
-        )
+        # the table never prints the environment, so only JSON builds it
+        environment = _environment() if args.format == "json" else None
+        report = VerificationReport((args.command, *argv[1:]), tuple(checks), environment)
         if args.format == "json":
             data = report.to_dict()
             if payload is not None:

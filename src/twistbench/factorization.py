@@ -24,7 +24,6 @@ never load it or ``intlin``, and a cached letter matrix pays no import.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import words
@@ -126,12 +125,16 @@ def bare(core, sign: int = 1) -> TwistLetter:
     return TwistLetter(core, sign)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    letters: tuple[TwistLetter, ...]
+class Factorization(namedtuple("Factorization", ("letters",))):
+    """A sequence of twist letters, the leftmost first.
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
+    A one-field tuple ``(letters,)``, equal to the plain tuple; ``len``
+    and indexing run over the letters, so iterate over ``letters``."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters) -> "Factorization":
+        return tuple.__new__(cls, (tuple(letters),))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -239,20 +242,23 @@ def strip_to_front(fact: Factorization, index: int) -> tuple[Factorization, tupl
     return Factorization(letters), tuple(script)
 
 
-@dataclass(frozen=True)
-class AurouxStep:
-    core: object
-    sign: int
-    source_index: int
-    script: tuple
-    front_letter: TwistLetter
-    stripped_bare: bool
+class AurouxStep(
+    namedtuple(
+        "AurouxStep",
+        ("core", "sign", "source_index", "script", "front_letter", "stripped_bare"),
+    )
+):
+    """One certificate step: the script that moves the letter at
+    ``source_index`` to the front, and the letter it arrives as."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AurouxCertificate:
-    base_cores: tuple
-    steps: tuple[AurouxStep, ...]
+class AurouxCertificate(namedtuple("AurouxCertificate", ("base_cores", "steps"))):
+    """The cores of the certified factorization and one step per target
+    core."""
+
+    __slots__ = ()
 
     @property
     def all_bare(self) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .intlin import (
@@ -49,7 +49,6 @@ from .intlin import (
     transpose,
 )
 from .surface import (
-    SIGMA_SIGNS,
     CurveId,
     CurveSystem,
     RibbonGraph,
@@ -81,22 +80,26 @@ class NotWellDefinedError(AdmissibilityError):
     """A map prescribed on curve classes conflicts with their relations."""
 
 
-@dataclass(frozen=True)
-class MappingClassMatrix:
+class MappingClassMatrix(
+    namedtuple("MappingClassMatrix", ("matrix", "model_fingerprint", "word"), defaults=(None,))
+):
     """Integer matrix action on the homology lattice, tagged with the model
     fingerprint it belongs to and (optionally) the twist word it came from.
 
     Twist products are built only by :func:`twist_word_matrix`; a matrix is
     checked against its model with :meth:`HomologyModel.check_fingerprint`.
+    ``word`` is the tuple of ``(curve, sign)`` letters, or None.
     """
 
-    matrix: IntMatrix
-    model_fingerprint: str
-    word: tuple[tuple[CurveId, int], ...] | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HomologyModel:
+class HomologyModel(
+    namedtuple(
+        "HomologyModel",
+        ("system", "curve_order", "genus", "classes", "form", "crossing_form", "section", "kernel"),
+    )
+):
     """First homology of the capped surface with its intersection form.
 
     ``classes`` holds one column per curve (in ``curve_order``); ``form`` is
@@ -107,16 +110,12 @@ class HomologyModel:
     Two caches live on the model and die with it: ``transvections`` holds
     the sparse data of each twist ``T_c^s`` used so far, and
     ``letter_matrices`` the matrices of conjugated twist letters.
-    """
 
-    system: CurveSystem
-    curve_order: tuple[CurveId, ...]
-    genus: int
-    classes: IntMatrix  # 2g x N
-    form: IntMatrix  # 2g x 2g, antisymmetric, unimodular
-    crossing_form: IntMatrix  # N x N, from signed crossings
-    section: IntMatrix  # N x 2g with classes @ section = identity
-    kernel: IntMatrix  # N x (N - 2g)
+    The shapes: ``classes`` is 2g x N, ``form`` 2g x 2g, ``crossing_form``
+    (from the signed crossings) N x N, ``section`` N x 2g with ``classes @
+    section`` the identity, and ``kernel`` N x (N - 2g).  The caches live
+    in the instance ``__dict__``, outside the tuple.
+    """
 
     @cached_property
     def rank(self) -> int:
@@ -253,8 +252,8 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
     )
 
 
-def reference_model(b: int, sigma_signs=SIGMA_SIGNS) -> HomologyModel:
-    return homology_model(ribbon_from_system(build_reference_configuration(b, sigma_signs)))
+def reference_model(b: int) -> HomologyModel:
+    return homology_model(ribbon_from_system(build_reference_configuration(b)))
 
 
 def is_symplectic(m: MappingClassMatrix, model: HomologyModel) -> bool:

@@ -8,7 +8,7 @@ handling is needed anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -95,20 +95,16 @@ def is_antisymmetric(matrix: IntMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(
+    namedtuple("SmithDecomposition", ("U", "U_inv", "D", "V", "rank", "invariant_factors"))
+):
     """Unimodular ``U @ M @ V == D`` with ``D`` in Smith normal form.
 
     ``U_inv`` is the exact inverse of ``U``; the diagonal of ``D`` holds
     the invariant factors (non-negative, each dividing the next).
     """
 
-    U: IntMatrix
-    U_inv: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    rank: int
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:

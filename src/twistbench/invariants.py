@@ -24,7 +24,7 @@ the discrepancy stays visible instead of being silently reconciled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 __all__ = [
@@ -40,33 +40,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoverType:
+class CoverType(namedtuple("CoverType", ("a", "b", "c", "d"))):
     """Bidegrees ``((2a, 2b), (2c, 2d))`` of the two branch curves; the
     equal-fibre families use ``d = b``."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "CoverType":
+        for name, value in zip(cls._fields, (a, b, c, d)):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def branch_degrees(self) -> tuple:
         return 2 * self.a + 2 * self.c, 2 * self.b + 2 * self.d
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    chi: int
-    K2: int
-    divisibility: int
-    fibre_genus: int
+class SurfaceInvariants(
+    namedtuple("SurfaceInvariants", ("chi", "K2", "divisibility", "fibre_genus"))
+):
+    """chi(O), K^2, the divisibility of K and the genus of a fibre."""
+
+    __slots__ = ()
 
 
 def invariants(t: CoverType) -> SurfaceInvariants:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -478,8 +478,7 @@ def derivation_report() -> dict:
 # public surface
 
 
-@dataclass(frozen=True)
-class LaminationCoords:
+class LaminationCoords(namedtuple("LaminationCoords", ("n", "normal"))):
     """Crossing numbers of an integral lamination with the base arcs.
 
     Construct as ``LaminationCoords(n, values)`` or through
@@ -489,24 +488,24 @@ class LaminationCoords:
     (``word_action`` acts on raw tuples between the two).
     """
 
-    n: int
-    normal: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = edge_names(self.n)
-        if len(self.normal) != len(names):
+    def __new__(cls, n: int, normal: tuple[int, ...]) -> "LaminationCoords":
+        names = edge_names(n)
+        if len(normal) != len(names):
             raise LaminationError(
-                f"expected {len(names)} coordinates for {self.n} punctures"
+                f"expected {len(names)} coordinates for {n} punctures"
             )
-        if any(x < 0 for x in self.normal):
+        if any(x < 0 for x in normal):
             raise LaminationError("crossing numbers must be nonnegative")
-        idx = edge_index(self.n)
-        for tri in base_triangles(self.n):
-            a, b, c = (self.normal[idx[s[0]]] for s in tri)
+        idx = edge_index(n)
+        for tri in base_triangles(n):
+            a, b, c = (normal[idx[s[0]]] for s in tri)
             if (a + b + c) % 2:
                 raise LaminationError(f"odd crossing sum in triangle {tri}")
             if a > b + c or b > a + c or c > a + b:
                 raise LaminationError(f"triangle inequality fails in {tri}")
+        return tuple.__new__(cls, (n, normal))
 
 
 

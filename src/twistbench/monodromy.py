@@ -41,7 +41,7 @@ bounded Hurwitz search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .braids import braid_equal, braid_word, permutation_image
@@ -78,12 +78,11 @@ class MonodromyError(ValueError):
 # colourings
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(namedtuple("Colouring", ("blocks",))):
     """Partition of the strands ``1..n`` into labelled blocks, given as
     ``(label, sorted strands)`` pairs; built by :func:`default_colouring`."""
 
-    blocks: tuple
+    __slots__ = ()
 
     def preserved_by(self, perm) -> bool:
         """Does the strand permutation map every block onto itself?"""
@@ -115,37 +114,36 @@ def generator_label(g: int, m: int) -> str:
     return f"y{g - m}"
 
 
-@dataclass(frozen=True)
-class BicolouredLetter:
+class BicolouredLetter(
+    namedtuple("BicolouredLetter", ("strands", "core", "power", "sign", "conjugator"))
+):
     """One factor ``(g^power)^sign`` conjugated by a braid word, where
     ``g`` is a single half-twist generator.  The underlying braid word
     must preserve the two-block colouring, so a lone cross-block
     half-twist ``z`` is rejected while ``z^2`` and conjugated full
     twists are accepted."""
 
-    strands: int
-    core: int
-    power: int = 1
-    sign: int = 1
-    conjugator: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 4 or self.strands % 2:
+    def __new__(
+        cls, strands: int, core: int, power: int = 1, sign: int = 1, conjugator: tuple = ()
+    ) -> "BicolouredLetter":
+        if strands < 4 or strands % 2:
             raise ValueError("strand count must be even and at least 4")
-        if self.power not in (1, 2):
+        if power not in (1, 2):
             raise ValueError("letter power must be 1 or 2")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1")
-        object.__setattr__(
-            self, "conjugator", braid_word(self.conjugator, self.strands)
-        )
-        braid_word(((self.core, 1),), self.strands)
+        conjugator = braid_word(conjugator, strands)
+        braid_word(((core, 1),), strands)
+        self = tuple.__new__(cls, (strands, core, power, sign, conjugator))
         colouring = default_colouring(self.m)
-        perm = permutation_image(self.braid_word(), self.strands)
+        perm = permutation_image(self.braid_word(), strands)
         if not colouring.preserved_by(perm):
             raise MonodromyError(
                 f"letter {self.label()} does not preserve the colour blocks"
             )
+        return self
 
     @property
     def m(self) -> int:

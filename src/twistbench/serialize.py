@@ -9,11 +9,10 @@ round-trip loaders validate as they parse.
 
 Only the loaders, and ``_curve_label``, import the classes they build or
 check, when they run; a process that only writes stable JSON loads none
-of the other layers.
+of the other layers, and one that takes no digest loads no ``hashlib``.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 
 __all__ = [
@@ -81,6 +80,10 @@ def stable_json(payload) -> str:
 
 
 def sha256_hex(text: str) -> str:
+    # imported here: OpenSSL's hashlib costs every command a few ms at
+    # start, and only JSON reports and file names take a digest
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -30,7 +30,6 @@ usual annulus trick, the ribbon builder gives such a curve one marked point
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
@@ -107,36 +106,38 @@ def parse_curve(label: str) -> CurveId:
     return CurveId(family, int(idx))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(namedtuple("Crossing", ("first", "second", "sign"))):
     """A transverse double point; ``sign`` is the oriented intersection
     index of ``first`` with ``second``."""
 
-    first: CurveId
-    second: CurveId
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.first == self.second:
+    def __new__(cls, first: CurveId, second: CurveId, sign: int) -> "Crossing":
+        if first == second:
             raise ConfigurationError("self-crossings are not supported")
-        if self.sign not in (+1, -1):
-            raise ConfigurationError(f"bad crossing sign {self.sign}")
+        if sign not in (+1, -1):
+            raise ConfigurationError(f"bad crossing sign {sign}")
+        return tuple.__new__(cls, (first, second, sign))
 
     def involves(self, c: CurveId) -> bool:
         return c == self.first or c == self.second
 
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(
+    namedtuple(
+        "CurveSystem",
+        ("curves", "crossings", "incidence_table", "b", "sigma_signs"),
+        defaults=(None, None),
+    )
+):
     """Curves with crossings and the cyclic order of crossings along each
     curve.  ``b`` is set for reference configurations, None for derived
-    subsystems."""
+    subsystems.
 
-    curves: tuple[CurveId, ...]
-    crossings: tuple[Crossing, ...]
-    incidence_table: tuple[tuple[CurveId, tuple[int, ...]], ...]
-    b: int | None = None
-    sigma_signs: tuple[int, int, int, int] | None = None
+    ``incidence_table`` pairs each curve with the indices of its crossings
+    in cyclic order; ``sigma_signs`` are the four signs at sigma, or None.
+    The lookup cache lives in the instance ``__dict__``, outside the
+    tuple."""
 
     @cached_property
     def _incidences(self) -> dict[CurveId, tuple[int, ...]]:
@@ -252,19 +253,20 @@ def subsystem(sys: CurveSystem, keep) -> CurveSystem:
     return _system_from_orders(keep, crossings, orders, None, None)
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(
+    namedtuple("RibbonGraph", ("system", "vertices", "edges", "rotation_table"))
+):
     """Vertices (crossings and marked points), directed arcs, and the
     counterclockwise order of arc-ends ("darts") at every vertex.
 
     Dart ``2e`` is the tail and dart ``2e + 1`` the head of arc ``e``
     (the e-th entry of ``edges``): the other end of dart ``d`` is
-    ``d ^ 1`` and its arc is ``d >> 1``."""
+    ``d ^ 1`` and its arc is ``d >> 1``.
 
-    system: CurveSystem
-    vertices: tuple[object, ...]
-    edges: tuple[tuple[CurveId, int], ...]
-    rotation_table: tuple[tuple[object, tuple[int, ...]], ...]
+    ``edges`` holds ``(curve, position)`` per arc and ``rotation_table``
+    ``(vertex, darts in counterclockwise order)`` per vertex.  The cached
+    darts, walks and spanning tree live in the instance ``__dict__``,
+    outside the tuple."""
 
     @cached_property
     def darts(self) -> tuple[int, ...]:

@@ -58,6 +58,25 @@ class TestReport:
         with pytest.raises(ValueError):
             Check("a", "maybe")
 
+    def test_environment_names_the_python_version(self):
+        import platform
+
+        from twistbench.cli import _environment
+        from twistbench.serialize import sha256_hex
+
+        env = _environment()
+        assert env["python"] == platform.python_version()
+        assert env["package"] == twistbench.__version__
+        versions = {"package": env["package"], "python": env["python"]}
+        assert env["fingerprint"] == sha256_hex(stable_json(versions))[:16]
+
+    def test_only_json_reports_carry_the_environment(self, capsys):
+        argv = ("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[1]")
+        _, table = run(capsys, *argv)
+        _, text = run(capsys, *argv, "--format", "json")
+        assert "python" not in table
+        assert json.loads(text)["environment"]["python"] == sys.version.split()[0]
+
 
 class TestVerifyPsi:
     def test_passes_for_reference_models(self, capsys):
@@ -903,3 +922,56 @@ class TestImportIsolation:
     # builds without a homology model
     def test_auroux_skips_the_homology_model(self):
         assert not self.loaded("auroux", "--b", "2") & {"homology", "intlin"}
+
+    # the standard library modules a command may not load: the value
+    # classes are tuples (no dataclasses, which pulls in inspect), the
+    # version comes from sys (no platform), and only a digest, which the
+    # table never prints, loads hashlib
+    HEAVY_PROBE = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from twistbench import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "heavy = ('dataclasses', 'inspect', 'platform', 'hashlib')\n"
+        "loaded = sorted(m for m in heavy if m in sys.modules and m not in before)\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+    )
+
+    def heavy_loaded(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.HEAVY_PROBE, *argv],
+            env=package_env(), capture_output=True, text=True, timeout=60,
+        )
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0, proc.stderr
+        return set(modules)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("braid", "eq", "--n", "3", "--lhs", "[1,2,1]", "--rhs", "[2,1,2]"),
+            ("braid", "manfredini", "--n", "4", "--k", "2"),
+            ("invariants", "--a", "14", "--b", "8", "--c", "6"),
+            ("export", "config", "--b", "2"),
+            ("monodromy", "emit", "--b", "2"),
+            ("hurwitz", "replay", "--file", "REPLAY"),
+            ("auroux", "--b", "2"),
+            ("verify-psi", "--b", "2"),
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_commands_skip_dataclasses_and_platform(self, argv, replay_path):
+        argv = [str(replay_path) if a == "REPLAY" else a for a in argv]
+        assert not self.heavy_loaded(*argv) & {"dataclasses", "inspect", "platform"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("braid", "eq", "--n", "3", "--lhs", "[1,2,1]", "--rhs", "[2,1,2]"),
+            ("invariants", "--a", "14", "--b", "8", "--c", "6"),
+            ("export", "config", "--b", "2", "--format", "dot"),
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_table_and_dot_outputs_skip_hashlib(self, argv):
+        assert "hashlib" not in self.heavy_loaded(*argv)

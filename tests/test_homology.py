@@ -319,7 +319,9 @@ class TestBuildWork:
         rows = []
         for signs in itertools.product((1, -1), repeat=4):
             try:
-                rows.append(row(reference_model(2, signs)))
+                rows.append(
+                    row(homology_model(ribbon_from_system(build_reference_configuration(2, signs))))
+                )
             except AdmissibilityError as err:
                 rows.append(repr(err))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.SIGN_TUPLES_PIN

@@ -3,8 +3,6 @@
 Expected values marked [DERIVED] were computed by independent counting
 (curve/crossing formulas, Euler characteristic by hand) and frozen here.
 """
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,14 +184,14 @@ class TestRibbonAndBoundary:
 
     def test_inconsistent_rotations_raise_on_every_access(self):
         rg = ribbon_from_system(chain_system(2))
-        doubled = dataclasses.replace(
-            rg, rotation_table=rg.rotation_table + rg.rotation_table[:1]
+        doubled = rg._replace(
+            rotation_table=rg.rotation_table + rg.rotation_table[:1]
         )
         for _ in range(2):
             with pytest.raises(RibbonError):
                 doubled.walks
         # a vertex dropped from the table leaves darts missing
-        truncated = dataclasses.replace(rg, rotation_table=rg.rotation_table[:-1])
+        truncated = rg._replace(rotation_table=rg.rotation_table[:-1])
         for _ in range(2):
             with pytest.raises(RibbonError):
                 truncated.walks
