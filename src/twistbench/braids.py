@@ -10,15 +10,17 @@ The lamination lives on n + 1 punctures: the n strand punctures and one
 fixed basepoint puncture to their right.  It is stored by its Dynnikov
 coordinates (a_1..a_{n-1}, b_1..b_{n-1}) and starts at
 E = (0, ..., 0; -1, ..., -1).  sigma_i moves only punctures i and i+1,
-so it never moves the basepoint and changes at most coordinates i-1 and
-i by a closed max/min formula; no generator is a special case.  The
-rule is hard-coded from the literature: Dynnikov, "On a Yang-Baxter map
-and the Dehornoy ordering", Russian Math. Surveys 57 (2002); Dehornoy,
-Dynnikov, Rolfsen and Wiest, "Ordering Braids" (AMS, 2008), ch. XII;
-Hall and Yurttas, Topology Appl. 156 (2009); Thiffeault, Chaos 20
-(2010); Thiffeault and Budisic, "Braidlab", arXiv:1410.0849, whose
-basepoint loops are the same construction.  The check behind it is the
-half-twist action that ``laminations`` derives from flips of a
+so it never moves the basepoint.  sigma_1 has its own rule, on a_1 and
+b_1 alone; every other sigma_i changes coordinates i-1 and i by one
+closed max/min formula.  With the basepoint on the right, coordinate i
+exists for sigma_{n-1} too, so the last generator needs no boundary
+case.  The rule is hard-coded from the literature: Dynnikov, "On a
+Yang-Baxter map and the Dehornoy ordering", Russian Math. Surveys 57
+(2002); Dehornoy, Dynnikov, Rolfsen and Wiest, "Ordering Braids" (AMS,
+2008), ch. XII; Hall and Yurttas, Topology Appl. 156 (2009); Thiffeault,
+Chaos 20 (2010); Thiffeault and Budisic, "Braidlab", arXiv:1410.0849,
+whose basepoint loops are the same construction.  The check behind it is
+the half-twist action that ``laminations`` derives from flips of a
 triangulation: the tests compare the two engines' decisions, and
 ``scripts/derive_flip_rules.py`` reruns the derivation.
 

@@ -16,9 +16,9 @@ when its configuration
 b = 2 in lexicographic order (+1 before -1), stops at the first that
 passes, and is cached.  The tests pin its answer to ``SIGMA_SIGNS``;
 ``verify-psi --sign-mode auto`` runs it and builds with its answer.
-``probe_signs`` is the one pipeline of the product identity:
-``verify-psi`` renders its checks from the model, involution and
-product that one probe keeps.
+``probe_signs`` is the one pipeline of the product identity: it
+computes every verdict ``verify-psi`` prints, and the command only
+renders them.
 """
 from __future__ import annotations
 
@@ -29,9 +29,8 @@ from functools import lru_cache
 from .coxeter import psi_factorization
 from .homology import (
     AdmissibilityError,
-    HomologyModel,
-    MappingClassMatrix,
     homology_model,
+    is_symplectic,
     psi_reference,
     twist_word_matrix,
 )
@@ -47,37 +46,15 @@ class SignProbe(
         "SignProbe",
         (
             "signs", "admissible", "walks", "genus", "rank",
-            "psi_defined", "product_matches", "detail",
+            "psi_defined", "product_matches", "product_symplectic", "detail",
         ),
     )
 ):
-    """Diagnostics for one sign tuple on one fibre, with the homology
-    model, the involution and the six-factor product the probe built
-    (None where it stopped before them).
+    """The verdicts for one sign tuple on one fibre; ``product_matches``
+    and ``product_symplectic`` are None where the probe stopped before
+    the product."""
 
-    The diagnostics are the tuple; ``model``, ``psi`` and ``product`` are
-    attributes outside it, so they take no part in equality, hashing or
-    ``repr``."""
-
-    def __new__(
-        cls,
-        signs: tuple[int, int, int, int],
-        admissible: bool,
-        walks: int | None,
-        genus: int | None,
-        rank: int | None,
-        psi_defined: bool,
-        product_matches: bool | None,
-        detail: str = "",
-        model: HomologyModel | None = None,
-        psi: MappingClassMatrix | None = None,
-        product: MappingClassMatrix | None = None,
-    ) -> "SignProbe":
-        self = tuple.__new__(
-            cls, (signs, admissible, walks, genus, rank, psi_defined, product_matches, detail)
-        )
-        self.model, self.psi, self.product = model, psi, product
-        return self
+    __slots__ = ()
 
 
 def probe_signs(b: int, signs) -> SignProbe:
@@ -87,15 +64,16 @@ def probe_signs(b: int, signs) -> SignProbe:
         rg = ribbon_from_system(system)
         model = homology_model(rg)
     except (AdmissibilityError, ValueError) as exc:
-        return SignProbe(signs, False, None, None, None, False, None, str(exc))
+        return SignProbe(signs, False, None, None, None, False, None, None, str(exc))
     walks, genus, rank = len(rg.walks), model.genus, model.rank
     try:
         psi = psi_reference(model)
     except AdmissibilityError as exc:
-        return SignProbe(signs, True, walks, genus, rank, False, None, str(exc), model)
+        return SignProbe(signs, True, walks, genus, rank, False, None, None, str(exc))
     product = twist_word_matrix(model, psi_factorization(b))
     matches = product.matrix == psi.matrix
-    return SignProbe(signs, True, walks, genus, rank, True, matches, "", model, psi, product)
+    symplectic = is_symplectic(product, model)
+    return SignProbe(signs, True, walks, genus, rank, True, matches, symplectic, "")
 
 
 @lru_cache(maxsize=None)

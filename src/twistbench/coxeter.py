@@ -19,8 +19,6 @@ neither.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import words
 from .surface import (
     CurveId,
@@ -31,6 +29,8 @@ from .surface import (
     subsystem,
 )
 
+# annotations are never evaluated, so only a type checker imports typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .homology import HomologyModel, MappingClassMatrix
 

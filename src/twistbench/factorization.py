@@ -24,12 +24,15 @@ never load it or ``intlin``, and a cached letter matrix pays no import.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import words
 from .words import Word
 
+# annotations are never evaluated, so only a type checker imports typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Sequence
+
     from .homology import HomologyModel, MappingClassMatrix
 
 __all__ = [

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from itertools import compress, count
 from operator import itemgetter, ne, neg
-from typing import Iterable
+
+# annotations are never evaluated, so only a type checker imports typing
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 __all__ = ["Word", "invert", "free_reduce", "conjugate", "join", "join_conjugate"]
 

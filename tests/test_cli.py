@@ -414,6 +414,11 @@ class TestPinnedReports:
                 "c66fd8468597d121de20a870ff6f1581137efb18366d2dcf4df466b46b67aa42",
                 id="braid-manfredini",
             ),
+            pytest.param(
+                ("verify-psi", "--b", "2", "--sign-mode", "explicit:1,1,1,1"),
+                "77c586ca293915ec5dda1fa1a35c3b8654f694fd018cba2e76f1a26cbfea2b31",
+                id="verify-psi-explicit",
+            ),
         ],
     )
     def test_json_report_pinned(self, capsys, argv, digest):
@@ -457,6 +462,13 @@ class TestPinnedReports:
                 "65226228d0eb290f613076736abda54d4676a2ed896a547d31a740bc42d5d126",
                 id="braid-eq-full-twist",
             ),
+        ]
+        + [
+            pytest.param(("verify-psi", "--b", str(b)), 0, digest, id=f"verify-psi-b{b}")
+            for b, digest in (
+                (3, "53a2f8d279546cde01c995447a609d317bd9fba74bfac688c8ec765394415f69"),
+                (4, "bb35409fcfa01ca967afb332c0022f1f135aa72a24fb3471f84386c41dd33e0e"),
+            )
         ]
         + [
             pytest.param(("auroux", "--b", str(b)), 0, digest, id=f"auroux-b{b}")
@@ -516,6 +528,19 @@ class TestInvariants:
     def test_usage(self):
         usage_error("invariants", "--a", "0", "--b", "8", "--c", "6")
         usage_error("invariants", "--a", "14", "--b", "8")
+
+    # CoverType is the one positivity rule, for --d as for --a, --b, --c
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--a", "a must be a positive integer, got 0"),
+            ("--d", "d must be a positive integer, got 0"),
+        ],
+    )
+    def test_nonpositive_parameter_message(self, capsys, flag, message):
+        argv = {"--a": "14", "--b": "8", "--c": "6", "--d": "8", flag: "0"}
+        usage_error("invariants", *(x for pair in argv.items() for x in pair))
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 class TestBraid:
@@ -932,14 +957,14 @@ class TestImportIsolation:
         "before = set(sys.modules)\n"
         "from twistbench import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "heavy = ('dataclasses', 'inspect', 'platform', 'hashlib')\n"
+        "heavy = ('dataclasses', 'inspect', 'platform', 'hashlib', 'typing')\n"
         "loaded = sorted(m for m in heavy if m in sys.modules and m not in before)\n"
         "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
 
-    def heavy_loaded(self, *argv):
+    def heavy_loaded(self, *argv, flags=()):
         proc = subprocess.run(
-            [sys.executable, "-c", self.HEAVY_PROBE, *argv],
+            [sys.executable, *flags, "-c", self.HEAVY_PROBE, *argv],
             env=package_env(), capture_output=True, text=True, timeout=60,
         )
         code, modules = json.loads(proc.stderr.splitlines()[-1])
@@ -975,3 +1000,20 @@ class TestImportIsolation:
     )
     def test_table_and_dot_outputs_skip_hashlib(self, argv):
         assert "hashlib" not in self.heavy_loaded(*argv)
+
+    # annotations are never evaluated, so no module imports typing; -S
+    # skips the site-packages .pth files, which may load it at start-up
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("braid", "eq", "--n", "3", "--lhs", "[1,2,1]", "--rhs", "[2,1,2]"),
+            ("hurwitz", "replay", "--file", "REPLAY"),
+            ("monodromy", "emit", "--b", "2"),
+            ("auroux", "--b", "2"),
+            ("verify-psi", "--b", "2"),
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_commands_skip_typing(self, argv, replay_path):
+        argv = [str(replay_path) if a == "REPLAY" else a for a in argv]
+        assert "typing" not in self.heavy_loaded(*argv, flags=("-S",))

@@ -79,7 +79,7 @@ PINNED_REPRS = {
     "SignProbe": (
         lambda: probe_signs(2, (1, -1, 1, 1)),
         "SignProbe(signs=(1, -1, 1, 1), admissible=True, walks=4, genus=5, rank=10, "
-        "psi_defined=False, product_matches=None, "
+        "psi_defined=False, product_matches=None, product_symplectic=None, "
         "detail='prescribed curve images violate the relations among curve classes')",
     ),
     "Factorization": (
@@ -199,15 +199,14 @@ def test_caches_live_outside_the_tuple():
     assert model == homology_model(ribbon_from_system(small_system()))
 
 
-def test_sign_probe_keeps_its_model_out_of_equality_and_repr():
+def test_sign_probe_is_a_record_of_verdicts():
     probe = probe_signs(2, (1, 1, 1, 1))
-    assert probe.model is not None and probe.psi is not None and probe.product is not None
-    plain = SignProbe(*probe)
-    assert plain.model is None and plain.psi is None and plain.product is None
-    assert plain == probe and hash(plain) == hash(probe)
-    assert repr(plain) == repr(probe) == (
+    assert not hasattr(probe, "__dict__")
+    assert probe.product_symplectic is True
+    assert probe_signs(2, (1, -1, 1, 1)).product_symplectic is None
+    assert repr(probe) == (
         "SignProbe(signs=(1, 1, 1, 1), admissible=True, walks=4, genus=5, rank=10, "
-        "psi_defined=True, product_matches=True, detail='')"
+        "psi_defined=True, product_matches=True, product_symplectic=True, detail='')"
     )
 
 
