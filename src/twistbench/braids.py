@@ -166,9 +166,12 @@ def permutation_image(word, n: int) -> tuple:
     """Image permutation p with p[k-1] = final position of strand k,
     letters acting rightmost first."""
     word = braid_word(word, n)
-    perm = list(range(n + 1))  # 1-based
+    at = list(range(n + 1))  # at[p] = strand at position p, 1-based
     for i, _ in reversed(word):
-        perm = [i + 1 if x == i else i if x == i + 1 else x for x in perm]
+        at[i], at[i + 1] = at[i + 1], at[i]
+    perm = [0] * (n + 1)
+    for p, k in enumerate(at):
+        perm[k] = p
     return tuple(perm[1:])
 
 

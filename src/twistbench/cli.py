@@ -42,7 +42,7 @@ DEFAULT_BUDGET = 20000
 #: Largest fibre ``verify-psi`` accepts.  The run is dominated by the
 #: Smith-form model build and the dense products of the reference checks,
 #: all cubic in the rank 8b-6; at b=12 (rank 90) the whole command takes
-#: about 1.7 s on a 2-core x86-64 machine, over half of it in the build.
+#: about 1 s on a 2-core x86-64 machine, about half of it in the build.
 VERIFY_PSI_MAX_B = 12
 
 
@@ -259,10 +259,7 @@ def cmd_auroux(args) -> list:
         return [check]
 
     fact = lifted_composition(args.b, composition)
-    cores = []
-    for c, _ in psi_factorization(args.b):
-        if c not in cores:
-            cores.append(c)
+    cores = list(dict.fromkeys(c for c, _ in psi_factorization(args.b)))
     present = {t.core for t in fact.letters}
     missing = [c for c in cores if c not in present]
     if missing:

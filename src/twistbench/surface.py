@@ -119,9 +119,6 @@ class Crossing(namedtuple("Crossing", ("first", "second", "sign"))):
             raise ConfigurationError(f"bad crossing sign {sign}")
         return tuple.__new__(cls, (first, second, sign))
 
-    def involves(self, c: CurveId) -> bool:
-        return c == self.first or c == self.second
-
 
 class CurveSystem(
     namedtuple(
@@ -153,11 +150,9 @@ class CurveSystem(
         return 2 * self.b - 1
 
     def shared_crossings(self, c1: CurveId, c2: CurveId) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, x in enumerate(self.crossings)
-            if x.involves(c1) and x.involves(c2)
-        )
+        """The crossings of ``c1`` with ``c2`` in index order, read from
+        their incidence lists; every crossing of ``c1`` when they are equal."""
+        return tuple(sorted(set(self.incidences_of(c1)).intersection(self.incidences_of(c2))))
 
 
 def _system_from_orders(
@@ -167,11 +162,12 @@ def _system_from_orders(
     b: int | None,
     sigma_signs: tuple[int, int, int, int] | None,
 ) -> CurveSystem:
+    expected: dict[CurveId, list[int]] = {c: [] for c in curves}
+    for i, x in enumerate(crossings):
+        expected[x.first].append(i)
+        expected[x.second].append(i)
     for c in curves:
-        expected = sorted(
-            i for i, x in enumerate(crossings) if x.involves(c)
-        )
-        if sorted(orders[c]) != expected:
+        if sorted(orders[c]) != expected[c]:
             raise ConfigurationError(f"incidence list of {c.label} is inconsistent")
     return CurveSystem(
         curves=curves,

@@ -115,6 +115,15 @@ class TestFreeGroupRoute:
         assert braid_equal(w1, w2, n) == (artin_image(w1, n) == artin_image(w2, n))
 
 
+def rebuilt_permutation_image(word, n):
+    """The ``permutation_image`` that rebuilt the whole position list for
+    every letter, kept as the oracle of tracking strands by position."""
+    perm = list(range(n + 1))
+    for i, _ in reversed(braid_word(word, n)):
+        perm = [i + 1 if x == i else i if x == i + 1 else x for x in perm]
+    return tuple(perm[1:])
+
+
 class TestPermutations:
     def test_single_and_product(self):
         assert permutation_image(((1, 1),), 3) == (2, 1, 3)
@@ -130,6 +139,12 @@ class TestPermutations:
 
     def test_sign_is_ignored(self):
         assert permutation_image(((1, -1),), 3) == permutation_image(((1, 1),), 3)
+
+    @given(n=st.integers(2, 12), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_list_rebuild(self, n, data):
+        word = data.draw(words(n, 60))
+        assert permutation_image(word, n) == rebuilt_permutation_image(word, n)
 
 
 class TestRelationBattery:

@@ -214,6 +214,15 @@ class TestAuroux:
         code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert))
         assert code == 0 and "certificate-replays" in out
 
+    def test_certificate_b8_pinned(self, capsys, tmp_path):
+        # [DERIVED] sha256 of the certificate file: its cores and steps stay
+        # byte-stable
+        cert = tmp_path / "cert.json"
+        code, _ = run(capsys, "auroux", "--b", "8", "--out", str(cert))
+        assert code == 0
+        digest = "9e59e4952fc5f8d8e15f16ab376020716a275479d8e88dd141784ad8853933a9"
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest
+
     def test_tampered_replay_names_step(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         run(capsys, "auroux", "--b", "2", "--out", str(cert))
@@ -363,6 +372,52 @@ class TestExports:
         code, out = run(capsys, "export", "config", "--b", "2", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("export", "config", "--b", "400", "--format", "json"),
+                "8507d2a3cdefb165c2e6b9f60395cc7a01e537624c75767e7f4c01c108b0a869",
+            ),
+            (
+                ("export", "config", "--b", "400", "--format", "dot"),
+                "ee86ec1440efeb9a4fa4a53764ed33dbe16b3ba4bde9e6f09b5b6a8bc9d715c7",
+            ),
+            (
+                ("monodromy", "emit", "--b", "30"),
+                "5eef3bc7d4c76d32c34493c4f2c147ca68ebe3650bf111b24838350adc31d063",
+            ),
+        ],
+        ids=["config-json-400", "config-dot-400", "monodromy-30"],
+    )
+    def test_large_outputs_pinned(self, capsys, tmp_path, argv, digest):
+        # [DERIVED] sha256 of the --out file: the configuration and the
+        # monodromy blocks stay byte-stable at large b
+        target = tmp_path / "out"
+        code, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, seconds",
+        [
+            (("export", "config", "--b", "1000", "--format", "json"), 2),
+            (("export", "config", "--b", "1000", "--format", "dot"), 2),
+            (("monodromy", "emit", "--b", "100"), 4),
+        ],
+        ids=["config-json-1000", "config-dot-1000", "monodromy-100"],
+    )
+    def test_large_outputs_scale_with_their_size(self, capsys, tmp_path, argv, seconds):
+        # the incidence lists take one pass over the crossings and the strand
+        # permutations one swap per letter; scanning every crossing for each
+        # curve, or rebuilding the position list for each letter, took over
+        # 10 s for each of these on a 2-core x86-64 machine
+        target = tmp_path / "out"
+        start = time.perf_counter()
+        code, _ = run(capsys, *argv, "--out", str(target))
+        assert time.perf_counter() - start < seconds
+        assert code == 0 and target.stat().st_size > 0
 
     def test_export_only_config(self):
         # the monodromy blocks have one command, ``monodromy emit``

@@ -4,7 +4,7 @@ Expected values marked [DERIVED] were computed by independent counting
 (curve/crossing formulas, Euler characteristic by hand) and frozen here.
 """
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twistbench.surface import (
     ConfigurationError,
@@ -20,6 +20,7 @@ from twistbench.surface import (
     parse_curve,
     ribbon_from_system,
     subsystem,
+    _system_from_orders,
 )
 
 
@@ -29,10 +30,21 @@ def chain_system(length: int) -> CurveSystem:
     crossings = tuple(
         Crossing(curves[i], curves[i + 1], +1) for i in range(length - 1)
     )
+    # curve k meets crossing k - 1 (the previous curve) and crossing k (the next)
     orders = {
-        c: tuple(i for i, x in enumerate(crossings) if x.involves(c)) for c in curves
+        c: tuple(i for i in (k - 1, k) if 0 <= i < length - 1) for k, c in enumerate(curves)
     }
     return CurveSystem(curves=curves, crossings=crossings, incidence_table=orders)
+
+
+def scanned_shared_crossings(sys_: CurveSystem, c1: CurveId, c2: CurveId) -> tuple[int, ...]:
+    """The scan over every crossing that ``shared_crossings`` replaced,
+    kept as its oracle."""
+    return tuple(
+        i
+        for i, x in enumerate(sys_.crossings)
+        if c1 in (x.first, x.second) and c2 in (x.first, x.second)
+    )
 
 
 class TestCurveId:
@@ -122,6 +134,47 @@ class TestReferenceConfiguration:
             [i] = s.shared_crossings(sigma, first)
             x = s.crossings[i]
             assert (x.first, x.second, x.sign) == (sigma, first, sign)
+
+
+class TestIncidenceLists:
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_shared_crossings_match_the_scan(self, b):
+        s = build_reference_configuration(b)
+        for c1 in s.curves:
+            for c2 in s.curves:
+                assert s.shared_crossings(c1, c2) == scanned_shared_crossings(s, c1, c2)
+
+    @given(b=st.integers(2, 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_crossings_match_the_scan_on_subsystems(self, b, data):
+        s = build_reference_configuration(b)
+        keep = data.draw(st.lists(st.sampled_from(s.curves), min_size=1, unique=True))
+        sub = subsystem(s, keep)
+        for c1 in sub.curves:
+            for c2 in sub.curves:
+                assert sub.shared_crossings(c1, c2) == scanned_shared_crossings(sub, c1, c2)
+
+    def test_shared_crossings_of_a_foreign_curve_raise(self):
+        sub = subsystem(build_reference_configuration(2), (curve("alpha", 1),))
+        with pytest.raises(KeyError):
+            sub.shared_crossings(curve("alpha", 1), curve("alpha", 2))
+
+    @pytest.mark.parametrize(
+        "label, order",
+        [
+            # alpha_2 meets chain crossings 0 and 1: one is dropped
+            ("alpha_2", (1,)),
+            # alpha_3 meets chain crossing 1 only: crossing 0 is not its own
+            ("alpha_3", (0,)),
+        ],
+    )
+    def test_inconsistent_order_is_named(self, label, order):
+        s = build_reference_configuration(2)
+        orders = dict(s.incidence_table)
+        orders[parse_curve(label)] = order
+        with pytest.raises(ConfigurationError) as err:
+            _system_from_orders(s.curves, s.crossings, orders, s.b, s.sigma_signs)
+        assert str(err.value) == f"incidence list of {label} is inconsistent"
 
 
 class TestRibbonAndBoundary:
