@@ -28,6 +28,9 @@ def main() -> int:
     parser.add_argument("--b", type=int, default=2)
     parser.add_argument("--max-blocks", type=int, default=6)
     args = parser.parse_args()
+    if args.b < 2:
+        # below 2 the fibre has no configuration to survey
+        parser.error(f"--b must be at least 2, got {args.b}")
 
     survey = composition_search(args.b, max_blocks=args.max_blocks)
     print(f"arrangements of up to {args.max_blocks} blocks at b={args.b}:")

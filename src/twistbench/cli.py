@@ -10,13 +10,20 @@ invocation, renders it as a table or JSON, writes it to stdout or
 * 0 — every check passed (informational exports also exit 0);
 * 1 — at least one check failed;
 * 2 — usage error (bad flags, unsupported parameter ranges, unreadable
-  or malformed input), raised as a ``ValueError``;
+  or malformed input);
 * 3 — no check failed but at least one was inconclusive (for example a
   bounded search that exhausted its budget, or a relation instance that
   is skipped because an index falls off the generator range), so CI can
   distinguish "unverified at this budget" from "contradicted".
 
 Outputs are deterministic given identical flags.
+
+Each rule on one argument is that argument's type in :func:`build_parser`
+(the range of ``--b`` for each command, ``--n`` of at least two strands,
+the form of ``--sign-mode``), so argparse rejects a bad value naming the
+argument.  A rule that involves two arguments lives in the one ``cmd_*``
+that reads them, and like any unusable input there it is a
+``ValueError``, which :func:`main` reports as a usage error.
 
 Each ``cmd_*`` imports the layers it runs when it runs, so a process
 loads only what its command uses: ``braid`` and ``invariants`` never
@@ -44,6 +51,17 @@ DEFAULT_BUDGET = 20000
 #: all cubic in the rank 8b-6; at b=12 (rank 90) the whole command takes
 #: about 1 s on a 2-core x86-64 machine, about half of it in the build.
 VERIFY_PSI_MAX_B = 12
+
+#: Largest fibres of the other ``--b`` commands: for each, the largest
+#: timed b whose every run, as one process under a 1 GiB address-space
+#: cap on a 2-core x86-64 machine, took at most 7.5 s, so a run at the
+#: cap keeps a quarter of a 10 s limit against the spread between runs.
+#: ``auroux --out`` took 6.1-6.7 s at b=40 and 7.4-8.7 s at b=42;
+#: ``monodromy emit`` 5.7-7.3 s at b=300 (33 MB out) and 6.9-7.6 s at
+#: b=320; ``export config`` 5.3-5.9 s at b=30000 and 6.1-7.7 s at b=40000.
+AUROUX_MAX_B = 40
+MONODROMY_MAX_B = 300
+EXPORT_MAX_B = 30000
 
 
 class Check(namedtuple("Check", ("name", "status", "details"))):
@@ -154,6 +172,8 @@ def _replay_check(name, replay, passed, bad_step):
 
 
 def _parse_sign_mode(value):
+    """The ``--sign-mode`` type: "auto", or the four signs of
+    ``explicit:s1,s2,s3,s4``."""
     if value == "auto":
         return "auto"
     if value.startswith("explicit:"):
@@ -164,7 +184,7 @@ def _parse_sign_mode(value):
             signs = ()
         if len(signs) == 4 and all(s in (1, -1) for s in signs):
             return signs
-    raise ValueError(
+    raise argparse.ArgumentTypeError(
         f"--sign-mode must be 'auto' or 'explicit:s1,s2,s3,s4' with signs ±1, got {value!r}"
     )
 
@@ -228,6 +248,10 @@ def cmd_auroux(args) -> list:
     from .monodromy import default_composition, lifted_composition
     from .serialize import certificate_from_dict, certificate_to_dict
 
+    if args.replay and args.certificate:
+        raise ValueError(
+            "auroux --out writes a new certificate and cannot be combined with --replay"
+        )
     if args.composition is None:
         composition = default_composition(args.b)
     else:
@@ -404,6 +428,8 @@ def cmd_braid(args) -> list:
     from .serialize import braid_word_from_ints
 
     if args.action == "eq":
+        if args.lhs is None or args.rhs is None:
+            raise ValueError("braid eq needs --lhs and --rhs braid words")
         w1 = braid_word_from_ints(_parse_int_list("lhs", args.lhs))
         w2 = braid_word_from_ints(_parse_int_list("rhs", args.rhs))
         equal = braid_equal(w1, w2, args.n)
@@ -414,6 +440,8 @@ def cmd_braid(args) -> list:
                 f"curve action and exponent sum on {args.n} strands",
             )
         ]
+    if args.k is None:
+        raise ValueError("braid manfredini requires --k")
     status = {"holds": "pass", "fails": "fail", "skipped": "inconclusive"}
     return [
         Check(
@@ -475,6 +503,36 @@ def cmd_hurwitz(args) -> list:
 # parser
 
 
+def _int(text):
+    """``int(text)``, with argparse's own message for anything else."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _fibre(command, largest):
+    """The ``--b`` type of ``command``: an integer from 2 to ``largest``."""
+
+    def fibre(text):
+        b = _int(text)
+        if b < 2:
+            raise argparse.ArgumentTypeError(f"--b must be at least 2, got {b}")
+        if b > largest:
+            raise argparse.ArgumentTypeError(f"{command} accepts --b up to {largest}, got {b}")
+        return b
+
+    return fibre
+
+
+def _strands(text):
+    """The ``--n`` type: a braid on at least two strands."""
+    n = _int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"--n must be at least 2 strands, got {n}")
+    return n
+
+
 def _add_common(sub, run, formats=("table", "json")):
     """``--format`` (the first of ``formats`` is the default), ``--out``,
     and ``run``, the command the subparser names."""
@@ -492,12 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-psi", help="check the six-factor product on homology")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--sign-mode", default="auto")
+    p.add_argument("--b", type=_fibre("verify-psi", VERIFY_PSI_MAX_B), required=True)
+    p.add_argument("--sign-mode", default="auto", type=_parse_sign_mode)
     _add_common(p, cmd_verify_psi)
 
     p = subs.add_parser("auroux", help="emit/replay a core-coverage certificate")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_fibre("auroux", AUROUX_MAX_B), required=True)
     p.add_argument("--composition", default=None, help="comma-separated block labels")
     p.add_argument("--replay", default=None, help="replay a certificate file")
     p.add_argument("--format", default="table", choices=("table", "json"))
@@ -507,12 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("export", help="stable JSON/DOT exports")
     p.add_argument("what", choices=["config"])
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_fibre("export config", EXPORT_MAX_B), required=True)
     _add_common(p, cmd_export, ("json", "dot"))
 
     p = subs.add_parser("monodromy", help="monodromy block emission")
     p.add_argument("action", choices=["emit"])
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_fibre("monodromy emit", MONODROMY_MAX_B), required=True)
     _add_common(p, cmd_monodromy, ("json",))
 
     p = subs.add_parser("invariants", help="numerical invariants and families")
@@ -525,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("braid", help="braid word comparisons and relation checks")
     p.add_argument("action", choices=["eq", "manfredini"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_strands, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--lhs", default=None, help="JSON integer array (eq)")
     p.add_argument("--rhs", default=None, help="JSON integer array (eq)")
@@ -539,44 +597,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> None:
-    if getattr(args, "b", None) is not None and args.command in (
-        "verify-psi", "auroux", "export", "monodromy",
-    ):
-        if args.b < 2:
-            raise ValueError(f"--b must be at least 2, got {args.b}")
-        if args.command == "verify-psi" and args.b > VERIFY_PSI_MAX_B:
-            raise ValueError(
-                f"verify-psi accepts --b up to {VERIFY_PSI_MAX_B}: the model "
-                "build and the reference checks grow as the cube of the rank "
-                f"8b-6, got {args.b}"
-            )
-    if args.command == "verify-psi":
-        args.sign_mode = _parse_sign_mode(args.sign_mode)
-    if args.command == "auroux" and args.replay and args.certificate:
-        raise ValueError(
-            "auroux --out writes a new certificate and cannot be combined with --replay"
-        )
-    if args.command == "braid" and args.n < 2:
-        raise ValueError(f"--n must be at least 2 strands, got {args.n}")
-    if args.command == "braid" and args.action == "eq":
-        if args.lhs is None or args.rhs is None:
-            raise ValueError("braid eq needs --lhs and --rhs braid words")
-    if args.command == "braid" and args.action == "manfredini" and args.k is None:
-        raise ValueError("braid manfredini requires --k")
-
-
 def main(argv=None) -> int:
     """Run one command; return its exit code.  A command returns the text
     of an export (exit 0), its checks, or ``(checks, payload, extra table
-    lines)``; a ``ValueError`` from validation or the command is a usage
-    error."""
+    lines)``; a ``ValueError`` from the command is a usage error, as is
+    an argument that its parser type rejects."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     out = getattr(args, "out", None)
     try:
-        _validate(args)
         result = args.run(args)
         if isinstance(result, str):
             _emit(result, out)

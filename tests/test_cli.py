@@ -13,7 +13,7 @@ import pytest
 
 import twistbench
 from twistbench import canonical, factorization, homology
-from twistbench.cli import Check, VerificationReport, main
+from twistbench.cli import Check, VerificationReport, build_parser, main
 from twistbench.serialize import stable_json
 
 
@@ -925,6 +925,73 @@ class TestUsage:
                 assert f"malformed JSON in {path}" in capsys.readouterr().err
         usage_error("braid", "eq", "--n", "3", "--lhs", deep, "--rhs", "[1]")
         assert "braid words are JSON integer arrays" in capsys.readouterr().err
+
+
+class TestArgumentTypes:
+    """Each rule on one argument is its parser type, so the parser alone
+    accepts or rejects a value, without running the command."""
+
+    FIBRES = [
+        (("verify-psi",), 12),
+        (("auroux",), 40),
+        (("export", "config"), 30000),
+        (("monodromy", "emit"), 300),
+    ]
+
+    @staticmethod
+    def rejected(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(list(argv))
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, largest", FIBRES, ids=[" ".join(c) for c, _ in FIBRES]
+    )
+    def test_fibre_range(self, capsys, command, largest):
+        for b in (2, largest):
+            assert build_parser().parse_args([*command, "--b", str(b)]).b == b
+        err = self.rejected(capsys, *command, "--b", "1")
+        assert "argument --b: --b must be at least 2, got 1" in err
+        err = self.rejected(capsys, *command, "--b", str(largest + 1))
+        assert f"argument --b: {' '.join(command)} accepts --b up to {largest}" in err
+        assert err.endswith(f"got {largest + 1}\n")
+        err = self.rejected(capsys, *command, "--b", "x")
+        assert err.endswith("argument --b: invalid int value: 'x'\n")
+
+    def test_strands(self, capsys):
+        args = build_parser().parse_args(["braid", "manfredini", "--n", "2", "--k", "1"])
+        assert args.n == 2
+        err = self.rejected(capsys, "braid", "manfredini", "--n", "1", "--k", "1")
+        assert err.endswith("argument --n: --n must be at least 2 strands, got 1\n")
+        err = self.rejected(capsys, "braid", "eq", "--n", "x")
+        assert err.endswith("argument --n: invalid int value: 'x'\n")
+
+    def test_sign_mode(self, capsys):
+        parse = build_parser().parse_args
+        assert parse(["verify-psi", "--b", "2"]).sign_mode == "auto"
+        args = parse(["verify-psi", "--b", "2", "--sign-mode", "explicit:1,-1,1,-1"])
+        assert args.sign_mode == (1, -1, 1, -1)
+        err = self.rejected(capsys, "verify-psi", "--b", "2", "--sign-mode", "garbled")
+        assert "argument --sign-mode: --sign-mode must be 'auto' or" in err
+
+    def test_export_above_its_cap_exits_at_parse_time(self):
+        # building this export takes over 10 s and, under 1 GiB of address
+        # space, ends in a MemoryError; the parser stops it first
+        def one_gib():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "twistbench.cli", "export", "config", "--b", "100000"],
+            capture_output=True, env=package_env(), timeout=10, text=True,
+            preexec_fn=one_gib,
+        )
+        assert time.perf_counter() - start < 2
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "argument --b: export config accepts --b up to 30000" in done.stderr
+        assert not done.stdout
 
 
 class TestImportIsolation:

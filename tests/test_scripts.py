@@ -29,15 +29,24 @@ def test_scripts_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("b", ["1", "0", "-3"])
-def test_sign_table_rejects_b_below_two(b):
-    # below 2 no probe builds a model, and the table used to end in a
-    # traceback formatting its missing walk count
+BELOW_TWO = ("1", "0", "-3")
+
+
+@pytest.mark.parametrize(
+    "script, b",
+    [("sign_search_table.py", b) for b in BELOW_TWO]
+    + [("composition_report.py", b) for b in BELOW_TWO],
+    # the sign table's cases are named by b alone
+    ids=[*BELOW_TWO, *(f"composition_report.py-{b}" for b in BELOW_TWO)],
+)
+def test_sign_table_rejects_b_below_two(script, b):
+    # below 2 there is no configuration: the sign table has no probe to
+    # print a walk count for, and the composition report none to survey
     env = dict(os.environ)
     src = str(Path(twistbench.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "sign_search_table.py"), "--b", b],
+        [sys.executable, str(ROOT / "scripts" / script), "--b", b],
         capture_output=True, env=env, timeout=120, text=True,
     )
     assert done.returncode == 2
