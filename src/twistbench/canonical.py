@@ -12,10 +12,12 @@ when its configuration
   * satisfies the product identity: the six-factor Coxeter word equals
     that involution on homology.
 
-``canonical_sigma_signs`` is the calibration: it probes the tuples at
-b = 2 in lexicographic order (+1 before -1), stops at the first that
-passes, and is cached.  The tests pin its answer to ``SIGMA_SIGNS``;
-``verify-psi --sign-mode auto`` runs it and builds with its answer.
+``calibration`` probes the tuples at b = 2 in lexicographic order (+1
+before -1), stops at the first that passes, and caches that probe;
+``canonical_sigma_signs`` is its sign tuple.  The tests pin it to
+``SIGMA_SIGNS``.  ``verify-psi --sign-mode auto`` runs the calibration,
+builds with its answer, and at b = 2 reports the calibration's own
+probe.
 ``probe_signs`` is the one pipeline of the product identity: it
 computes every verdict ``verify-psi`` prints, and the command only
 renders them.
@@ -36,7 +38,9 @@ from .homology import (
 )
 from .surface import build_reference_configuration, ribbon_from_system
 
-__all__ = ["SignProbe", "probe_signs", "sigma_sign_search", "canonical_sigma_signs"]
+__all__ = [
+    "SignProbe", "probe_signs", "sigma_sign_search", "calibration", "canonical_sigma_signs",
+]
 
 ALL_SIGN_TUPLES = tuple(itertools.product((1, -1), repeat=4))
 
@@ -83,11 +87,16 @@ def sigma_sign_search(b: int) -> tuple[SignProbe, ...]:
 
 
 @lru_cache(maxsize=None)
-def canonical_sigma_signs() -> tuple[int, int, int, int]:
-    """Lexicographically first sign tuple passing the full calibration at b=2;
-    the tuples after it are never probed."""
+def calibration() -> SignProbe:
+    """The probe of the lexicographically first sign tuple passing the full
+    calibration at b=2; the tuples after it are never probed."""
     for signs in ALL_SIGN_TUPLES:
         probe = probe_signs(2, signs)
         if probe.admissible and probe.psi_defined and probe.product_matches:
-            return probe.signs
+            return probe
     raise AdmissibilityError("no sign tuple passes the product calibration")
+
+
+def canonical_sigma_signs() -> tuple[int, int, int, int]:
+    """The sign tuple of the cached :func:`calibration`."""
+    return calibration().signs

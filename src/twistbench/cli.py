@@ -190,10 +190,11 @@ def _parse_sign_mode(value):
 
 
 def cmd_verify_psi(args) -> list:
-    from .canonical import canonical_sigma_signs, probe_signs
+    from .canonical import calibration, probe_signs
     from .coxeter import psi_factorization
 
-    signs = canonical_sigma_signs() if args.sign_mode == "auto" else args.sign_mode
+    calibrated = calibration() if args.sign_mode == "auto" else None
+    signs = args.sign_mode if calibrated is None else calibrated.signs
     checks = [
         Check(
             "sign-convention",
@@ -202,7 +203,8 @@ def cmd_verify_psi(args) -> list:
             + (" (from search)" if args.sign_mode == "auto" else " (explicit)"),
         )
     ]
-    probe = probe_signs(args.b, signs)
+    # the calibration ran the b = 2 probe of these signs already
+    probe = calibrated if calibrated is not None and args.b == 2 else probe_signs(args.b, signs)
     if not probe.admissible:
         checks.append(Check("model-admissible", "fail", probe.detail))
     else:

@@ -33,7 +33,6 @@ from functools import cached_property
 from .intlin import (
     IntMatrix,
     IntVector,
-    column,
     freeze,
     from_columns,
     identity,
@@ -107,9 +106,10 @@ class HomologyModel(
     same lattice basis; ``section`` is an integer right inverse of
     ``classes``; ``kernel`` columns span the relations among curve classes.
 
-    Two caches live on the model and die with it: ``transvections`` holds
-    the sparse data of each twist ``T_c^s`` used so far, and
-    ``letter_matrices`` the matrices of conjugated twist letters.
+    Three caches live on the model and die with it: ``class_columns``
+    holds the class of each curve, ``transvections`` the sparse data of
+    each twist ``T_c^s`` used so far, and ``letter_matrices`` the matrices
+    of conjugated twist letters.
 
     The shapes: ``classes`` is 2g x N, ``form`` 2g x 2g, ``crossing_form``
     (from the signed crossings) N x N, ``section`` N x 2g with ``classes @
@@ -154,14 +154,19 @@ class HomologyModel(
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def curve_class(self, c: CurveId) -> IntVector:
-        return column(self.classes, self.curve_index[c])
+    @cached_property
+    def class_columns(self) -> IntMatrix:
+        """The columns of ``classes``, one per curve in ``curve_order``."""
+        return transpose(self.classes)
 
-    def intersection(self, x: IntVector, y: IntVector) -> int:
-        return sum(a * b for a, b in zip(x, mat_vec(self.form, y)))
+    def curve_class(self, c: CurveId) -> IntVector:
+        return self.class_columns[self.curve_index[c]]
 
     def pairing(self, c1: CurveId, c2: CurveId) -> int:
-        return self.intersection(self.curve_class(c1), self.curve_class(c2))
+        """The intersection number of the two curve classes, read off the
+        crossing form, which ``homology_model`` certified to equal
+        ``classes^T @ form @ classes``."""
+        return self.crossing_form[self.curve_index[c1]][self.curve_index[c2]]
 
     def check_fingerprint(self, m: MappingClassMatrix) -> None:
         if m.model_fingerprint != self.fingerprint:

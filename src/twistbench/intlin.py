@@ -24,7 +24,6 @@ __all__ = [
     "mat_mul",
     "mat_mul_many",
     "mat_vec",
-    "column",
     "from_columns",
     "is_zero",
     "is_antisymmetric",
@@ -73,11 +72,15 @@ def mat_mul_many(first: IntMatrix, *rest: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(matrix: IntMatrix, vec: IntVector) -> IntVector:
-    return tuple(sum(x * y for x, y in zip(row, vec)) for row in matrix)
-
-
-def column(matrix: IntMatrix, j: int) -> IntVector:
-    return tuple(row[j] for row in matrix)
+    """``matrix @ vec``, adding up the columns at the nonzero entries of
+    ``vec`` only: the vectors here are curve classes, mostly zeros."""
+    if matrix and len(vec) != len(matrix[0]):
+        raise ValueError(f"shape mismatch: {dims(matrix)} @ ({len(vec)},)")
+    out = (0,) * len(matrix)
+    for j, x in enumerate(vec):
+        if x:
+            out = [y + row[j] * x for y, row in zip(out, matrix)]
+    return tuple(out)
 
 
 def from_columns(cols) -> IntMatrix:
@@ -229,7 +232,7 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
 def kernel_basis(snf: SmithDecomposition) -> tuple[IntVector, ...]:
     """A lattice basis of ``{x : M @ x == 0}`` over the integers, read off
     the decomposition ``snf`` of ``M``."""
-    return tuple(column(snf.V, j) for j in range(snf.rank, len(snf.V)))
+    return transpose(snf.V)[snf.rank :]
 
 
 def right_inverse(matrix: IntMatrix, snf: SmithDecomposition) -> IntMatrix:

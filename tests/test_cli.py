@@ -148,6 +148,27 @@ class TestVerifyPsi:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_b2_auto_builds_one_model(self, capsys, monkeypatch):
+        # the calibration's passing b = 2 probe is the report's probe, so
+        # the run builds one model where it built two; [DERIVED] sha256 of
+        # stdout taken while it built two
+        calls = []
+        real = canonical.homology_model
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        canonical.calibration.cache_clear()
+        monkeypatch.setattr(canonical, "homology_model", counting)
+        code, out = run(capsys, "verify-psi", "--b", "2")
+        assert code == 0
+        assert len(calls) == 1
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "74c58ae038701f172dd05c8153875ac26845421a36c07e71f4aa2382f7470cfa"
+        )
+
     def test_usage_errors(self):
         usage_error("verify-psi", "--b", "1")
         usage_error("verify-psi", "--b", "13")
@@ -305,13 +326,13 @@ class TestAuroux:
         def forbidden(*args, **kwargs):
             pytest.fail("auroux built a homology model")
 
-        canonical.canonical_sigma_signs.cache_clear()
+        canonical.calibration.cache_clear()
         monkeypatch.setattr(homology, "reference_model", forbidden)
         monkeypatch.setattr(homology, "homology_model", forbidden)
         monkeypatch.setattr(canonical, "homology_model", forbidden)
         yield
         monkeypatch.undo()
-        canonical.canonical_sigma_signs.cache_clear()
+        canonical.calibration.cache_clear()
         canonical.canonical_sigma_signs()
 
     def test_emit_and_replay_build_no_homology_model(

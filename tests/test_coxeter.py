@@ -163,7 +163,7 @@ class TestCanonicalSigns:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(canonical, "probe_signs", counting)
-        canonical_sigma_signs.cache_clear()
+        canonical.calibration.cache_clear()
         # the call refills the cache with the tuple the real probe returns
         assert canonical_sigma_signs() == (1, 1, 1, 1)
         assert len(calls) == 1

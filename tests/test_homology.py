@@ -193,6 +193,36 @@ def dense_word_matrix(model, word):
     return out
 
 
+def dense_mat_vec(matrix, vec):
+    """The dense product ``intlin.mat_vec`` replaced, kept as its oracle."""
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in matrix)
+
+
+def dense_class(model, j):
+    """Column ``j`` of ``model.classes``, read row by row."""
+    return tuple(row[j] for row in model.classes)
+
+
+class TestCurveReads:
+    """``curve_class`` reads cached columns and ``pairing`` the crossing
+    form; the dense reads they replaced are the oracles."""
+
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_curve_class_is_dense_column(self, b):
+        model = cached_model(b)
+        for j, c in enumerate(model.curve_order):
+            assert model.curve_class(c) == dense_class(model, j)
+
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_pairing_is_dense_form_product(self, b):
+        model = cached_model(b)
+        columns = [dense_class(model, j) for j in range(len(model.curve_order))]
+        for a, va in zip(model.curve_order, columns):
+            for c, vc in zip(model.curve_order, columns):
+                expected = sum(x * y for x, y in zip(va, dense_mat_vec(model.form, vc)))
+                assert model.pairing(a, c) == expected
+
+
 @st.composite
 def models_and_words(draw):
     model = cached_model(draw(st.sampled_from((2, 3, 4))))

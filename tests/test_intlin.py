@@ -6,7 +6,8 @@ enough to assert directly.
 """
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -64,6 +65,72 @@ def test_basic_ops_trivial():
     assert transpose(a) == freeze([[1, 3], [2, 4]])
     assert mat_vec(a, (1, 1)) == (3, 7)
     assert mat_mul_many(a, b, identity(2)) == mat_mul(a, b)
+
+
+def dense_mat_vec(matrix, vec):
+    """The dense product ``mat_vec`` replaced, kept as its oracle."""
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in matrix)
+
+
+@st.composite
+def sparse_products(draw):
+    """A matrix and a vector of its width, each entry zero with a drawn
+    chance of 0 to 95%; the vector may be all zeros, and a side of the
+    matrix may be 0 (a 0 x n matrix is ``()``)."""
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    zero_percent = draw(st.integers(min_value=0, max_value=95))
+
+    def entry():
+        if draw(st.integers(min_value=0, max_value=99)) < zero_percent:
+            return 0
+        return draw(st.integers(min_value=-30, max_value=30))
+
+    matrix = tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows))
+    if draw(st.booleans()):
+        vec = (0,) * ncols
+    else:
+        vec = tuple(entry() for _ in range(ncols))
+    return matrix, vec, ncols
+
+
+@given(sparse_products())
+@settings(max_examples=200)
+def test_mat_vec_matches_dense_and_sympy(product):
+    # [DERIVED] the dense row-by-row formula and sympy's Matrix * vector
+    matrix, vec, ncols = product
+    ours = mat_vec(matrix, vec)
+    assert ours == dense_mat_vec(matrix, vec)
+    theirs = Matrix(len(matrix), ncols, [x for row in matrix for x in row]) * Matrix(
+        ncols, 1, list(vec)
+    )
+    assert ours == tuple(int(x) for x in theirs)
+
+
+def test_mat_vec_edge_shapes():
+    # [TRIVIAL]
+    assert mat_vec((), (1, 2, 3)) == ()
+    assert mat_vec(((), ()), ()) == (0, 0)
+    assert mat_vec(((1, 2), (3, 4)), (0, 0)) == (0, 0)
+
+
+@pytest.mark.parametrize("vec", [(1,), (1, 1, 5), ()])
+def test_mat_vec_rejects_a_vector_of_another_length(vec):
+    # at the dense zip these read (1, 3), (3, 7) and (0, 0)
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) @ \("):
+        mat_vec(((1, 2), (3, 4)), vec)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=8),
+)
+def test_mat_vec_rejects_any_length_mismatch(nrows, ncols, length):
+    assume(length != ncols)
+    matrix = tuple(tuple(range(ncols)) for _ in range(nrows))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_vec(matrix, (1,) * length)
 
 
 @given(matrices)
