@@ -12,15 +12,13 @@ when its configuration
   * satisfies the product identity: the six-factor Coxeter word equals
     that involution on homology.
 
-``calibration`` probes the tuples at b = 2 in lexicographic order (+1
-before -1), stops at the first that passes, and caches that probe;
-``canonical_sigma_signs`` is its sign tuple.  The tests pin it to
-``SIGMA_SIGNS``.  ``verify-psi --sign-mode auto`` runs the calibration,
-builds with its answer, and at b = 2 reports the calibration's own
-probe.
 ``probe_signs`` is the one pipeline of the product identity: it
 computes every verdict ``verify-psi`` prints, and the command only
-renders them.
+renders them.  It is the module's one cache, keyed by ``(b, signs)``,
+so each tuple's model is built once per fibre however many callers ask.
+``canonical_sigma_signs`` returns ``SIGMA_SIGNS`` once its b = 2 probe
+passes and raises otherwise; ``verify-psi --sign-mode auto`` builds with
+that answer, and at b = 2 its report reads the same cached probe.
 """
 from __future__ import annotations
 
@@ -36,10 +34,10 @@ from .homology import (
     psi_reference,
     twist_word_matrix,
 )
-from .surface import build_reference_configuration, ribbon_from_system
+from .surface import SIGMA_SIGNS, build_reference_configuration, ribbon_from_system
 
 __all__ = [
-    "SignProbe", "probe_signs", "sigma_sign_search", "calibration", "canonical_sigma_signs",
+    "SignProbe", "probe_signs", "sigma_sign_search", "canonical_sigma_signs",
 ]
 
 ALL_SIGN_TUPLES = tuple(itertools.product((1, -1), repeat=4))
@@ -61,8 +59,8 @@ class SignProbe(
     __slots__ = ()
 
 
-def probe_signs(b: int, signs) -> SignProbe:
-    signs = tuple(signs)
+@lru_cache(maxsize=None)
+def probe_signs(b: int, signs: tuple) -> SignProbe:
     try:
         system = build_reference_configuration(b, sigma_signs=signs)
         rg = ribbon_from_system(system)
@@ -80,23 +78,14 @@ def probe_signs(b: int, signs) -> SignProbe:
     return SignProbe(signs, True, walks, genus, rank, True, matches, symplectic, "")
 
 
-@lru_cache(maxsize=None)
 def sigma_sign_search(b: int) -> tuple[SignProbe, ...]:
     """Probe all sixteen sign tuples on the fibre for the given b."""
     return tuple(probe_signs(b, signs) for signs in ALL_SIGN_TUPLES)
 
 
-@lru_cache(maxsize=None)
-def calibration() -> SignProbe:
-    """The probe of the lexicographically first sign tuple passing the full
-    calibration at b=2; the tuples after it are never probed."""
-    for signs in ALL_SIGN_TUPLES:
-        probe = probe_signs(2, signs)
-        if probe.admissible and probe.psi_defined and probe.product_matches:
-            return probe
-    raise AdmissibilityError("no sign tuple passes the product calibration")
-
-
 def canonical_sigma_signs() -> tuple[int, int, int, int]:
-    """The sign tuple of the cached :func:`calibration`."""
-    return calibration().signs
+    """``SIGMA_SIGNS``, once the full calibration passes under it at b=2."""
+    probe = probe_signs(2, SIGMA_SIGNS)
+    if not (probe.admissible and probe.psi_defined and probe.product_matches):
+        raise AdmissibilityError(f"sigma signs {SIGMA_SIGNS} fail the product calibration")
+    return SIGMA_SIGNS

@@ -190,21 +190,20 @@ def _parse_sign_mode(value):
 
 
 def cmd_verify_psi(args) -> list:
-    from .canonical import calibration, probe_signs
+    from .canonical import canonical_sigma_signs, probe_signs
     from .coxeter import psi_factorization
 
-    calibrated = calibration() if args.sign_mode == "auto" else None
-    signs = args.sign_mode if calibrated is None else calibrated.signs
+    auto = args.sign_mode == "auto"
+    signs = canonical_sigma_signs() if auto else args.sign_mode
     checks = [
         Check(
             "sign-convention",
             "pass",
-            f"sigma crossing signs {signs}"
-            + (" (from search)" if args.sign_mode == "auto" else " (explicit)"),
+            # "(from search)" keeps the bytes of pinned reports
+            f"sigma crossing signs {signs}" + (" (from search)" if auto else " (explicit)"),
         )
     ]
-    # the calibration ran the b = 2 probe of these signs already
-    probe = calibrated if calibrated is not None and args.b == 2 else probe_signs(args.b, signs)
+    probe = probe_signs(args.b, signs)
     if not probe.admissible:
         checks.append(Check("model-admissible", "fail", probe.detail))
     else:
@@ -276,46 +275,47 @@ def cmd_auroux(args) -> list:
                 f"not --composition {args.composition}"
             )
         fact = lifted_composition(args.b, tuple(composition))
-        check, _ = _replay_check(
-            "certificate-replays",
-            lambda: replay_certificate(fact, cert),
-            lambda fronts: f"{len(fronts)} steps reproduced",
-            "first bad move at step",
-        )
-        return [check]
+        checks = []
+    else:
+        fact = lifted_composition(args.b, composition)
+        cores = list(dict.fromkeys(c for c, _ in psi_factorization(args.b)))
+        present = {t.core for t in fact.letters}
+        missing = [c for c in cores if c not in present]
+        if missing:
+            names = ", ".join(str(c) for c in missing)
+            return [
+                Check(
+                    "core-coverage",
+                    "fail",
+                    f"hypothesis unmet: no positive letter with core {names} in "
+                    f"composition {','.join(composition)} ({len(fact)} letters); "
+                    "every reference core must appear in the lifted factorization",
+                )
+            ]
+        cert = auroux_certificate(fact, cores)
+        checks = [Check("core-coverage", "pass", f"all {len(cores)} reference cores appear")]
 
-    fact = lifted_composition(args.b, composition)
-    cores = list(dict.fromkeys(c for c, _ in psi_factorization(args.b)))
-    present = {t.core for t in fact.letters}
-    missing = [c for c in cores if c not in present]
-    if missing:
-        names = ", ".join(str(c) for c in missing)
-        return [
-            Check(
-                "core-coverage",
-                "fail",
-                f"hypothesis unmet: no positive letter with core {names} in "
-                f"composition {','.join(composition)} ({len(fact)} letters); "
-                "every reference core must appear in the lifted factorization",
-            )
-        ]
-
-    cert = auroux_certificate(fact, cores)
-    fronts = replay_certificate(fact, cert)
+    check, fronts = _replay_check(
+        "certificate-replays",
+        lambda: replay_certificate(fact, cert),
+        lambda fronts: f"{len(fronts)} steps reproduced",
+        "first bad move at step",
+    )
+    checks.append(check)
+    if fronts is None or args.replay:
+        return checks
+    # a certificate is written only once it has replayed
     if args.certificate:
-        payload = certificate_to_dict(
-            cert, b=args.b, composition=list(composition)
-        )
+        payload = certificate_to_dict(cert, b=args.b, composition=list(composition))
         _emit(stable_json(payload), args.certificate)
-    return [
-        Check("core-coverage", "pass", f"all {len(cores)} reference cores appear"),
-        Check("certificate-replays", "pass", f"{len(fronts)} steps reproduced"),
+    checks.append(
         Check(
             "fronts-bare",
             "pass" if cert.all_bare else "fail",
             "every moved letter arrives unconjugated and positive",
-        ),
-    ]
+        )
+    )
+    return checks
 
 
 # ---------------------------------------------------------------------------

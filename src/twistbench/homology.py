@@ -34,7 +34,6 @@ from .intlin import (
     IntMatrix,
     IntVector,
     freeze,
-    from_columns,
     identity,
     is_antisymmetric,
     is_unimodular,
@@ -196,7 +195,7 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
         return tuple(vec[i] for i in free)
 
     m = len(free)
-    faces = from_columns([fundamental(v) for v in face_edge_vectors(rg)])
+    faces = transpose([fundamental(v) for v in face_edge_vectors(rg)])
     snf = smith_normal_form(faces)
     if any(f != 1 for f in snf.invariant_factors):
         raise AdmissibilityError(
@@ -217,7 +216,7 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
         raise AdmissibilityError("face quotient projection has no integer section")
 
     order = tuple(sys.curves)
-    classes = from_columns(
+    classes = transpose(
         [
             mat_vec(projection, fundamental(curve_edge_vector(rg, c)))
             for c in order
@@ -231,7 +230,7 @@ def homology_model(rg: RibbonGraph) -> HomologyModel:
         )
 
     crossing_form = _crossing_form(sys, order)
-    kernel = from_columns(kernel_basis(class_snf))
+    kernel = transpose(kernel_basis(class_snf))
     if kernel and not is_zero(mat_mul(crossing_form, kernel)):
         raise AdmissibilityError(
             "crossing form does not vanish on the relations among curves"
@@ -321,7 +320,7 @@ def psi_reference(model: HomologyModel) -> MappingClassMatrix:
         "sigma": "sigma", "alpha": "delta", "delta": "alpha", "beta": "gamma", "gamma": "beta",
     }
     # column j = class of psi(curve_j), a negated column of ``classes``
-    moved = from_columns(
+    moved = transpose(
         [
             tuple(-x for x in model.curve_class(CurveId(partner[c.family], c.index)))
             for c in model.curve_order

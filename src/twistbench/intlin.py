@@ -24,7 +24,6 @@ __all__ = [
     "mat_mul",
     "mat_mul_many",
     "mat_vec",
-    "from_columns",
     "is_zero",
     "is_antisymmetric",
     "smith_normal_form",
@@ -81,10 +80,6 @@ def mat_vec(matrix: IntMatrix, vec: IntVector) -> IntVector:
         if x:
             out = [y + row[j] * x for y, row in zip(out, matrix)]
     return tuple(out)
-
-
-def from_columns(cols) -> IntMatrix:
-    return tuple(zip(*cols)) if cols else ()
 
 
 def is_zero(matrix: IntMatrix) -> bool:

@@ -11,8 +11,8 @@ Conventions, fixed once and used everywhere:
   ``(X_i, X_{i+1})`` has sign +1.  The four sigma-crossing signs are
   parameters of the construction; the convention is :data:`SIGMA_SIGNS`,
   all +1.  :mod:`twistbench.canonical` checks it: its calibration probes
-  the sixteen tuples in order and returns the first under which the
-  product identity closes, which must be this one.
+  this tuple at b = 2 and passes only if the product identity closes
+  under it; ``sigma_sign_search`` tabulates all sixteen.
 - At a crossing of ``(first, second)`` with sign ``s`` (the oriented
   intersection index of ``first`` with ``second``), the counterclockwise
   order of the four arc-ends is ``(first-in, second-in, first-out,

@@ -159,7 +159,7 @@ class TestVerifyPsi:
             calls.append(args)
             return real(*args, **kwargs)
 
-        canonical.calibration.cache_clear()
+        canonical.probe_signs.cache_clear()
         monkeypatch.setattr(canonical, "homology_model", counting)
         code, out = run(capsys, "verify-psi", "--b", "2")
         assert code == 0
@@ -267,6 +267,21 @@ class TestAuroux:
         assert check["status"] == "inconclusive"
         assert "over the cap of 10000" in check["details"]
 
+    def test_emit_over_the_cap_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        # the b = 2 lift starts with 120 conjugator letters; the emitted
+        # certificate replays through the same check as --replay, so going
+        # over the cap is inconclusive, not a usage error, and no
+        # certificate is written
+        monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 50)
+        cert = tmp_path / "cert.json"
+        code, out = run(capsys, "auroux", "--b", "2", "--out", str(cert), "--format", "json")
+        assert code == 3
+        coverage, replay = json.loads(out)["checks"]
+        assert (coverage["name"], coverage["status"]) == ("core-coverage", "pass")
+        assert (replay["name"], replay["status"]) == ("certificate-replays", "inconclusive")
+        assert "over the cap of 50" in replay["details"]
+        assert not cert.exists()
+
     def test_step_sign_boolean_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         run(capsys, "auroux", "--b", "2", "--out", str(cert))
@@ -326,13 +341,13 @@ class TestAuroux:
         def forbidden(*args, **kwargs):
             pytest.fail("auroux built a homology model")
 
-        canonical.calibration.cache_clear()
+        canonical.probe_signs.cache_clear()
         monkeypatch.setattr(homology, "reference_model", forbidden)
         monkeypatch.setattr(homology, "homology_model", forbidden)
         monkeypatch.setattr(canonical, "homology_model", forbidden)
         yield
         monkeypatch.undo()
-        canonical.calibration.cache_clear()
+        canonical.probe_signs.cache_clear()
         canonical.canonical_sigma_signs()
 
     def test_emit_and_replay_build_no_homology_model(

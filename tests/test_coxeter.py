@@ -162,8 +162,8 @@ class TestCanonicalSigns:
             calls.append(args)
             return real(*args, **kwargs)
 
+        canonical.probe_signs.cache_clear()
         monkeypatch.setattr(canonical, "probe_signs", counting)
-        canonical.calibration.cache_clear()
         # the call refills the cache with the tuple the real probe returns
         assert canonical_sigma_signs() == (1, 1, 1, 1)
         assert len(calls) == 1

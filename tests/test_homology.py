@@ -394,5 +394,6 @@ class TestBuildWork:
         assert traces == [rg]
 
     def test_probe_traces_once(self, traces):
+        canonical.probe_signs.cache_clear()
         canonical.probe_signs(2, (1, 1, 1, 1))
         assert len(traces) == 1

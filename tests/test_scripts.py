@@ -1,5 +1,7 @@
 """The survey scripts in ``scripts/`` run to completion on the package."""
+import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import twistbench
+from twistbench import canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -53,3 +56,28 @@ def test_sign_table_rejects_b_below_two(script, b):
     assert f"--b must be at least 2, got {b}" in done.stderr
     assert "Traceback" not in done.stderr
     assert not done.stdout
+
+
+def test_sign_table_builds_each_model_once(capsys, monkeypatch):
+    # the calibration reads the cached probe of (1, 1, 1, 1) that the table
+    # made, so sixteen tuples build sixteen models (seventeen before the
+    # probe was cached); [DERIVED] sha256 of stdout taken while it built
+    # seventeen
+    calls = []
+    real = canonical.homology_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    canonical.probe_signs.cache_clear()
+    monkeypatch.setattr(canonical, "homology_model", counting)
+    monkeypatch.setattr(sys, "argv", ["sign_search_table.py", "--b", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "sign_search_table.py"), run_name="__main__")
+    assert exc.value.code == 0
+    assert len(calls) == 16
+    assert (
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        == "3b541c4844758be8c164d595a50e5947b7ef669171162240413fcc86d69ce0f9"
+    )
