@@ -56,12 +56,18 @@ VERIFY_PSI_MAX_B = 12
 #: timed b whose every run, as one process under a 1 GiB address-space
 #: cap on a 2-core x86-64 machine, took at most 7.5 s, so a run at the
 #: cap keeps a quarter of a 10 s limit against the spread between runs.
-#: ``auroux --out`` took 6.1-6.7 s at b=40 and 7.4-8.7 s at b=42;
+#: ``auroux --out`` took 2.5-3.5 s at b=40 and 3.1-4.0 s at b=42, and
+#: its cap stays where it was set when these read 6.1-6.7 s and 7.4-8.7 s;
 #: ``monodromy emit`` 5.7-7.3 s at b=300 (33 MB out) and 6.9-7.6 s at
 #: b=320; ``export config`` 5.3-5.9 s at b=30000 and 6.1-7.7 s at b=40000.
 AUROUX_MAX_B = 40
 MONODROMY_MAX_B = 300
 EXPORT_MAX_B = 30000
+
+#: Most blocks of an ``auroux`` composition, from ``--composition`` or a
+#: certificate, by the rule above: ``auroux --b 40 --out`` over ``X,Y``
+#: blocks took 3.5-4.9 s at 10,000 and 4.7-6.9 s (221 MB) at 20,000.
+AUROUX_MAX_BLOCKS = 20000
 
 
 class Check(namedtuple("Check", ("name", "status", "details"))):
@@ -274,10 +280,13 @@ def cmd_auroux(args) -> list:
                 f"certificate key 'composition' is {found}, "
                 f"not --composition {args.composition}"
             )
-        fact = lifted_composition(args.b, tuple(composition))
-        checks = []
-    else:
-        fact = lifted_composition(args.b, composition)
+    if len(composition) > AUROUX_MAX_BLOCKS:
+        raise ValueError(
+            f"composition has {len(composition)} blocks, over the cap of {AUROUX_MAX_BLOCKS}"
+        )
+    fact = lifted_composition(args.b, tuple(composition))
+    checks = []
+    if not args.replay:
         cores = list(dict.fromkeys(c for c, _ in psi_factorization(args.b)))
         present = {t.core for t in fact.letters}
         missing = [c for c in cores if c not in present]

@@ -42,7 +42,6 @@ __all__ = [
     "TwistLetter",
     "Factorization",
     "bare",
-    "hurwitz_move",
     "inverse_op",
     "invert_script",
     "apply_script",
@@ -161,20 +160,6 @@ def _swap(a: TwistLetter, b: TwistLetter, direction: str) -> tuple[tuple, int]:
     raise ValueError(f"unknown move direction {direction!r}")
 
 
-def _move(letters: tuple, index: int, direction: str) -> tuple[tuple, int]:
-    """The letters after one move at ``index``, and the index (0 or 1)
-    within the moved pair of its new letter."""
-    if not 0 <= index < len(letters) - 1:
-        raise IndexError(f"move index {index} out of range for {len(letters)} letters")
-    pair, new = _swap(letters[index], letters[index + 1], direction)
-    return letters[:index] + pair + letters[index + 2:], new
-
-
-def hurwitz_move(fact: Factorization, index: int, direction: str = "right") -> Factorization:
-    """Swap letters at ``index`` and ``index+1``; the product is unchanged."""
-    return Factorization(_move(fact.letters, index, direction)[0])
-
-
 def inverse_op(op: MoveOp) -> MoveOp:
     direction, index = op
     return ("left" if direction == "right" else "right", index)
@@ -185,23 +170,26 @@ def invert_script(script: Sequence) -> tuple:
 
 
 def apply_script(fact: Factorization, script: Sequence) -> Factorization:
-    """Apply the moves of ``script`` in order.  Raises ``MoveError`` at the
-    first step that is not a valid move, and ``ConjugatorCapError`` at the
-    first step after which the conjugators total more than
+    """Apply the moves of ``script`` in order, each replacing its pair in
+    place in one list of the letters.  Raises ``MoveError`` at the first
+    step that is not a valid move, and ``ConjugatorCapError`` at the first
+    step after which the conjugators total more than
     ``MAX_CONJUGATOR_TOTAL`` letters."""
-    letters = fact.letters
+    letters = list(fact.letters)
     total = sum(len(t.conjugator) for t in letters)
     for step, op in enumerate(tuple(script)):
         try:
             direction, index = op
-            moved, new = _move(letters, index, direction)
+            if not 0 <= index < len(letters) - 1:
+                raise IndexError(f"move index {index} out of range for {len(letters)} letters")
+            pair, new = _swap(letters[index], letters[index + 1], direction)
         except (IndexError, ValueError, TypeError) as exc:
             raise MoveError(step, str(exc)) from exc
         # the new letter replaces the old one in the other slot of the pair
-        total += len(moved[index + new].conjugator) - len(letters[index + 1 - new].conjugator)
+        total += len(pair[new].conjugator) - len(letters[index + 1 - new].conjugator)
         if total > MAX_CONJUGATOR_TOTAL:
             raise ConjugatorCapError(step, total)
-        letters = moved
+        letters[index:index + 2] = pair
     return Factorization(letters)
 
 
@@ -226,23 +214,24 @@ def product_matrix(model: HomologyModel, fact: Factorization) -> MappingClassMat
     return twist_word_matrix(model, word)
 
 
-def strip_to_front(fact: Factorization, index: int) -> tuple[Factorization, tuple]:
+def strip_to_front(fact: Factorization, index: int) -> tuple[TwistLetter, tuple]:
     """Bubble the letter at ``index`` to the front, using a left move
     whenever it strictly shortens the letter's conjugator and a right move
-    otherwise.  Returns the transformed factorization and the script."""
+    otherwise.  Returns the front letter and the script.  The move at
+    ``i`` meets ``fact[i]`` untouched and a right move keeps the moving
+    letter, so only the moving letter is followed."""
     if not 0 <= index < len(fact):
         raise IndexError(f"letter index {index} out of range")
-    letters = fact.letters
+    letter = fact.letters[index]
     script: list = []
     for i in range(index - 1, -1, -1):
-        pair, _ = _swap(letters[i], letters[i + 1], "left")
-        direction = "left"
-        if len(pair[0].conjugator) >= len(letters[i + 1].conjugator):
-            pair, _ = _swap(letters[i], letters[i + 1], "right")
-            direction = "right"
-        letters = letters[:i] + pair + letters[i + 2:]
-        script.append((direction, i))
-    return Factorization(letters), tuple(script)
+        a = fact.letters[i]
+        conjugator = words.join_conjugate(letter.conjugator, (a.core, -a.sign), a.conjugator)
+        left = len(conjugator) < len(letter.conjugator)
+        if left:
+            letter = TwistLetter._reduced(letter.core, letter.sign, conjugator)
+        script.append(("left" if left else "right", i))
+    return letter, tuple(script)
 
 
 class AurouxStep(
@@ -276,28 +265,23 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
     Each step starts again from the original factorization; the
     certificate witnesses one core at a time.
     """
+    # each core's positive letter of least (conjugator length, index)
+    shortest: dict = {}
+    for i, t in enumerate(fact.letters):
+        if t.sign == +1:
+            key = (len(t.conjugator), i)
+            if key < shortest.setdefault(t.core, key):
+                shortest[t.core] = key
     steps = []
     for core in targets:
-        candidates = [
-            (len(t.conjugator), i)
-            for i, t in enumerate(fact.letters)
-            if t.core == core and t.sign == +1
-        ]
-        if not candidates:
+        if core not in shortest:
             raise ValueError(f"no positive letter with core {core!r}")
-        _, index = min(candidates)
-        moved, script = strip_to_front(fact, index)
-        front = moved.letters[0]
-        steps.append(
-            AurouxStep(
-                core=core,
-                sign=+1,
-                source_index=index,
-                script=script,
-                front_letter=front,
-                stripped_bare=front.is_bare and front.core == core and front.sign == +1,
-            )
-        )
+        index = shortest[core][1]
+        front, script = strip_to_front(fact, index)
+        steps.append(AurouxStep(
+            core=core, sign=+1, source_index=index, script=script, front_letter=front,
+            stripped_bare=front.is_bare and front.core == core and front.sign == +1,
+        ))
     return AurouxCertificate(base_cores=fact.cores(), steps=tuple(steps))
 
 
@@ -309,8 +293,7 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
         raise MoveError(0, "certificate was issued for a different factorization")
     fronts = []
     for k, step in enumerate(certificate.steps):
-        moved = apply_script(fact, step.script)
-        front = moved.letters[0]
+        front = apply_script(fact, step.script).letters[0]
         if front != step.front_letter:
             raise MoveError(k, f"replayed front letter differs for core {step.core!r}")
         fronts.append(front)

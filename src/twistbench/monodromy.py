@@ -365,10 +365,15 @@ def lifted_composition(b: int, arrangement=None, model=None) -> Factorization:
         )
     if arrangement is None:
         arrangement = default_composition(b)
+    # each distinct block is lifted once; _block_of rejects a list label first
+    lifts: dict = {}
     letters = []
     for label in arrangement:
-        letters.extend(lift_to_twists(_block_of(b, label)).letters)
-    return Factorization(tuple(letters))
+        block = _block_of(b, label)
+        if label not in lifts:
+            lifts[label] = lift_to_twists(block).letters
+        letters.extend(lifts[label])
+    return Factorization(letters)
 
 
 @lru_cache(maxsize=None)

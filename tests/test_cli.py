@@ -13,7 +13,7 @@ import pytest
 
 import twistbench
 from twistbench import canonical, factorization, homology
-from twistbench.cli import Check, VerificationReport, build_parser, main
+from twistbench.cli import AUROUX_MAX_BLOCKS, Check, VerificationReport, build_parser, main
 from twistbench.serialize import stable_json
 
 
@@ -317,6 +317,57 @@ class TestAuroux:
             capsys, "auroux", "--b", "2", "--composition", "X,Y", "--replay", str(cert)
         )
         assert code == 0 and "certificate-replays" in out
+
+    def test_replay_list_label_is_usage_error(self, capsys, tmp_path):
+        # a label read from a certificate is checked before it keys a lift
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["composition"] = [["X"], "Y"]
+        cert.write_text(json.dumps(payload))
+        usage_error("auroux", "--b", "2", "--replay", str(cert))
+        assert "unknown block label ['X']" in capsys.readouterr().err
+
+    def test_each_block_is_lifted_once(self, capsys, monkeypatch):
+        from twistbench import monodromy
+
+        calls = []
+        original = monodromy.lift_to_twists
+
+        def counting(block):
+            calls.append(block)
+            return original(block)
+
+        monkeypatch.setattr(monodromy, "lift_to_twists", counting)
+        code, _ = run(capsys, "auroux", "--b", "2", "--composition", "X,Y,X,Y")
+        assert code == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("path", ["emit", "replay"])
+    def test_composition_over_the_cap_is_usage_error(self, capsys, tmp_path, path):
+        over = (["X", "Y"] * AUROUX_MAX_BLOCKS)[: AUROUX_MAX_BLOCKS + 1]
+        if path == "emit":
+            usage_error("auroux", "--b", "2", "--composition", ",".join(over))
+        else:
+            cert = tmp_path / "cert.json"
+            run(capsys, "auroux", "--b", "2", "--out", str(cert))
+            payload = json.loads(cert.read_text())
+            payload["composition"] = over
+            cert.write_text(json.dumps(payload))
+            usage_error("auroux", "--b", "2", "--replay", str(cert))
+        assert (
+            f"composition has {AUROUX_MAX_BLOCKS + 1} blocks, over the cap of {AUROUX_MAX_BLOCKS}"
+            in capsys.readouterr().err
+        )
+
+    def test_composition_at_the_cap_runs(self, capsys, monkeypatch):
+        from twistbench import cli
+
+        monkeypatch.setattr(cli, "AUROUX_MAX_BLOCKS", 4)
+        code, out = run(capsys, "auroux", "--b", "2", "--composition", "X,Y,X,Y")
+        assert code == 0 and "fronts-bare" in out
+        usage_error("auroux", "--b", "2", "--composition", "X,Y,X,Y,X")
+        assert "composition has 5 blocks, over the cap of 4" in capsys.readouterr().err
 
     def test_replay_with_out_is_usage_error(self, capsys, tmp_path):
         # --out names the certificate, so a replay must not overwrite it

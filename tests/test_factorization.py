@@ -25,7 +25,6 @@ from twistbench.factorization import (
     auroux_certificate,
     bare,
     greedy_match_script,
-    hurwitz_move,
     hurwitz_search,
     invert_script,
     letter_matrix,
@@ -35,7 +34,8 @@ from twistbench.factorization import (
 )
 from twistbench.homology import reference_model, twist_word_matrix
 from twistbench.intlin import mat_mul
-from twistbench.monodromy import mu_nu_block, mu_nu_normal_form
+from twistbench.coxeter import psi_factorization
+from twistbench.monodromy import lifted_composition, mu_nu_block, mu_nu_normal_form
 from twistbench.surface import curve
 from twistbench.words import conjugate, free_reduce, invert
 
@@ -159,12 +159,12 @@ class TestLetters:
 class TestMoves:
     def test_right_move_explicit(self):
         F = Factorization((bare("a"), bare("b")))
-        G = hurwitz_move(F, 0, "right")
+        G = apply_script(F, (("right", 0),))
         assert G.letters == (bare("b"), TwistLetter("a", 1, (("b", 1),)))
 
     def test_left_move_explicit(self):
         F = Factorization((bare("a"), bare("b")))
-        G = hurwitz_move(F, 0, "left")
+        G = apply_script(F, (("left", 0),))
         assert G.letters == (TwistLetter("b", 1, (("a", -1),)), bare("a"))
 
     def test_moves_are_mutually_inverse(self):
@@ -175,10 +175,10 @@ class TestMoves:
 
     def test_bad_index_and_direction(self):
         F = Factorization((bare("a"), bare("b")))
-        with pytest.raises(IndexError):
-            hurwitz_move(F, 1, "right")
-        with pytest.raises(ValueError):
-            hurwitz_move(F, 0, "sideways")
+        with pytest.raises(MoveError, match="move index 1 out of range for 2 letters"):
+            apply_script(F, (("right", 1),))
+        with pytest.raises(MoveError, match="unknown move direction 'sideways'"):
+            apply_script(F, (("sideways", 0),))
 
     def test_script_error_reports_step(self):
         F = Factorization((bare("a"), bare("b")))
@@ -192,7 +192,7 @@ class TestMoves:
         before = free_reduce(expanded_word(fact))
         for _ in range(data.draw(st.integers(0, 6))):
             i = data.draw(st.integers(0, len(fact) - 2))
-            fact = hurwitz_move(fact, i, data.draw(st.sampled_from(("right", "left"))))
+            fact = apply_script(fact, ((data.draw(st.sampled_from(("right", "left"))), i),))
         assert free_reduce(expanded_word(fact)) == before
 
     @settings(max_examples=60, deadline=None)
@@ -219,7 +219,7 @@ class TestMoves:
         script = scripts(data, fact, 10)
         totals, moved = [], fact
         for direction, i in script:
-            moved = hurwitz_move(moved, i, direction)
+            moved = slow_move(moved, i, direction)
             totals.append(sum(len(t.conjugator) for t in moved.letters))
         peak = max(totals, default=0)
         cap = factorization.MAX_CONJUGATOR_TOTAL
@@ -248,8 +248,8 @@ class TestProducts:
                 for _ in range(6)))
             before = product_matrix(model, fact).matrix
             for _ in range(rng.randint(1, 30)):
-                fact = hurwitz_move(fact, rng.randrange(len(fact) - 1),
-                                    rng.choice(("right", "left")))
+                fact = apply_script(fact, ((rng.choice(("right", "left")),
+                                            rng.randrange(len(fact) - 1)),))
             assert product_matrix(model, fact).matrix == before
 
     def test_product_matches_full_reduction(self, model):
@@ -351,8 +351,8 @@ class TestFrontOperations:
             TwistLetter(a2, 1, ((a1, 1),)), TwistLetter(a2, 1, ((a1, 1),)),
             TwistLetter(a3, 1, ((a2, 1), (a1, 1))),
         ))
-        moved, script = strip_to_front(planted, 4)
-        assert moved.letters[0] == bare(a3)
+        front, script = strip_to_front(planted, 4)
+        assert front == apply_script(planted, script).letters[0] == bare(a3)
         # [DERIVED] hand-run of the greedy: strip, slide, strip, slide
         assert script == (("left", 3), ("right", 2), ("left", 1), ("right", 0))
 
@@ -367,9 +367,10 @@ class TestFrontOperations:
             op = ("left" if len(stripped) < len(target.conjugator) else "right", i - 1)
             slow = slow_move(slow, i - 1, op[0])
             slow_script.append(op)
-        moved, script = strip_to_front(fact, index)
+        front, script = strip_to_front(fact, index)
         assert script == tuple(slow_script)
-        assert moved.letters == slow.letters
+        assert front == slow.letters[0]
+        assert apply_script(fact, script).letters == slow.letters
 
 
 class TestCertificates:
@@ -423,6 +424,22 @@ class TestCertificates:
             replay_certificate(fact, grown)
         assert 0 < err.value.step < 60
         assert 1000 < err.value.total
+
+    def test_certificate_moves_no_pair(self, monkeypatch):
+        # strip_to_front follows the one letter it moves: each script step
+        # joins one conjugator and builds no swapped pair
+        calls = []
+        original = factorization._swap
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorization, "_swap", counting)
+        cores = list(dict.fromkeys(c for c, _ in psi_factorization(2)))
+        cert = auroux_certificate(lifted_composition(2), cores)
+        assert sum(len(step.script) for step in cert.steps) > 0
+        assert calls == []
 
     def test_replay_rejects_wrong_base(self, model):
         fact, cores = self.planted(model)
@@ -486,8 +503,8 @@ class TestMoveCongruence:
     def assert_moves_agree(pair, twin, key):
         assert [key(t) for t in pair] == [key(t) for t in twin]
         for direction in ("right", "left"):
-            moved = hurwitz_move(Factorization(pair), 0, direction).letters
-            moved_twin = hurwitz_move(Factorization(twin), 0, direction).letters
+            moved = apply_script(Factorization(pair), ((direction, 0),)).letters
+            moved_twin = apply_script(Factorization(twin), ((direction, 0),)).letters
             assert [key(t) for t in moved] == [key(t) for t in moved_twin]
 
     @staticmethod
@@ -547,7 +564,7 @@ class TestMoveCongruence:
 def _reference_neighbours(fact: Factorization):
     for i in range(len(fact) - 1):
         for direction in ("right", "left"):
-            yield (direction, i), hurwitz_move(fact, i, direction)
+            yield (direction, i), slow_move(fact, i, direction)
 
 
 def _reference_hurwitz_search(
@@ -722,13 +739,13 @@ class TestGreedyOracle:
     def test_one_move_per_script_step(self, model, monkeypatch):
         # [DERIVED] the trial-per-candidate normalizer made 72 moves at b=2
         calls = []
-        original = factorization._move
+        original = factorization._swap
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(factorization, "_move", counting)
+        monkeypatch.setattr(factorization, "_swap", counting)
         key = lambda t: letter_matrix(model, t)
         script = greedy_match_script(mu_nu_block(2), mu_nu_normal_form(2), key)
         assert len(calls) == len(script) == 24
