@@ -608,32 +608,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render(args, argv, result) -> int:
+    """Write the result of ``args.run`` (the text of an export, its checks,
+    or ``(checks, payload, extra table lines)``) and return the exit
+    code."""
+    out = getattr(args, "out", None)
+    if isinstance(result, str):
+        _emit(result, out)
+        return 0
+    checks, payload, extra = result if isinstance(result, tuple) else (result, None, "")
+    # the table never prints the environment, so only JSON builds it
+    environment = _environment() if args.format == "json" else None
+    report = VerificationReport((args.command, *argv[1:]), tuple(checks), environment)
+    if args.format == "json":
+        data = report.to_dict()
+        if payload is not None:
+            data["payload"] = payload
+        _emit(stable_json(data), out)
+    else:
+        _emit(report.to_table() + extra, out)
+    return report.exit_code
+
+
 def main(argv=None) -> int:
-    """Run one command; return its exit code.  A command returns the text
-    of an export (exit 0), its checks, or ``(checks, payload, extra table
-    lines)``; a ``ValueError`` from the command is a usage error, as is
-    an argument that its parser type rejects."""
+    """Run one command; return its exit code.  A ``ValueError`` from the
+    command is a usage error, as is an argument that its parser type
+    rejects.  A run that exhausts memory reached no verdict: it reports
+    one inconclusive ``memory`` check (exit 3), not a traceback."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = getattr(args, "out", None)
     try:
-        result = args.run(args)
-        if isinstance(result, str):
-            _emit(result, out)
-            return 0
-        checks, payload, extra = result if isinstance(result, tuple) else (result, None, "")
-        # the table never prints the environment, so only JSON builds it
-        environment = _environment() if args.format == "json" else None
-        report = VerificationReport((args.command, *argv[1:]), tuple(checks), environment)
-        if args.format == "json":
-            data = report.to_dict()
-            if payload is not None:
-                data["payload"] = payload
-            _emit(stable_json(data), out)
-        else:
-            _emit(report.to_table() + extra, out)
-        return report.exit_code
+        try:
+            return _render(args, argv, args.run(args))
+        except MemoryError:
+            # the frames that held the command's objects are gone, so
+            # the report has their memory to be built in
+            cause = Check("memory", "inconclusive", "ran out of memory (MemoryError); no verdict")
+            return _render(args, argv, [cause])
     except ValueError as err:
         parser.error(str(err))
 

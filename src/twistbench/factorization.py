@@ -24,6 +24,7 @@ never load it or ``intlin``, and a cached letter matrix pays no import.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import eq, itemgetter
 
 from . import words
 from .words import Word
@@ -122,6 +123,9 @@ class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
         return words.join_conjugate((), (self.core, self.sign), self.conjugator)
 
 
+#: the core of a letter, read in C
+_core = itemgetter(0)
+
 
 def bare(core, sign: int = 1) -> TwistLetter:
     return TwistLetter(core, sign)
@@ -145,7 +149,7 @@ class Factorization(namedtuple("Factorization", ("letters",))):
         return self.letters[i]
 
     def cores(self) -> tuple:
-        return tuple(t.core for t in self.letters)
+        return tuple(map(_core, self.letters))
 
 
 def _swap(a: TwistLetter, b: TwistLetter, direction: str) -> tuple[tuple, int]:
@@ -288,8 +292,15 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
 def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> list:
     """Re-run every step's script on the original factorization and check
     the recorded front letter is reproduced.  Raises MoveError with the
-    first failing step; returns the recomputed front letters."""
-    if fact.cores() != certificate.base_cores:
+    first failing step; returns the recomputed front letters.
+
+    The base check reads each letter's core in place against
+    ``base_cores``, so an emit that replays its own certificate builds
+    the tuple of cores once, in ``auroux_certificate``."""
+    base = certificate.base_cores
+    if len(base) != len(fact.letters) or not all(
+        map(eq, map(_core, fact.letters), base)
+    ):
         raise MoveError(0, "certificate was issued for a different factorization")
     fronts = []
     for k, step in enumerate(certificate.steps):

@@ -33,7 +33,6 @@ from functools import cached_property
 from .intlin import (
     IntMatrix,
     IntVector,
-    freeze,
     identity,
     is_antisymmetric,
     is_unimodular,
@@ -290,25 +289,37 @@ def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
     T_a T_b(a) = -b, T_b T_a(b) = a for <a, b> = +1.
 
     Each letter is a rank-one update of the running product,
-    ``M T_c^s = M - s (M v)(J v)^T``, applied row by row in place and
-    touching only the nonzero entries of ``v`` and ``J v``; the sparse data
-    of each ``(c, s)`` is built once per model."""
+    ``M T_c^s = M - s (M v)(J v)^T``, applied in place to the nonzero
+    entries of ``v`` and ``J v``; the sparse data of each ``(c, s)`` is
+    built once per model.  Only the rows that differ from the identity
+    are kept, keyed by row index: a row ``e_i`` meets ``v`` in ``v[i]``,
+    so a letter first adds the unit rows at its support and then updates
+    the touched rows alone.  The other rows are the identity's own."""
     letters = tuple((c, s) for c, s in word)
-    rows = [list(row) for row in identity(model.rank)]
+    n = model.rank
+    touched: dict[int, list[int]] = {}
     cache = model.transvections
     for letter in letters:
         data = cache.get(letter)
         if data is None:
             data = cache[letter] = _transvection(model, *letter)
         support, update = data
-        for row in rows:
+        if len(touched) < n:
+            for j, _ in support:
+                if j not in touched:
+                    row = touched[j] = [0] * n
+                    row[j] = 1
+        for row in touched.values():
             t = 0
             for j, x in support:
                 t += row[j] * x
             if t:
                 for k, y in update:
                     row[k] -= t * y
-    return MappingClassMatrix(freeze(rows), model.fingerprint, letters)
+    rows = list(identity(n))
+    for i, row in touched.items():
+        rows[i] = tuple(row)
+    return MappingClassMatrix(tuple(rows), model.fingerprint, letters)
 
 
 def psi_reference(model: HomologyModel) -> MappingClassMatrix:

@@ -34,8 +34,9 @@ __all__ = [
 
 
 def freeze(rows) -> IntMatrix:
-    """Copy any nested iterable of ints into the canonical immutable form."""
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Copy any nested iterable of ints into the canonical immutable form;
+    every entry becomes a plain ``int`` (bools and int subclasses too)."""
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def dims(matrix: IntMatrix) -> tuple[int, int]:
@@ -47,7 +48,9 @@ def dims(matrix: IntMatrix) -> tuple[int, int]:
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    """The n x n identity, each row a slice of one shared zero tuple."""
+    zeros = (0,) * n
+    return tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n))
 
 
 def transpose(matrix: IntMatrix) -> IntMatrix:
@@ -108,9 +111,9 @@ class SmithDecomposition(
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     nrows, ncols = dims(matrix)
     d = [list(row) for row in matrix]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    ui = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    u = [list(row) for row in identity(nrows)]
+    ui = [list(row) for row in identity(nrows)]
+    v = [list(row) for row in identity(ncols)]
 
     # Every elementary operation is applied simultaneously to the working
     # matrix and its transform; row operations also update ``U``'s inverse

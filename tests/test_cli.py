@@ -282,6 +282,34 @@ class TestAuroux:
         assert "over the cap of 50" in replay["details"]
         assert not cert.exists()
 
+    @pytest.mark.parametrize("extra", [(), ("--out", "cert.json")], ids=["report", "out"])
+    def test_emit_builds_the_cores_once(self, capsys, tmp_path, monkeypatch, extra):
+        # the certificate's base_cores are the one tuple of cores; its
+        # replay reads each letter's core in place
+        calls = []
+        original = factorization.Factorization.cores
+
+        def counting(fact):
+            calls.append(len(fact))
+            return original(fact)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(factorization.Factorization, "cores", counting)
+        code, _ = run(capsys, "auroux", "--b", "2", *extra)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_replay_builds_no_cores(self, capsys, tmp_path, monkeypatch):
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        calls = []
+        monkeypatch.setattr(
+            factorization.Factorization, "cores", lambda fact: calls.append(fact)
+        )
+        code, _ = run(capsys, "auroux", "--b", "2", "--replay", str(cert))
+        assert code == 0
+        assert calls == []
+
     def test_step_sign_boolean_is_usage_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         run(capsys, "auroux", "--b", "2", "--out", str(cert))
@@ -955,6 +983,77 @@ class TestHurwitzReplay:
         script += tuple(("right", i) for i in range(201, -1, -1))
         check = self.replay_under_one_gib(tmp_path, fact, script)
         assert check["details"].startswith("script step 22:")
+
+
+class TestMemoryBackstop:
+    """A command that exhausts memory reports one inconclusive ``memory``
+    check (exit 3), not a traceback.  The commands are stubbed to raise
+    ``MemoryError``; no test allocates until memory runs out."""
+
+    COMMANDS = [
+        ("cmd_verify_psi", ("verify-psi", "--b", "2")),
+        ("cmd_auroux", ("auroux", "--b", "2")),
+        ("cmd_export", ("export", "config", "--b", "2")),
+        ("cmd_monodromy", ("monodromy", "emit", "--b", "2")),
+        ("cmd_invariants", ("invariants", "--a", "14", "--b", "8", "--c", "6")),
+        ("cmd_braid", ("braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[1]")),
+        ("cmd_hurwitz", ("hurwitz", "replay", "--file", "replay.json")),
+    ]
+
+    @staticmethod
+    def exhausted(args):
+        raise MemoryError
+
+    @pytest.mark.parametrize("name, argv", COMMANDS, ids=[a[0] for _, a in COMMANDS])
+    def test_every_command_reports_inconclusive(self, capsys, monkeypatch, name, argv):
+        from twistbench import cli
+
+        monkeypatch.setattr(cli, name, self.exhausted)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert "ran out of memory (MemoryError)" in captured.out
+
+    def test_table_report(self, capsys, monkeypatch):
+        from twistbench import cli
+
+        monkeypatch.setattr(cli, "cmd_braid", self.exhausted)
+        code, out = run(capsys, "braid", "eq", "--n", "3", "--lhs", "[1]", "--rhs", "[1]")
+        assert code == 3
+        assert out == (
+            "command: braid eq --n 3 --lhs [1] --rhs [1]\n"
+            "memory  INCONCLUSIVE  ran out of memory (MemoryError); no verdict\n"
+            "exit code: 3\n"
+        )
+
+    def test_json_report_names_the_cause(self, capsys, monkeypatch):
+        from twistbench import cli
+
+        monkeypatch.setattr(cli, "cmd_verify_psi", self.exhausted)
+        code, out = run(capsys, "verify-psi", "--b", "2", "--format", "json")
+        report = json.loads(out)
+        assert code == report["exit_code"] == 3
+        [check] = report["checks"]
+        assert (check["name"], check["status"]) == ("memory", "inconclusive")
+        assert "MemoryError" in check["details"]
+
+    def test_error_inside_a_layer(self, capsys, monkeypatch):
+        # raised below the command, where a real allocation would fail
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(canonical, "probe_signs", exhausted)
+        code, out = run(capsys, "verify-psi", "--b", "3", "--sign-mode", "explicit:1,1,1,1")
+        assert code == 3 and "MemoryError" in out
+
+    def test_report_to_an_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        from twistbench import cli
+
+        monkeypatch.setattr(cli, "cmd_verify_psi", self.exhausted)
+        target = tmp_path / "absent" / "out.json"
+        usage_error("verify-psi", "--b", "2", "--out", str(target))
+        assert f"cannot write {target}" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -303,6 +303,33 @@ class TestTwistKernel:
             (c, s) for c in model.curve_order for s in (1, -1)
         }
 
+    @settings(max_examples=30, deadline=None)
+    @given(models_and_words())
+    def test_entries_are_plain_ints(self, model_and_word):
+        model, word = model_and_word
+        product = twist_word_matrix(model, word).matrix
+        assert all(type(x) is int for row in product for x in row)
+
+    @settings(max_examples=30, deadline=None)
+    @given(models_and_words())
+    def test_untouched_rows_are_identity_rows(self, model_and_word):
+        # a row e_i meets a class v in v[i], so a row outside the support
+        # of every letter's class stays e_i
+        model, word = model_and_word
+        product = twist_word_matrix(model, word).matrix
+        support = {i for c, _ in word for i, x in enumerate(model.curve_class(c)) if x}
+        eye = identity(model.rank)
+        for i in set(range(model.rank)) - support:
+            assert product[i] == eye[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_short_words_match_dense_product_at_larger_b(self, data):
+        model = cached_model(data.draw(st.integers(5, 8)))
+        letter = st.tuples(st.sampled_from(model.curve_order), st.sampled_from((1, -1)))
+        word = tuple(data.draw(st.lists(letter, max_size=4)))
+        assert twist_word_matrix(model, word).matrix == dense_word_matrix(model, word)
+
     @pytest.mark.parametrize("b", range(2, 9))
     def test_gluing_word_equals_reference(self, b):
         model = cached_model(b)

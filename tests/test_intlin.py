@@ -107,6 +107,24 @@ def test_mat_vec_matches_dense_and_sympy(product):
     assert ours == tuple(int(x) for x in theirs)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_identity_matches_the_generator_form(n):
+    # the per-entry generator that built the identity before its rows
+    # were slices of one zero tuple
+    assert identity(n) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def test_freeze_coerces_to_plain_int():
+    class Big(int):
+        pass
+
+    assert freeze(((True, False),)) == ((1, 0),)
+    frozen = freeze(((True, False), (Big(3), -2)))
+    assert frozen == ((1, 0), (3, -2))
+    assert all(type(x) is int for row in frozen for x in row)
+    assert freeze([]) == () and freeze([[]]) == ((),)
+
+
 def test_mat_vec_edge_shapes():
     # [TRIVIAL]
     assert mat_vec((), (1, 2, 3)) == ()
