@@ -40,6 +40,10 @@ __all__ = [
     "MoveError",
     "ConjugatorCapError",
     "MAX_CONJUGATOR_TOTAL",
+    "MissingCoreError",
+    "MoveBudgetError",
+    "MOVE_COST",
+    "MAX_CERTIFICATE_COST",
     "TwistLetter",
     "Factorization",
     "bare",
@@ -90,6 +94,53 @@ class ConjugatorCapError(MoveError):
         super().__init__(
             step, f"conjugators total {total} letters, over the cap of {MAX_CONJUGATOR_TOTAL}"
         )
+
+
+#: What one move of a certificate script costs, counted in conjugator
+#: letters, on top of the conjugator of the letter it passes: a least-squares
+#: fit to ``auroux --out`` over ``Y`` blocks then ``X``, at b from 2 to 40,
+#: gave about 9.7 us a move and 90 ns a conjugator letter on a 2-core
+#: x86-64 machine.
+MOVE_COST = 100
+
+#: Most cost that the scripts of one ``auroux`` certificate may have in
+#: all, known before the first move: each move costs ``MOVE_COST`` plus the
+#: conjugator length of the letter of the original factorization at its
+#: index, which is the letter a move of ``strip_to_front`` passes.  The
+#: conjugators grow with b, so this bounds the time at every b where a flat
+#: move count would not.  Set by the rule of the caps in ``cli`` on
+#: compositions whose first ``X`` block comes late, where every move is
+#: paid: the cost of ``auroux --b 40 --out`` over six ``Yh`` blocks then
+#: ``X`` (351,234 moves).  Timings are in ``CHANGES.md``.
+MAX_CERTIFICATE_COST = 61_205_092
+
+
+class MissingCoreError(ValueError):
+    """Target cores with no positive letter in the factorization; carries
+    them."""
+
+    def __init__(self, cores: list):
+        self.cores = cores
+        super().__init__(f"no positive letter with core {', '.join(map(str, cores))}")
+
+
+class MoveBudgetError(ValueError):
+    """Certificate scripts that cost more than ``MAX_CERTIFICATE_COST``
+    in all, refused before the first move; carries the move count and the
+    cost."""
+
+    def __init__(self, moves: int, cost: int):
+        self.moves = moves
+        self.cost = cost
+        super().__init__(
+            f"certificate scripts make {moves} moves at a cost of {cost}, "
+            f"over the budget of {MAX_CERTIFICATE_COST}"
+        )
+
+
+def _move_costs(letters) -> list:
+    """What a move passing each letter costs."""
+    return [MOVE_COST + len(t.conjugator) for t in letters]
 
 
 class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
@@ -251,13 +302,15 @@ class AurouxStep(
 
 
 class AurouxCertificate(namedtuple("AurouxCertificate", ("base_cores", "steps"))):
-    """The cores of the certified factorization and one step per target
-    core."""
+    """The cores of the prefix of the factorization that the steps touch,
+    and one step per target core."""
 
     __slots__ = ()
 
     @property
     def all_bare(self) -> bool:
+        # kept only for perfbench/cli_standin.py: `auroux` checks the
+        # replayed fronts, not the recorded stripped_bare
         return all(s.stripped_bare for s in self.steps)
 
 
@@ -267,47 +320,65 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
     it to the front, stripping its conjugator along the way.
 
     Each step starts again from the original factorization; the
-    certificate witnesses one core at a time.
+    certificate witnesses one core at a time, and ``base_cores`` holds the
+    cores of the prefix its scripts touch, up to the largest source index.
+    Raises ``MissingCoreError`` naming every target core with no positive
+    letter, then ``MoveBudgetError`` if the scripts would cost more than
+    ``MAX_CERTIFICATE_COST``, both before the first move.
     """
-    # each core's positive letter of least (conjugator length, index)
+    # each core's positive letter of least (conjugator length, index); the
+    # copies of a repeated block share letter objects, so each is read once
+    letters = fact.letters
     shortest: dict = {}
-    for i, t in enumerate(fact.letters):
+    for i in dict(zip(map(id, reversed(letters)), range(len(letters) - 1, -1, -1))).values():
+        t = letters[i]
         if t.sign == +1:
             key = (len(t.conjugator), i)
             if key < shortest.setdefault(t.core, key):
                 shortest[t.core] = key
-    steps = []
-    for core in targets:
-        if core not in shortest:
-            raise ValueError(f"no positive letter with core {core!r}")
-        index = shortest[core][1]
-        front, script = strip_to_front(fact, index)
-        steps.append(AurouxStep(
-            core=core, sign=+1, source_index=index, script=script, front_letter=front,
-            stripped_bare=front.is_bare and front.core == core and front.sign == +1,
-        ))
-    return AurouxCertificate(base_cores=fact.cores(), steps=tuple(steps))
+    missing = [core for core in targets if core not in shortest]
+    if missing:
+        raise MissingCoreError(missing)
+    indices = [shortest[core][1] for core in targets]
+    # the step from index i makes i moves, passing letters 0..i-1
+    costs = _move_costs(letters[: max(indices, default=0)])
+    cost = sum(sum(costs[:i]) for i in indices)
+    if cost > MAX_CERTIFICATE_COST:
+        raise MoveBudgetError(sum(indices), cost)
+    moved = [strip_to_front(fact, index) for index in indices]
+    steps = tuple(
+        AurouxStep(core=core, sign=+1, source_index=index, script=script,
+                   front_letter=front, stripped_bare=front == bare(core))
+        for core, index, (front, script) in zip(targets, indices, moved)
+    )
+    prefix = Factorization(letters[: max(indices, default=-1) + 1])
+    return AurouxCertificate(base_cores=prefix.cores(), steps=steps)
 
 
 def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> list:
-    """Re-run every step's script on the original factorization and check
-    the recorded front letter is reproduced.  Raises MoveError with the
-    first failing step; returns the recomputed front letters.
-
-    The base check reads each letter's core in place against
-    ``base_cores``, so an emit that replays its own certificate builds
-    the tuple of cores once, in ``auroux_certificate``."""
+    """Re-run every step's script on the prefix of the factorization that
+    ``base_cores`` covers, comparing its cores in place, and check the
+    recorded front letter is reproduced; a certificate whose
+    ``base_cores`` span the whole factorization is its own prefix.  Raises
+    ``MoveBudgetError`` before the first move if the scripts cost more
+    than ``MAX_CERTIFICATE_COST``, and MoveError with the first failing
+    step; returns the recomputed front letters."""
     base = certificate.base_cores
-    if len(base) != len(fact.letters) or not all(
-        map(eq, map(_core, fact.letters), base)
-    ):
+    prefix = Factorization(fact.letters[: len(base)])
+    if len(prefix) != len(base) or not all(map(eq, map(_core, prefix.letters), base)):
         raise MoveError(0, "certificate was issued for a different factorization")
+    # a move out of range costs the least; apply_script refuses it
+    costs = _move_costs(prefix.letters)
+    moved = [i for step in certificate.steps for _, i in step.script]
+    cost = sum(costs[i] if 0 <= i < len(costs) else MOVE_COST for i in moved)
+    if cost > MAX_CERTIFICATE_COST:
+        raise MoveBudgetError(len(moved), cost)
     fronts = []
     for k, step in enumerate(certificate.steps):
-        front = apply_script(fact, step.script).letters[0]
-        if front != step.front_letter:
+        front = apply_script(prefix, step.script).letters[:1]
+        if front != (step.front_letter,):
             raise MoveError(k, f"replayed front letter differs for core {step.core!r}")
-        fronts.append(front)
+        fronts.append(front[0])
     return fronts
 
 

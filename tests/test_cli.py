@@ -3,6 +3,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -237,11 +238,12 @@ class TestAuroux:
 
     def test_certificate_b8_pinned(self, capsys, tmp_path):
         # [DERIVED] sha256 of the certificate file: its cores and steps stay
-        # byte-stable
+        # byte-stable; base_cores holds the cores of the prefix the scripts
+        # touch
         cert = tmp_path / "cert.json"
         code, _ = run(capsys, "auroux", "--b", "8", "--out", str(cert))
         assert code == 0
-        digest = "9e59e4952fc5f8d8e15f16ab376020716a275479d8e88dd141784ad8853933a9"
+        digest = "dc42a853d3b637b9993d8cd82ca06f5dcf92f4095c32122e06b10de8a0685db2"
         assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest
 
     def test_tampered_replay_names_step(self, capsys, tmp_path):
@@ -280,6 +282,85 @@ class TestAuroux:
         assert (coverage["name"], coverage["status"]) == ("core-coverage", "pass")
         assert (replay["name"], replay["status"]) == ("certificate-replays", "inconclusive")
         assert "over the cap of 50" in replay["details"]
+        assert not cert.exists()
+
+    def test_emit_and_replay_end_with_the_same_checks(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        checks = []
+        for flag in ("--out", "--replay"):
+            code, out = run(capsys, "auroux", "--b", "2", flag, str(cert), "--format", "json")
+            assert code == 0
+            checks.append(
+                [(c["name"], c["status"], c["details"]) for c in json.loads(out)["checks"]]
+            )
+        emit, replay = checks
+        assert emit == replay == [
+            ("core-coverage", "pass", "all 13 reference cores appear"),
+            ("certificate-replays", "pass", "13 steps reproduced"),
+            ("fronts-bare", "pass", "every moved letter arrives unconjugated and positive"),
+        ]
+
+    @pytest.mark.parametrize("tamper, failing", [
+        (lambda steps: [], "core-coverage"),
+        (lambda steps: steps[:1] * 13, "core-coverage"),
+        # step 1 keeps its core but replays step 0's script and front
+        (lambda steps: [steps[0], dict(steps[0], core=steps[1]["core"])] + steps[2:], "fronts-bare"),
+    ], ids=["no-steps", "first-step-13-times", "core-not-the-front"])
+    def test_replay_checks_what_the_certificate_claims(self, capsys, tmp_path, tamper, failing):
+        # each of these certificates still replays step by step
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["steps"] = tamper(payload["steps"])
+        cert.write_text(json.dumps(payload))
+        code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert), "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert checks["certificate-replays"] == "pass"
+        assert [name for name, status in checks.items() if status == "fail"] == [failing]
+
+    def test_emit_over_the_cost_budget_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(factorization, "MAX_CERTIFICATE_COST", 10)
+        cert = tmp_path / "cert.json"
+        code, out = run(capsys, "auroux", "--b", "2", "--out", str(cert), "--format", "json")
+        assert code == 3
+        coverage, replay = json.loads(out)["checks"]
+        assert (coverage["name"], coverage["status"]) == ("core-coverage", "pass")
+        assert (replay["name"], replay["status"]) == ("certificate-replays", "inconclusive")
+        assert re.fullmatch(
+            r"certificate scripts make \d+ moves at a cost of \d+, over the budget of 10",
+            replay["details"],
+        )
+        assert not cert.exists()
+
+    def test_replay_over_the_cost_budget_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        monkeypatch.setattr(factorization, "MAX_CERTIFICATE_COST", 10)
+        code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert), "--format", "json")
+        assert code == 3
+        [check] = json.loads(out)["checks"]
+        assert check["status"] == "inconclusive"
+        assert "over the budget of 10" in check["details"]
+
+    def test_long_composition_passes(self, capsys):
+        # the scripts touch only the first X,Y pair, and the replay and the
+        # conjugator cap see only that prefix
+        code, out = run(capsys, "auroux", "--b", "20", "--composition", ",".join(["X", "Y"] * 50))
+        assert code == 0 and "fronts-bare" in out
+
+    def test_late_block_is_over_the_cost_budget(self, capsys, tmp_path):
+        # every alpha and gamma core lies in the last block: the cost of the
+        # moves is known before the first move and refused at once
+        cert = tmp_path / "cert.json"
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "auroux", "--b", "40", "--composition", ",".join(["Y"] * 100 + ["X"]),
+            "--out", str(cert),
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert f"over the budget of {factorization.MAX_CERTIFICATE_COST}" in out
         assert not cert.exists()
 
     @pytest.mark.parametrize("extra", [(), ("--out", "cert.json")], ids=["report", "out"])

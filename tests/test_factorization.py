@@ -8,7 +8,9 @@ slow path that free-reduces the whole concatenation, and the conjugator
 lengths and digest of one growth script are pinned from that slow path.
 """
 import hashlib
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from twistbench.factorization import (
     AurouxCertificate,
     ConjugatorCapError,
     Factorization,
+    MissingCoreError,
+    MoveBudgetError,
     MoveError,
     TwistLetter,
     apply_script,
@@ -452,6 +456,109 @@ class TestCertificates:
         fact, _ = self.planted(model)
         with pytest.raises(ValueError):
             auroux_certificate(fact, (curves_of(model)[7],))
+
+    def test_every_missing_core_is_named(self, model):
+        fact, _ = self.planted(model)
+        a1, c7, c8 = (curves_of(model)[i] for i in (0, 7, 8))
+        with pytest.raises(MissingCoreError, match=re.escape(f"no positive letter with core {c7}, {c8}")) as err:
+            auroux_certificate(fact, (c7, a1, c8))
+        assert err.value.cores == [c7, c8]
+
+    @staticmethod
+    def lift_certificate(b, composition):
+        cores = list(dict.fromkeys(c for c, _ in psi_factorization(b)))
+        fact = lifted_composition(b, composition)
+        return fact, auroux_certificate(fact, cores)
+
+    @pytest.mark.parametrize(
+        "composition", [("X", "Y"), ("Y", "X", "Y", "Xh", "X"), ("Yh", "Xh", "Y", "X")]
+    )
+    def test_base_cores_are_the_touched_prefix(self, composition):
+        fact, cert = self.lift_certificate(3, composition)
+        size = max(step.source_index for step in cert.steps) + 1
+        assert size < len(fact)
+        assert cert.base_cores == fact.cores()[:size]
+
+    def test_prefix_replay_equals_whole_lift_replay(self):
+        fact, cert = self.lift_certificate(3, ("X", "Y", "X"))
+        whole = [apply_script(fact, step.script).letters[0] for step in cert.steps]
+        assert replay_certificate(fact, cert) == whole
+
+    def test_whole_lift_certificate_still_replays(self):
+        # the format whose base_cores hold every core of the lift: the
+        # lift is its own prefix
+        fact, cert = self.lift_certificate(3, ("X", "Y", "X"))
+        whole = cert._replace(base_cores=fact.cores())
+        assert replay_certificate(fact, whole) == replay_certificate(fact, cert)
+
+    @pytest.mark.parametrize("past", [0, 10**6, -4], ids=["last-letter", "far", "negative"])
+    def test_move_past_the_prefix_names_its_step(self, model, past):
+        fact, cores = self.planted(model)
+        cert = auroux_certificate(fact, cores[:2])
+        size = len(cert.base_cores)
+        assert size == 3 < len(fact)
+        step = cert.steps[1]
+        index = size - 1 + past
+        reaching = cert._replace(
+            steps=(step._replace(script=step.script + (("right", index),)),)
+        )
+        if not past:
+            # the move is valid on the whole factorization, not on the prefix
+            apply_script(fact, reaching.steps[0].script)
+        with pytest.raises(MoveError) as err:
+            replay_certificate(fact, reaching)
+        assert err.value.step == len(step.script)
+        assert f"move index {index} out of range for {size} letters" in str(err.value)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_repeated_blocks_leave_the_steps(self, b):
+        # later copies of a block hold the same letters at higher indices,
+        # so they never win the least (conjugator length, index)
+        cores = list(dict.fromkeys(c for c, _ in psi_factorization(b)))
+        checked = 0
+        for n in (1, 2, 3):
+            for composition in itertools.product(("X", "Y", "Xh", "Yh"), repeat=n):
+                try:
+                    steps = auroux_certificate(lifted_composition(b, composition), cores).steps
+                except ValueError:
+                    continue
+                for extra in (composition, composition[:1], composition[-1:] * 2):
+                    longer = lifted_composition(b, composition + extra)
+                    assert auroux_certificate(longer, cores).steps == steps
+                checked += 1
+        assert checked > 30
+
+    def test_cost_budget_is_checked_before_the_first_move(self, model, monkeypatch):
+        fact, cores = self.planted(model)
+        cert = auroux_certificate(fact, cores)
+        moves = sum(step.source_index for step in cert.steps)
+        assert moves == sum(len(step.script) for step in cert.steps) > 0
+        # each move costs MOVE_COST plus the conjugator of the original
+        # letter at its index, the letter it passes
+        cost = sum(
+            factorization.MOVE_COST + len(fact[i].conjugator)
+            for step in cert.steps for _, i in step.script
+        )
+        assert cost > factorization.MOVE_COST * moves
+
+        def forbidden(*args):
+            pytest.fail("a move was made over the budget")
+
+        monkeypatch.setattr(factorization, "MAX_CERTIFICATE_COST", cost - 1)
+        monkeypatch.setattr(factorization, "strip_to_front", forbidden)
+        monkeypatch.setattr(factorization, "apply_script", forbidden)
+        for make in (lambda: auroux_certificate(fact, cores), lambda: replay_certificate(fact, cert)):
+            with pytest.raises(MoveBudgetError) as err:
+                make()
+            assert (err.value.moves, err.value.cost) == (moves, cost)
+            assert str(err.value) == (
+                f"certificate scripts make {moves} moves at a cost of {cost}, "
+                f"over the budget of {cost - 1}"
+            )
+        monkeypatch.undo()
+        monkeypatch.setattr(factorization, "MAX_CERTIFICATE_COST", cost)
+        assert auroux_certificate(fact, cores) == cert
+        assert len(replay_certificate(fact, cert)) == len(cores)
 
 
 class TestSearch:

@@ -90,7 +90,7 @@ PINNED_REPRS = {
     "AurouxStep": (lambda: auroux_certificate(small_factorization(), (A1,)).steps[0], STEP),
     "AurouxCertificate": (
         lambda: auroux_certificate(small_factorization(), (A1,)),
-        f"AurouxCertificate(base_cores=({ID1}, {ID2}, {ID1}), steps=({STEP},))",
+        f"AurouxCertificate(base_cores=({ID1},), steps=({STEP},))",
     ),
     "MappingClassMatrix": (
         lambda: MappingClassMatrix(((1, 0), (0, 1)), "f00d", ((A1, 1),)),
