@@ -65,10 +65,12 @@ MoveOp = tuple  # ("right"|"left", index)
 
 
 class MoveError(ValueError):
-    """A move script step that cannot be applied; carries the step index."""
+    """A move script step that cannot be applied; carries the step index
+    and the message without it."""
 
     def __init__(self, step: int, message: str):
         self.step = step
+        self.detail = message
         super().__init__(f"script step {step}: {message}")
 
 
@@ -99,9 +101,11 @@ class ConjugatorCapError(MoveError):
 #: What one move of a certificate script costs, counted in conjugator
 #: letters, on top of the conjugator of the letter it passes: a least-squares
 #: fit to ``auroux --out`` over ``Y`` blocks then ``X``, at b from 2 to 40,
-#: gave about 9.7 us a move and 90 ns a conjugator letter on a 2-core
-#: x86-64 machine.
-MOVE_COST = 100
+#: gave about 10.7 us a move and 31 ns a conjugator letter on a 2-core
+#: x86-64 machine (``--replay`` alone: 8.9 us and 16 ns).  ``strip_to_front``
+#: measures a move before it builds it, so the letters are cheap and the
+#: moves dominate.
+MOVE_COST = 340
 
 #: Most cost that the scripts of one ``auroux`` certificate may have in
 #: all, known before the first move: each move costs ``MOVE_COST`` plus the
@@ -110,9 +114,9 @@ MOVE_COST = 100
 #: conjugators grow with b, so this bounds the time at every b where a flat
 #: move count would not.  Set by the rule of the caps in ``cli`` on
 #: compositions whose first ``X`` block comes late, where every move is
-#: paid: the cost of ``auroux --b 40 --out`` over six ``Yh`` blocks then
-#: ``X`` (351,234 moves).  Timings are in ``CHANGES.md``.
-MAX_CERTIFICATE_COST = 61_205_092
+#: paid: the cost of ``auroux --b 40 --out`` over five ``Y`` blocks then
+#: ``X`` (362,610 moves).  Timings are in ``CHANGES.md``.
+MAX_CERTIFICATE_COST = 160_305_220
 
 
 class MissingCoreError(ValueError):
@@ -274,16 +278,22 @@ def strip_to_front(fact: Factorization, index: int) -> tuple[TwistLetter, tuple]
     whenever it strictly shortens the letter's conjugator and a right move
     otherwise.  Returns the front letter and the script.  The move at
     ``i`` meets ``fact[i]`` untouched and a right move keeps the moving
-    letter, so only the moving letter is followed."""
+    letter, so only the moving letter is followed, and its new conjugator
+    is built only for a left move."""
     if not 0 <= index < len(fact):
         raise IndexError(f"letter index {index} out of range")
     letter = fact.letters[index]
     script: list = []
     for i in range(index - 1, -1, -1):
         a = fact.letters[i]
-        conjugator = words.join_conjugate(letter.conjugator, (a.core, -a.sign), a.conjugator)
-        left = len(conjugator) < len(letter.conjugator)
+        inverse = (a.core, -a.sign)
+        # measure the left move's conjugator, and build it only to take it
+        left = (
+            words.join_conjugate_length(letter.conjugator, inverse, a.conjugator)
+            < len(letter.conjugator)
+        )
         if left:
+            conjugator = words.join_conjugate(letter.conjugator, inverse, a.conjugator)
             letter = TwistLetter._reduced(letter.core, letter.sign, conjugator)
         script.append(("left" if left else "right", i))
     return letter, tuple(script)
@@ -361,8 +371,9 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
     recorded front letter is reproduced; a certificate whose
     ``base_cores`` span the whole factorization is its own prefix.  Raises
     ``MoveBudgetError`` before the first move if the scripts cost more
-    than ``MAX_CERTIFICATE_COST``, and MoveError with the first failing
-    step; returns the recomputed front letters."""
+    than ``MAX_CERTIFICATE_COST``, and ``MoveError`` with the first
+    failing certificate step (a bad move inside its script is named in the
+    message as ``move <index>``); returns the recomputed front letters."""
     base = certificate.base_cores
     prefix = Factorization(fact.letters[: len(base)])
     if len(prefix) != len(base) or not all(map(eq, map(_core, prefix.letters), base)):
@@ -375,7 +386,12 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
         raise MoveBudgetError(len(moved), cost)
     fronts = []
     for k, step in enumerate(certificate.steps):
-        front = apply_script(prefix, step.script).letters[:1]
+        try:
+            front = apply_script(prefix, step.script).letters[:1]
+        except ConjugatorCapError:
+            raise
+        except MoveError as err:
+            raise MoveError(k, f"move {err.step}: {err.detail}") from err
         if front != (step.front_letter,):
             raise MoveError(k, f"replayed front letter differs for core {step.core!r}")
         fronts.append(front[0])

@@ -256,6 +256,24 @@ class TestAuroux:
         assert code == 1
         assert "step 3" in out
 
+    def test_bad_move_names_certificate_step_and_move(self, capsys, tmp_path):
+        # the b = 2 certificate has 13 steps; step 12 moves 25 times over
+        # a prefix of 26 letters, so a 26th move at index 25 is out of range
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        assert len(payload["steps"]) == 13 and len(payload["steps"][12]["script"]) == 25
+        payload["steps"][12]["script"].append(["right", 25])
+        cert.write_text(json.dumps(payload))
+        code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert), "--format", "json")
+        assert code == 1
+        [check] = json.loads(out)["checks"]
+        assert (check["name"], check["status"]) == ("certificate-replays", "fail")
+        assert check["details"] == (
+            "first bad move at step 12: script step 12: "
+            "move 25: move index 25 out of range for 26 letters"
+        )
+
     def test_growing_replay_is_inconclusive(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 10_000)
         cert = tmp_path / "cert.json"

@@ -41,7 +41,7 @@ from twistbench.intlin import mat_mul
 from twistbench.coxeter import psi_factorization
 from twistbench.monodromy import lifted_composition, mu_nu_block, mu_nu_normal_form
 from twistbench.surface import curve
-from twistbench.words import conjugate, free_reduce, invert
+from twistbench.words import SHARED_INVERSES_FROM, conjugate, free_reduce, invert, join_conjugate
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +376,44 @@ class TestFrontOperations:
         assert front == slow.letters[0]
         assert apply_script(fact, script).letters == slow.letters
 
+    @staticmethod
+    def built_strip(fact, index):
+        """``strip_to_front`` as it was before it measured a move first:
+        build the joined conjugator on every move, then compare lengths."""
+        letter = fact.letters[index]
+        script = []
+        for i in range(index - 1, -1, -1):
+            a = fact.letters[i]
+            conjugator = join_conjugate(letter.conjugator, (a.core, -a.sign), a.conjugator)
+            left = len(conjugator) < len(letter.conjugator)
+            if left:
+                letter = TwistLetter(letter.core, letter.sign, conjugator)
+            script.append(("left" if left else "right", i))
+        return letter, tuple(script)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fact_st, st.data())
+    def test_strip_matches_built_strip(self, fact, data):
+        index = data.draw(st.integers(0, len(fact) - 1))
+        assert strip_to_front(fact, index) == self.built_strip(fact, index)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_strip_matches_built_strip_on_lifts(self, b):
+        for fact in (lifted_composition(b), lifted_composition(b, ("X", "Y", "X"))):
+            for index in range(len(fact)):
+                assert strip_to_front(fact, index) == self.built_strip(fact, index)
+
+    def test_strip_matches_built_strip_on_grown_conjugators(self, model):
+        # conjugators of hundreds of letters, whose inverses share letters
+        rng = random.Random(8)
+        for _ in range(4):
+            fact = random_fact(rng, curves_of(model), 6)
+            i = rng.randrange(len(fact) - 2)
+            fact = apply_script(fact, (("right", i), ("left", i + 1)) * 5)
+            assert max(len(t.conjugator) for t in fact.letters) > SHARED_INVERSES_FROM
+            for index in range(len(fact)):
+                assert strip_to_front(fact, index) == self.built_strip(fact, index)
+
 
 class TestCertificates:
     def planted(self, model):
@@ -507,8 +545,12 @@ class TestCertificates:
             apply_script(fact, reaching.steps[0].script)
         with pytest.raises(MoveError) as err:
             replay_certificate(fact, reaching)
-        assert err.value.step == len(step.script)
-        assert f"move index {index} out of range for {size} letters" in str(err.value)
+        # the certificate step, with the move inside its script
+        assert err.value.step == 0
+        assert err.value.__cause__.step == len(step.script)
+        assert f"move {len(step.script)}: move index {index} out of range for {size} letters" in str(
+            err.value
+        )
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_repeated_blocks_leave_the_steps(self, b):
@@ -559,6 +601,27 @@ class TestCertificates:
         monkeypatch.setattr(factorization, "MAX_CERTIFICATE_COST", cost)
         assert auroux_certificate(fact, cores) == cert
         assert len(replay_certificate(fact, cert)) == len(cores)
+
+    @pytest.mark.parametrize(
+        "b, blocks, within",
+        [(40, 5, True), (40, 6, False), (30, 10, True), (30, 11, False)],
+    )
+    def test_budget_on_late_x_blocks(self, monkeypatch, b, blocks, within):
+        # the budget is the cost of Y x5, X at b = 40; the cost is known
+        # before the first move, so no move is made here
+        def forbidden(*args):
+            pytest.fail("a move was made")
+
+        monkeypatch.setattr(factorization, "strip_to_front", forbidden)
+        cores = list(dict.fromkeys(c for c, _ in psi_factorization(b)))
+        fact = lifted_composition(b, ("Y",) * blocks + ("X",))
+        budget = factorization.MAX_CERTIFICATE_COST
+        monkeypatch.setattr(factorization, "MAX_CERTIFICATE_COST", -1)
+        with pytest.raises(MoveBudgetError) as err:
+            auroux_certificate(fact, cores)
+        assert (err.value.cost <= budget) == within
+        if (b, blocks) == (40, 5):
+            assert err.value.cost == budget
 
 
 class TestSearch:
