@@ -12,10 +12,11 @@ not depend on curve orientations, so the word is orientation-free; the
 orientation bookkeeping (the signs making consecutive chain intersections
 +1) only enters when stating how ``Delta`` permutes the chain classes.
 
-The words need no homology model.  ``coxeter_matrix`` and
-``verify_chain_action`` import ``homology`` and ``intlin`` where they
-compute, so ``auroux``, which lists its cores from the word, loads
-neither.
+The words need no homology model, and a chain's action needs no matrix:
+``chain_word_images`` moves coordinates along the chain, reading only the
+pairings of consecutive curves, and lifts the result to ``H_1`` through
+the model's curve classes.  So ``coxeter`` imports neither ``homology``
+nor ``intlin``.
 """
 from __future__ import annotations
 
@@ -32,14 +33,15 @@ from .surface import (
 # annotations are never evaluated, so only a type checker imports typing
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .homology import HomologyModel, MappingClassMatrix
+    from .homology import HomologyModel
+    from .intlin import IntVector
 
 __all__ = [
     "ChainError",
     "validate_chain",
     "chain_signs",
     "coxeter",
-    "coxeter_matrix",
+    "chain_word_images",
     "chain_neighborhood_stats",
     "psi_factor_chains",
     "psi_factorization",
@@ -53,7 +55,10 @@ class ChainError(ValueError):
 
 
 def validate_chain(sys: CurveSystem, seq) -> tuple[CurveId, ...]:
-    """Check the two geometric chain conditions and return the chain."""
+    """Check the two geometric chain conditions and return the chain.
+
+    One pass over the incidence lists counts the crossings each pair of
+    positions shares; the first bad pair in ``(i, j)`` order is reported."""
     chain = tuple(seq)
     if not chain:
         raise ChainError(0, "empty chain")
@@ -61,22 +66,27 @@ def validate_chain(sys: CurveSystem, seq) -> tuple[CurveId, ...]:
     for i, c in enumerate(chain):
         if c not in known:
             raise ChainError(i, f"unknown curve {c.label}")
-    if len(set(chain)) != len(chain):
+    position = {c: i for i, c in enumerate(chain)}
+    if len(position) != len(chain):
         raise ChainError(0, "repeated curve")
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            shared = sys.shared_crossings(chain[i], chain[j])
-            if j == i + 1 and len(shared) != 1:
-                raise ChainError(
-                    i,
-                    f"{chain[i].label} and {chain[j].label} share "
-                    f"{len(shared)} crossings, consecutive curves need exactly 1",
-                )
-            if j > i + 1 and shared:
-                raise ChainError(
-                    i,
-                    f"{chain[i].label} and {chain[j].label} must be disjoint",
-                )
+    shared: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(chain):
+        for x in sys.incidences_of(c):
+            first, second, _ = sys.crossings[x]
+            j = position.get(second if first == c else first, -1)
+            if j > i:
+                shared[i, j] = shared.get((i, j), 0) + 1
+    bad = [pair for pair in shared if pair[1] > pair[0] + 1]
+    bad.extend((i, i + 1) for i in range(len(chain) - 1) if shared.get((i, i + 1)) != 1)
+    if bad:
+        i, j = min(bad)
+        if j == i + 1:
+            raise ChainError(
+                i,
+                f"{chain[i].label} and {chain[j].label} share "
+                f"{shared.get((i, j), 0)} crossings, consecutive curves need exactly 1",
+            )
+        raise ChainError(i, f"{chain[i].label} and {chain[j].label} must be disjoint")
     return chain
 
 
@@ -103,12 +113,6 @@ def coxeter(chain, power: int = 1) -> words.Word:
     )
     word = delta if power > 0 else words.invert(delta)
     return word * abs(power)
-
-
-def coxeter_matrix(model: HomologyModel, chain, power: int = 1) -> MappingClassMatrix:
-    from .homology import twist_word_matrix
-
-    return twist_word_matrix(model, coxeter(chain, power))
 
 
 def chain_neighborhood_stats(sys: CurveSystem, chain) -> tuple[int, int]:
@@ -156,32 +160,72 @@ def psi_factorization(b: int) -> words.Word:
     return tuple(word)
 
 
+def chain_word_images(model: HomologyModel, chain, word) -> list[IntVector]:
+    """The images of the chain's curve classes under a twist word over its
+    curves (the rightmost letter acts first), in chain order.
+
+    The word runs in the chain's own coordinates: ``X[k][i]`` is the
+    coefficient of ``c_k`` in the image of ``c_i``.  The letter ``(c_j, s)``
+    acts by ``x -> x - s <x, c_j> c_j`` and, in a chain, ``c_j`` pairs only
+    with ``c_{j-1}`` and ``c_{j+1}``, so it changes coordinate ``j`` alone,
+    reading its two neighbours.  Each image is then lifted to ``H_1`` as
+    ``sum_k X[k][i] class(c_k)``, so the result is exact even when the
+    chain classes are linearly dependent."""
+    return _chain_images(model, validate_chain(model.system, chain), word)
+
+
+def _chain_images(model: HomologyModel, chain: tuple, word) -> list[IntVector]:
+    size = len(chain)
+    # padded rows 0 and size + 1 stay zero, so every letter reads two rows
+    coords = [[0] * size for _ in range(size + 2)]
+    for i in range(size):
+        coords[i + 1][i] = 1
+    pairs = [0] + [model.pairing(a, b) for a, b in zip(chain, chain[1:])] + [0]
+    # <c_j, c_{j-1}> = -pairs[j] and <c_j, c_{j+1}> = pairs[j + 1]
+    steps = {}
+    for j, c in enumerate(chain):
+        for s in (+1, -1):
+            steps[c, s] = (j + 1, -s * pairs[j], s * pairs[j + 1])
+    for letter in reversed(tuple(word)):
+        try:
+            p, left, right = steps[letter]
+        except KeyError:
+            raise ValueError(f"letter {letter!r} is not a twist along the chain") from None
+        coords[p] = [
+            x + left * y + right * z for x, y, z in zip(coords[p], coords[p - 1], coords[p + 1])
+        ]
+    classes = [model.curve_class(c) for c in chain]
+    images = []
+    for column in zip(*coords[1:-1]):
+        image = (0,) * model.rank
+        for x, v in zip(column, classes):
+            if x:
+                image = tuple(a + x * y for a, y in zip(image, v))
+        images.append(image)
+    return images
+
+
 def verify_chain_action(model: HomologyModel, chain) -> None:
     """Assert the Coxeter action on the reoriented chain classes: for odd
     chains Delta sends the i-th class to the (N+1-i)-th with sign (-1)^(i+1);
-    for even chains Delta^2 negates every chain class."""
-    from .intlin import mat_vec
-
+    for even chains Delta^2 negates every chain class.  The word runs in
+    chain coordinates (``chain_word_images``); the images are compared in
+    ``H_1``."""
     chain = validate_chain(model.system, chain)
     eps = chain_signs(model, chain)
-    classes = [
-        tuple(e * x for x in model.curve_class(c)) for c, e in zip(chain, eps)
-    ]
     size = len(chain)
-    if size % 2:
-        matrix = coxeter_matrix(model, chain, 1).matrix
-        for i, v in enumerate(classes, start=1):
-            sign = +1 if i % 2 else -1
-            expected = tuple(sign * x for x in classes[size - i])
-            if mat_vec(matrix, v) != expected:
-                raise AssertionError(
-                    f"odd-chain action failed at position {i} of {[c.label for c in chain]}"
-                )
-    else:
-        matrix = coxeter_matrix(model, chain, 2).matrix
-        for i, v in enumerate(classes, start=1):
-            if mat_vec(matrix, v) != tuple(-x for x in v):
-                raise AssertionError(
-                    f"even-chain squared action failed at position {i} of "
-                    f"{[c.label for c in chain]}"
-                )
+    odd = size % 2
+    images = _chain_images(model, chain, coxeter(chain, 1 if odd else 2))
+    for i, image in enumerate(images):
+        # the image of the unsigned class c_i is +-class(c_k)
+        if odd:
+            k = size - 1 - i
+            sign = eps[i] * eps[k] * (-1 if i % 2 else +1)
+        else:
+            k, sign = i, -1
+        target = model.curve_class(chain[k])
+        if image != (target if sign > 0 else tuple(-x for x in target)):
+            raise AssertionError(
+                f"{'odd-chain' if odd else 'even-chain squared'} action failed at "
+                f"position {i + 1} of {[c.label for c in chain]}"
+            )

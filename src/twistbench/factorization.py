@@ -89,13 +89,14 @@ MAX_CONJUGATOR_TOTAL = 1_000_000
 class ConjugatorCapError(MoveError):
     """A script step after which the factorization's conjugators total
     more than ``MAX_CONJUGATOR_TOTAL`` letters; carries the step and the
-    total."""
+    total, and, for a certificate step, the index of the move inside its
+    script (``None`` otherwise)."""
 
-    def __init__(self, step: int, total: int):
+    def __init__(self, step: int, total: int, move: int | None = None):
         self.total = total
-        super().__init__(
-            step, f"conjugators total {total} letters, over the cap of {MAX_CONJUGATOR_TOTAL}"
-        )
+        self.move = move
+        detail = f"conjugators total {total} letters, over the cap of {MAX_CONJUGATOR_TOTAL}"
+        super().__init__(step, detail if move is None else f"move {move}: {detail}")
 
 
 #: What one move of a certificate script costs, counted in conjugator
@@ -371,9 +372,10 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
     recorded front letter is reproduced; a certificate whose
     ``base_cores`` span the whole factorization is its own prefix.  Raises
     ``MoveBudgetError`` before the first move if the scripts cost more
-    than ``MAX_CERTIFICATE_COST``, and ``MoveError`` with the first
-    failing certificate step (a bad move inside its script is named in the
-    message as ``move <index>``); returns the recomputed front letters."""
+    than ``MAX_CERTIFICATE_COST``, and ``MoveError`` (``ConjugatorCapError``
+    over the conjugator cap) with the first failing certificate step; a
+    move inside its script is named in the message as ``move <index>``.
+    Returns the recomputed front letters."""
     base = certificate.base_cores
     prefix = Factorization(fact.letters[: len(base)])
     if len(prefix) != len(base) or not all(map(eq, map(_core, prefix.letters), base)):
@@ -388,8 +390,8 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
     for k, step in enumerate(certificate.steps):
         try:
             front = apply_script(prefix, step.script).letters[:1]
-        except ConjugatorCapError:
-            raise
+        except ConjugatorCapError as err:
+            raise ConjugatorCapError(k, err.total, err.step) from err
         except MoveError as err:
             raise MoveError(k, f"move {err.step}: {err.detail}") from err
         if front != (step.front_letter,):

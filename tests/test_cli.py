@@ -275,6 +275,8 @@ class TestAuroux:
         )
 
     def test_growing_replay_is_inconclusive(self, capsys, tmp_path, monkeypatch):
+        # the 17th move of step 3 takes the conjugators over the cap: the
+        # report names certificate step 3, and the move inside its script
         monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 10_000)
         cert = tmp_path / "cert.json"
         run(capsys, "auroux", "--b", "2", "--out", str(cert))
@@ -285,7 +287,9 @@ class TestAuroux:
         assert code == 3
         [check] = json.loads(out)["checks"]
         assert check["status"] == "inconclusive"
-        assert "over the cap of 10000" in check["details"]
+        assert check["details"] == (
+            "script step 3: move 16: conjugators total 13603 letters, over the cap of 10000"
+        )
 
     def test_emit_over_the_cap_is_inconclusive(self, capsys, tmp_path, monkeypatch):
         # the b = 2 lift starts with 120 conjugator letters; the emitted

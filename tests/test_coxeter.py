@@ -4,7 +4,10 @@
 the product identity itself was established by the exact matrix
 computation frozen into the acceptance suite.
 """
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistbench import canonical
 from twistbench.canonical import canonical_sigma_signs, sigma_sign_search
@@ -13,7 +16,7 @@ from twistbench.coxeter import (
     chain_neighborhood_stats,
     chain_signs,
     coxeter,
-    coxeter_matrix,
+    chain_word_images,
     psi_factor_chains,
     psi_factorization,
     validate_chain,
@@ -24,7 +27,7 @@ from twistbench.homology import (
     reference_model,
     twist_word_matrix,
 )
-from twistbench.intlin import identity
+from twistbench.intlin import identity, mat_vec
 from twistbench.surface import SIGMA_SIGNS, build_reference_configuration, curve
 
 
@@ -34,8 +37,79 @@ def model2():
 
 
 @pytest.fixture(scope="module")
+def model5():
+    return reference_model(5)
+
+
+@pytest.fixture(scope="module")
 def system5():
     return build_reference_configuration(5)
+
+
+def scanned_validate_chain(sys_, seq):
+    """The scan over every pair of positions that ``validate_chain``
+    replaced, kept as its oracle."""
+    chain = tuple(seq)
+    if not chain:
+        raise ChainError(0, "empty chain")
+    known = set(sys_.curves)
+    for i, c in enumerate(chain):
+        if c not in known:
+            raise ChainError(i, f"unknown curve {c.label}")
+    if len(set(chain)) != len(chain):
+        raise ChainError(0, "repeated curve")
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            shared = sys_.shared_crossings(chain[i], chain[j])
+            if j == i + 1 and len(shared) != 1:
+                raise ChainError(
+                    i,
+                    f"{chain[i].label} and {chain[j].label} share "
+                    f"{len(shared)} crossings, consecutive curves need exactly 1",
+                )
+            if j > i + 1 and shared:
+                raise ChainError(
+                    i,
+                    f"{chain[i].label} and {chain[j].label} must be disjoint",
+                )
+    return chain
+
+
+def _outcome(validate, sys_, seq):
+    try:
+        return "chain", validate(sys_, seq)
+    except ChainError as err:
+        return "error", err.index, str(err)
+
+
+SYSTEM3 = build_reference_configuration(3)
+# curves of the b = 3 system, and two it does not have
+POOL3 = SYSTEM3.curves + (curve("alpha", 9), curve("delta", 6))
+NEIGHBOURS3 = {c: [] for c in SYSTEM3.curves}
+for _x in SYSTEM3.crossings:
+    NEIGHBOURS3[_x.first].append(_x.second)
+    NEIGHBOURS3[_x.second].append(_x.first)
+
+
+@st.composite
+def curve_sequences(draw):
+    """1 to 8 curves; each next one is a new neighbour of the last in the
+    crossing graph, a neighbour of an earlier one, or any curve of the
+    pool, so chains, gaps, repeats, non-consecutive meetings and unknown
+    curves all come up."""
+    seq = [draw(st.sampled_from(POOL3))]
+    for _ in range(draw(st.integers(0, 7))):
+        choice = draw(st.integers(0, 3))
+        last = draw(st.sampled_from(seq)) if choice == 1 else seq[-1]
+        near = [c for c in NEIGHBOURS3.get(last, ()) if c not in seq]
+        seq.append(draw(st.sampled_from(near if choice and near else POOL3)))
+    return seq
+
+
+def matrix_images(model, chain, word):
+    """The chain classes moved by the dense product of the word."""
+    matrix = twist_word_matrix(model, word).matrix
+    return [mat_vec(matrix, model.curve_class(c)) for c in chain]
 
 
 class TestValidateChain:
@@ -54,15 +128,68 @@ class TestValidateChain:
             )
 
     def test_rejects_nonconsecutive_meeting(self, model2):
-        # sigma meets both alpha_1 and gamma_1, so they cannot sit two apart
-        with pytest.raises(ChainError):
+        # sigma meets both alpha_1 and gamma_1, so they cannot sit two apart;
+        # the pair (0, 2) is reported before the gap at (1, 2)
+        with pytest.raises(ChainError, match="alpha_1 and alpha_2 must be disjoint") as err:
             validate_chain(
                 model2.system, (curve("alpha", 1), curve("sigma"), curve("alpha", 2))
             )
+        assert err.value.index == 0
 
     def test_rejects_unknown_curve(self, model2):
         with pytest.raises(ChainError):
             validate_chain(model2.system, (curve("alpha", 9),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_sequences())
+    def test_matches_the_pairwise_scan(self, seq):
+        assert _outcome(validate_chain, SYSTEM3, seq) == _outcome(scanned_validate_chain, SYSTEM3, seq)
+
+
+class TestChainWordImages:
+    """The chain-coordinate action against the dense twist product."""
+
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_factor_chains_match_the_matrix(self, b):
+        model = reference_model(b)
+        for chain in psi_factor_chains(b).values():
+            for power in (1, -1, 2, -2):
+                word = coxeter(chain, power)
+                assert chain_word_images(model, chain, word) == matrix_images(model, chain, word)
+
+    def test_alpha_runs_match_the_matrix(self, model5):
+        for k in range(1, 10):
+            chain = tuple(curve("alpha", i) for i in range(1, k + 1))
+            for power in (1, -1, 2, -2):
+                word = coxeter(chain, power)
+                assert chain_word_images(model5, chain, word) == matrix_images(model5, chain, word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_words_match_the_matrix(self, model2, data):
+        chain = data.draw(
+            st.sampled_from(
+                list(psi_factor_chains(2).values())
+                + [tuple(curve("beta", i) for i in range(1, k + 1)) for k in (1, 2, 3)]
+            )
+        )
+        word = data.draw(
+            st.lists(st.tuples(st.sampled_from(chain), st.sampled_from((1, -1))), max_size=40)
+        )
+        assert chain_word_images(model2, chain, word) == matrix_images(model2, chain, word)
+
+    def test_builds_no_matrix(self, model2, monkeypatch):
+        # with homology and intlin unimportable, every factor chain passes:
+        # the action reads the model's pairings and classes, nothing more
+        for name in ("twistbench.homology", "twistbench.intlin"):
+            monkeypatch.setitem(sys.modules, name, None)
+        for chain in psi_factor_chains(2).values():
+            verify_chain_action(model2, chain)
+
+    def test_rejects_a_letter_off_the_chain(self, model2):
+        chain = (curve("alpha", 1), curve("alpha", 2))
+        with pytest.raises(ValueError, match="not a twist along the chain"):
+            chain_word_images(model2, chain, ((curve("alpha", 3), 1),))
 
 
 class TestChainSigns:
@@ -90,7 +217,7 @@ class TestCoxeterWord:
     def test_odd_chain_square_fixes_chain_classes(self, model2):
         # the signed reversal is an involution on the span of an odd chain
         chain = tuple(curve("beta", i) for i in range(1, 4))
-        sq = coxeter_matrix(model2, chain, 2).matrix
+        sq = twist_word_matrix(model2, coxeter(chain, 2)).matrix
         assert sq != identity(model2.rank)
         for c in chain:
             v = model2.curve_class(c)

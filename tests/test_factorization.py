@@ -464,7 +464,9 @@ class TestCertificates:
         )
         with pytest.raises(ConjugatorCapError) as err:
             replay_certificate(fact, grown)
-        assert 0 < err.value.step < 60
+        # the error names certificate step 0 and the move inside its script
+        assert err.value.step == 0 and 0 < err.value.move < 60
+        assert str(err.value).startswith(f"script step 0: move {err.value.move}: ")
         assert 1000 < err.value.total
 
     def test_certificate_moves_no_pair(self, monkeypatch):
