@@ -169,10 +169,6 @@ class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
         """A letter over a conjugator that is already freely reduced."""
         return tuple.__new__(cls, (core, sign, conjugator))
 
-    @property
-    def is_bare(self) -> bool:
-        return not self.conjugator
-
     def reduced_expansion(self) -> Word:
         """The plain twist word (inverse conjugator, core, conjugator),
         freely reduced."""
@@ -300,29 +296,25 @@ def strip_to_front(fact: Factorization, index: int) -> tuple[TwistLetter, tuple]
     return letter, tuple(script)
 
 
-class AurouxStep(
-    namedtuple(
-        "AurouxStep",
-        ("core", "sign", "source_index", "script", "front_letter", "stripped_bare"),
-    )
-):
-    """One certificate step: the script that moves the letter at
-    ``source_index`` to the front, and the letter it arrives as."""
+class AurouxStep(namedtuple("AurouxStep", ("core", "script", "front_letter"))):
+    """One certificate step: the script that moves a positive letter with
+    ``core`` to the front, and the letter it arrives as."""
 
     __slots__ = ()
 
 
 class AurouxCertificate(namedtuple("AurouxCertificate", ("base_cores", "steps"))):
     """The cores of the prefix of the factorization that the steps touch,
-    and one step per target core."""
+    and one step per target core.  ``all_bare`` says whether every
+    recorded front is the bare twist of its core."""
 
     __slots__ = ()
 
     @property
     def all_bare(self) -> bool:
-        # kept only for perfbench/cli_standin.py: `auroux` checks the
-        # replayed fronts, not the recorded stripped_bare
-        return all(s.stripped_bare for s in self.steps)
+        # read by perfbench/cli_standin.py; from the recorded fronts, which
+        # a replay compares, so no stored flag can disagree with a replay
+        return all(s.front_letter == bare(s.core) for s in self.steps)
 
 
 def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertificate:
@@ -332,7 +324,8 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
 
     Each step starts again from the original factorization; the
     certificate witnesses one core at a time, and ``base_cores`` holds the
-    cores of the prefix its scripts touch, up to the largest source index.
+    cores of the prefix its scripts touch: a script of n moves starts from
+    the letter at index n, so the prefix runs up to the longest script.
     Raises ``MissingCoreError`` naming every target core with no positive
     letter, then ``MoveBudgetError`` if the scripts would cost more than
     ``MAX_CERTIFICATE_COST``, both before the first move.
@@ -358,9 +351,8 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
         raise MoveBudgetError(sum(indices), cost)
     moved = [strip_to_front(fact, index) for index in indices]
     steps = tuple(
-        AurouxStep(core=core, sign=+1, source_index=index, script=script,
-                   front_letter=front, stripped_bare=front == bare(core))
-        for core, index, (front, script) in zip(targets, indices, moved)
+        AurouxStep(core=core, script=script, front_letter=front)
+        for core, (front, script) in zip(targets, moved)
     )
     prefix = Factorization(letters[: max(indices, default=-1) + 1])
     return AurouxCertificate(base_cores=prefix.cores(), steps=steps)

@@ -238,11 +238,8 @@ def certificate_to_dict(cert: AurouxCertificate, **context) -> dict:
     payload["steps"] = [
         {
             "core": _curve_label(step.core),
-            "sign": step.sign,
-            "source_index": step.source_index,
             "script": script_to_json(step.script),
             "front_letter": letter_to_dict(step.front_letter),
-            "stripped_bare": step.stripped_bare,
         }
         for step in cert.steps
     ]
@@ -258,11 +255,8 @@ def certificate_from_dict(item: dict) -> AurouxCertificate:
         steps=tuple(
             AurouxStep(
                 core=parse_curve(_field(step, "core", str)),
-                sign=_field(step, "sign", int),
-                source_index=_field(step, "source_index", int),
                 script=script_from_json(_field(step, "script", list)),
                 front_letter=letter_from_dict(_field(step, "front_letter", dict)),
-                stripped_bare=_field(step, "stripped_bare", bool),
             )
             for step in _field(item, "steps", list)
         ),

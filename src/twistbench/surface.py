@@ -149,11 +149,6 @@ class CurveSystem(
             raise ConfigurationError("not a reference configuration")
         return 2 * self.b - 1
 
-    def shared_crossings(self, c1: CurveId, c2: CurveId) -> tuple[int, ...]:
-        """The crossings of ``c1`` with ``c2`` in index order, read from
-        their incidence lists; every crossing of ``c1`` when they are equal."""
-        return tuple(sorted(set(self.incidences_of(c1)).intersection(self.incidences_of(c2))))
-
 
 def _system_from_orders(
     curves: tuple[CurveId, ...],

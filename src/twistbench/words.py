@@ -7,11 +7,11 @@ letter acting first, so the conjugate ``w^{-1} x w`` applies ``w``, then
 ``x``, then undoes ``w``.
 
 Reduced words in, reduced words out: ``free_reduce`` normalises words
-from outside (constructors, braid input, tests); ``join`` and
-``join_conjugate`` take freely reduced words and return the reduced
-result by cancelling only where two reduced words meet, which is the
-only place a cancellation can occur.  A free-group element has one
-reduced form, so they give exactly what ``free_reduce`` would.
+from outside (constructors, braid input, tests); ``join_conjugate``
+takes freely reduced words and returns the reduced result by cancelling
+only where two reduced words meet, which is the only place a
+cancellation can occur.  A free-group element has one reduced form, so
+it gives exactly what ``free_reduce`` would.
 ``join_conjugate_length`` reads the length of that result from the same
 seam without building it.
 
@@ -41,7 +41,6 @@ __all__ = [
     "invert",
     "free_reduce",
     "conjugate",
-    "join",
     "join_conjugate",
     "join_conjugate_length",
 ]
@@ -110,13 +109,6 @@ def _cancelled(u: Word, v: Word) -> int:
     not cancel."""
     inverse_letters = zip(map(_generator, v), map(neg, map(_sign, v)))
     return next(compress(count(), map(ne, reversed(u), inverse_letters)), min(len(u), len(v)))
-
-
-def join(u: Word, v: Word) -> Word:
-    """``free_reduce(u + v)`` for freely reduced ``u`` and ``v``: letters
-    cancel only across the seam."""
-    k = _cancelled(u, v)
-    return u[: len(u) - k] + v[k:]
 
 
 def _seam(u: Word, letter: tuple, by: Word) -> tuple:

@@ -239,11 +239,13 @@ class TestAuroux:
     def test_certificate_b8_pinned(self, capsys, tmp_path):
         # [DERIVED] sha256 of the certificate file: its cores and steps stay
         # byte-stable; base_cores holds the cores of the prefix the scripts
-        # touch
+        # touch, and a step holds its core, script and front letter (the
+        # earlier file with the keys sign, source_index and stripped_bare
+        # deleted from every step, re-serialized by stable_json)
         cert = tmp_path / "cert.json"
         code, _ = run(capsys, "auroux", "--b", "8", "--out", str(cert))
         assert code == 0
-        digest = "dc42a853d3b637b9993d8cd82ca06f5dcf92f4095c32122e06b10de8a0685db2"
+        digest = "39ab0c6d09bcf8839bb7b565903bb2056b913890cb28e48a005a54ab6248d3dd"
         assert hashlib.sha256(cert.read_bytes()).hexdigest() == digest
 
     def test_tampered_replay_names_step(self, capsys, tmp_path):
@@ -417,10 +419,28 @@ class TestAuroux:
         cert = tmp_path / "cert.json"
         run(capsys, "auroux", "--b", "2", "--out", str(cert))
         payload = json.loads(cert.read_text())
-        payload["steps"][0]["sign"] = True
+        payload["steps"][0]["front_letter"]["sign"] = True
         cert.write_text(json.dumps(payload))
         usage_error("auroux", "--b", "2", "--replay", str(cert))
         assert "key 'sign' must be int, got bool" in capsys.readouterr().err
+
+    def test_every_step_key_is_checked(self, capsys, tmp_path):
+        # a step records only what its replay checks: changing any one of
+        # its values, with the type kept, fails the replay
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        text = cert.read_text()
+        first, second = json.loads(text)["steps"][:2]
+        assert set(first) == {"core", "script", "front_letter"}
+        for key, value in first.items():
+            # step 1's core, script or front letter: same type, new value
+            new = second[key]
+            assert new != value and type(new) is type(value)
+            tampered = json.loads(text)
+            tampered["steps"][0][key] = new
+            cert.write_text(json.dumps(tampered))
+            code, _ = run(capsys, "auroux", "--b", "2", "--replay", str(cert))
+            assert code != 0, key
 
     @pytest.mark.parametrize(
         "value, b, found",

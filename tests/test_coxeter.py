@@ -7,6 +7,7 @@ computation frozen into the acceptance suite.
 import sys
 
 import pytest
+from conftest import scanned_shared_crossings
 from hypothesis import given, settings, strategies as st
 
 from twistbench import canonical
@@ -60,7 +61,7 @@ def scanned_validate_chain(sys_, seq):
         raise ChainError(0, "repeated curve")
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
-            shared = sys_.shared_crossings(chain[i], chain[j])
+            shared = scanned_shared_crossings(sys_, chain[i], chain[j])
             if j == i + 1 and len(shared) != 1:
                 raise ChainError(
                     i,

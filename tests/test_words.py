@@ -3,7 +3,7 @@
 Every operation is checked over a curve-id alphabet (twist words) and an
 integer alphabet (braid words); the small cancellation and inversion
 identities were worked out by hand [TRIVIAL], the rest is property-based.
-The seam-only operations ``join``, ``join_conjugate`` and
+The seam-only operations ``join_conjugate`` and
 ``join_conjugate_length`` are checked against ``free_reduce`` over the
 whole concatenation, and ``invert`` against a list display that builds
 every inverse letter.
@@ -26,7 +26,6 @@ from twistbench.words import (
     conjugate,
     free_reduce,
     invert,
-    join,
     join_conjugate,
     join_conjugate_length,
 )
@@ -76,22 +75,6 @@ class TestWords:
         )
         assert conjugate(((c, 1),), ()) == ((c, 1),)
         assert free_reduce(conjugate(by, invert(by))) == by
-
-    @given(data=st.data())
-    def test_join_reduces_only_the_seam(self, a, b, c, data):
-        x, w, y = (data.draw(words_over(a, b, c, max_size=10)) for _ in range(3))
-        # u ends with w and v starts with its inverse, so long seams occur
-        u = free_reduce(tuple(x) + tuple(w))
-        v = free_reduce(invert(w) + tuple(y))
-        assert join(u, v) == free_reduce(u + v)
-        assert join(v, u) == free_reduce(v + u)
-
-    def test_join_examples(self, a, b, c):
-        u = ((a, 1), (b, -1), (c, 1))
-        assert join(u, invert(u)) == ()
-        assert join(u, ((c, -1), (b, 1), (c, 1))) == ((a, 1), (c, 1))
-        assert join(u, ((c, 1),)) == u + ((c, 1),)
-        assert join((), u) == join(u, ()) == u
 
     @given(data=st.data())
     def test_reduced_conjugate_of_one_letter(self, a, b, c, data):
