@@ -104,10 +104,11 @@ class HomologyModel(
     same lattice basis; ``section`` is an integer right inverse of
     ``classes``; ``kernel`` columns span the relations among curve classes.
 
-    Three caches live on the model and die with it: ``class_columns``
-    holds the class of each curve, ``transvections`` the sparse data of
-    each twist ``T_c^s`` used so far, and ``letter_matrices`` the matrices
-    of conjugated twist letters.
+    Four caches live on the model and die with it: ``class_columns``
+    holds the class of each curve, ``identity`` the rank x rank identity
+    whose rows every twist product shares, ``transvections`` the sparse
+    data of each twist ``T_c^s`` used so far, and ``letter_matrices`` the
+    matrices of conjugated twist letters.
 
     The shapes: ``classes`` is 2g x N, ``form`` 2g x 2g, ``crossing_form``
     (from the signed crossings) N x N, ``section`` N x 2g with ``classes @
@@ -122,6 +123,13 @@ class HomologyModel(
     @cached_property
     def curve_index(self) -> dict[CurveId, int]:
         return {c: i for i, c in enumerate(self.curve_order)}
+
+    @cached_property
+    def identity(self) -> IntMatrix:
+        """The rank x rank identity, built once per model: every twist
+        product takes its untouched rows from it, so two products compare
+        those rows by object identity."""
+        return identity(self.rank)
 
     @cached_property
     def transvections(self) -> dict:
@@ -294,7 +302,8 @@ def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
     built once per model.  Only the rows that differ from the identity
     are kept, keyed by row index: a row ``e_i`` meets ``v`` in ``v[i]``,
     so a letter first adds the unit rows at its support and then updates
-    the touched rows alone.  The other rows are the identity's own."""
+    the touched rows alone.  The other rows are the very row objects of
+    ``model.identity``, shared by every product on the model."""
     letters = tuple((c, s) for c, s in word)
     n = model.rank
     touched: dict[int, list[int]] = {}
@@ -316,7 +325,7 @@ def twist_word_matrix(model: HomologyModel, word) -> MappingClassMatrix:
             if t:
                 for k, y in update:
                     row[k] -= t * y
-    rows = list(identity(n))
+    rows = list(model.identity)
     for i, row in touched.items():
         rows[i] = tuple(row)
     return MappingClassMatrix(tuple(rows), model.fingerprint, letters)
@@ -344,7 +353,7 @@ def psi_reference(model: HomologyModel) -> MappingClassMatrix:
     psi = mat_mul(moved, model.section)
     if mat_mul(psi, model.classes) != moved:
         raise NotWellDefinedError("involution does not extend the curve images")
-    if mat_mul(psi, psi) != identity(model.rank):
+    if mat_mul(psi, psi) != model.identity:
         raise AdmissibilityError("curve-image involution does not square to one")
     out = MappingClassMatrix(psi, model.fingerprint, None)
     if not is_symplectic(out, model):

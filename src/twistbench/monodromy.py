@@ -396,7 +396,7 @@ def composition_search(b: int = 2, max_blocks: int = 6) -> dict:
 
     from .factorization import product_matrix
     from .homology import reference_model
-    from .intlin import identity, mat_mul
+    from .intlin import mat_mul
 
     model = reference_model(b)
     unmoved = tuple(range(1, 4 * b + 1))
@@ -407,7 +407,7 @@ def composition_search(b: int = 2, max_blocks: int = 6) -> dict:
         matrices[label] = product_matrix(model, lift_to_twists(block)).matrix
         word = sum((letter.braid_word() for letter in block), ())
         permutation_identity[label] = permutation_image(word, 4 * b) == unmoved
-    eye = identity(model.rank)
+    eye = model.identity
     trivial = []
     for length in range(1, max_blocks + 1):
         for arrangement in iter_product("XY", repeat=length):

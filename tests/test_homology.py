@@ -338,6 +338,39 @@ class TestTwistKernel:
         assert product.matrix == psi_reference(model).matrix
 
 
+class TestSharedIdentity:
+    """A model builds its identity once; every twist product on the model
+    takes its untouched rows from it, as the same row objects."""
+
+    @staticmethod
+    def assert_untouched_rows_shared(model, word):
+        product = twist_word_matrix(model, word).matrix
+        support = {i for c, _ in word for i, x in enumerate(model.curve_class(c)) if x}
+        for i in set(range(model.rank)) - support:
+            assert product[i] is model.identity[i]
+
+    @settings(max_examples=30, deadline=None)
+    @given(models_and_words())
+    def test_untouched_rows_are_the_models_identity_rows(self, model_and_word):
+        self.assert_untouched_rows_shared(*model_and_word)
+
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_empty_word_is_the_models_identity(self, b):
+        self.assert_untouched_rows_shared(cached_model(b), ())
+
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_identity_value_and_cache(self, b):
+        model = cached_model(b)
+        assert model.identity == identity(model.rank)
+        assert type(model.identity) is tuple
+        assert all(type(row) is tuple for row in model.identity)
+        assert model.identity is model.identity
+        fresh = reference_model(b)
+        assert "identity" not in vars(fresh)
+        assert fresh.identity == model.identity
+        assert fresh.identity is not model.identity
+
+
 class TestBuildWork:
     """A model build computes each of its objects once, and computes the
     same model as before it shared them."""
