@@ -29,7 +29,8 @@ Each ``cmd_*`` imports the layers it runs when it runs, so a process
 loads only what its command uses: ``braid`` and ``invariants`` never
 load the homology stack, ``verify-psi`` and ``export config`` never
 load the braid layer, and no command loads the lamination layer, which
-is the test oracle of the braid decider.
+is the test oracle of the braid decider, or the homology model
+(``homology`` and ``intlin``), the test oracle of the sign probe.
 """
 from __future__ import annotations
 
@@ -46,20 +47,19 @@ __all__ = ["Check", "VerificationReport", "main"]
 #: Node budget of bounded Hurwitz searches (acceptance criterion A9).
 DEFAULT_BUDGET = 20000
 
-#: Largest fibre ``verify-psi`` accepts.  The run is dominated by the
-#: Smith-form model build and the dense products of the reference checks,
-#: all cubic in the rank 8b-6; at b=12 (rank 90) the whole command takes
-#: about 1 s on a 2-core x86-64 machine, about half of it in the build.
-VERIFY_PSI_MAX_B = 12
-
-#: Largest fibres of the other ``--b`` commands: for each, the largest
-#: timed b whose every run, as one process under a 1 GiB address-space
-#: cap on a 2-core x86-64 machine, took at most 7.5 s, so a run at the
-#: cap keeps a quarter of a 10 s limit against the spread between runs.
+#: Largest fibres of the ``--b`` commands: for each, the largest timed b
+#: whose every run, as one process under a 1 GiB address-space cap on a
+#: 2-core x86-64 machine, took at most 7.5 s, so a run at the cap keeps a
+#: quarter of a 10 s limit against the spread between runs.
+#: ``verify-psi`` builds no homology model: it moves sparse curve
+#: coordinates one row per letter of the gluing word (40b^2 + O(b)
+#: letters); it took 5.7-6.4 s at b=375 (128 MB resident) and 6.6-8.0 s
+#: at b=400, ten runs each.
 #: ``auroux --out`` took 2.5-3.5 s at b=40 and 3.1-4.0 s at b=42, and
 #: its cap stays where it was set when these read 6.1-6.7 s and 7.4-8.7 s;
 #: ``monodromy emit`` 5.7-7.3 s at b=300 (33 MB out) and 6.9-7.6 s at
 #: b=320; ``export config`` 5.3-5.9 s at b=30000 and 6.1-7.7 s at b=40000.
+VERIFY_PSI_MAX_B = 375
 AUROUX_MAX_B = 40
 MONODROMY_MAX_B = 300
 EXPORT_MAX_B = 30000
@@ -199,7 +199,7 @@ def _parse_sign_mode(value):
 
 def cmd_verify_psi(args) -> list:
     from .canonical import canonical_sigma_signs, probe_signs
-    from .coxeter import psi_factorization
+    from .coxeter import psi_factorization_length
 
     auto = args.sign_mode == "auto"
     signs = canonical_sigma_signs() if auto else args.sign_mode
@@ -223,8 +223,8 @@ def cmd_verify_psi(args) -> list:
             )
         )
         if not probe.psi_defined:
-            # NotWellDefinedError, or an involution that does not square to
-            # one or does not preserve the form
+            # curve images that violate the relations among curve classes,
+            # or an involution that does not preserve the form
             checks.append(Check("reference-well-defined", "fail", probe.detail))
         else:
             checks.append(
@@ -232,7 +232,7 @@ def cmd_verify_psi(args) -> list:
                     "product-equals-reference",
                     "pass" if probe.product_matches else "fail",
                     f"six-factor product vs curve-swap involution, "
-                    f"{len(psi_factorization(args.b))} letters",
+                    f"{psi_factorization_length(args.b)} letters",
                 )
             )
             checks.append(
@@ -242,7 +242,7 @@ def cmd_verify_psi(args) -> list:
                     "M^T J M = J",
                 )
             )
-            # psi_reference certified M^T J M = J before psi_defined was set
+            # the probe checked P^T C P = C before psi_defined was set
             checks.append(Check("reference-symplectic", "pass", "M^T J M = J"))
     return checks
 

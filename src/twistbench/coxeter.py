@@ -45,6 +45,7 @@ __all__ = [
     "chain_neighborhood_stats",
     "psi_factor_chains",
     "psi_factorization",
+    "psi_factorization_length",
     "verify_chain_action",
 ]
 
@@ -108,8 +109,10 @@ def coxeter(chain, power: int = 1) -> words.Word:
     chain = tuple(chain)
     if power == 0:
         raise ValueError("power must be a nonzero integer")
+    # one letter object per curve, shared by all N(N+1)/2 positions
+    letters = tuple((c, +1) for c in chain)
     delta = tuple(
-        (chain[j], +1) for k in range(1, len(chain) + 1) for j in range(k - 1, -1, -1)
+        letters[j] for k in range(1, len(chain) + 1) for j in range(k - 1, -1, -1)
     )
     word = delta if power > 0 else words.invert(delta)
     return word * abs(power)
@@ -158,6 +161,15 @@ def psi_factorization(b: int) -> words.Word:
     for name in ("A6", "A5", "A4", "A3", "A2", "A1"):
         word.extend(coxeter(chains[name], PSI_FACTOR_POWERS[name]))
     return tuple(word)
+
+
+def psi_factorization_length(b: int) -> int:
+    """``len(psi_factorization(b))``, without building the word: the
+    Coxeter word of an N-chain has N(N+1)/2 letters per unit of power."""
+    return sum(
+        len(chain) * (len(chain) + 1) // 2 * abs(PSI_FACTOR_POWERS[name])
+        for name, chain in psi_factor_chains(b).items()
+    )
 
 
 def chain_word_images(model: HomologyModel, chain, word) -> list[IntVector]:

@@ -46,6 +46,8 @@ from .intlin import (
     transpose,
 )
 from .surface import (
+    PSI_PARTNERS,
+    AdmissibilityError,
     CurveId,
     CurveSystem,
     RibbonGraph,
@@ -67,10 +69,6 @@ __all__ = [
     "twist_word_matrix",
     "psi_reference",
 ]
-
-
-class AdmissibilityError(RuntimeError):
-    """The ribbon data does not produce a consistent surface homology."""
 
 
 class NotWellDefinedError(AdmissibilityError):
@@ -336,13 +334,10 @@ def psi_reference(model: HomologyModel) -> MappingClassMatrix:
     class: sigma to minus itself, alpha_i <-> delta_i and beta_i <->
     gamma_i.  Raises if the prescription conflicts with the relations among
     curve classes."""
-    partner = {
-        "sigma": "sigma", "alpha": "delta", "delta": "alpha", "beta": "gamma", "gamma": "beta",
-    }
     # column j = class of psi(curve_j), a negated column of ``classes``
     moved = transpose(
         [
-            tuple(-x for x in model.curve_class(CurveId(partner[c.family], c.index)))
+            tuple(-x for x in model.curve_class(CurveId(PSI_PARTNERS[c.family], c.index)))
             for c in model.curve_order
         ]
     )

@@ -35,8 +35,10 @@ from functools import cached_property
 __all__ = [
     "FAMILIES",
     "SIGMA_SIGNS",
+    "PSI_PARTNERS",
     "ConfigurationError",
     "RibbonError",
+    "AdmissibilityError",
     "CurveId",
     "Crossing",
     "CurveSystem",
@@ -57,6 +59,12 @@ FAMILIES = ("alpha", "beta", "gamma", "delta")
 # signs of the crossings of sigma with alpha_1, beta_1, gamma_1, delta_1
 SIGMA_SIGNS = (1, 1, 1, 1)
 
+# the gluing involution psi sends each curve to minus the curve of the
+# partner family with the same index
+PSI_PARTNERS = {
+    "sigma": "sigma", "alpha": "delta", "delta": "alpha", "beta": "gamma", "gamma": "beta",
+}
+
 
 class ConfigurationError(ValueError):
     """Invalid construction parameters."""
@@ -64,6 +72,10 @@ class ConfigurationError(ValueError):
 
 class RibbonError(ValueError):
     """Degenerate or inconsistent ribbon-graph data."""
+
+
+class AdmissibilityError(RuntimeError):
+    """The ribbon data does not produce a consistent surface homology."""
 
 
 class CurveId(namedtuple("CurveId", ("family", "index"))):

@@ -151,17 +151,17 @@ class TestVerifyPsi:
 
     def test_b2_auto_builds_one_model(self, capsys, monkeypatch):
         # the calibration's passing b = 2 probe is the report's probe, so
-        # the run builds one model where it built two; [DERIVED] sha256 of
-        # stdout taken while it built two
+        # the run builds one crossing tree where it built two models;
+        # [DERIVED] sha256 of stdout taken while it built two
         calls = []
-        real = canonical.homology_model
+        real = canonical.crossing_tree
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
         canonical.probe_signs.cache_clear()
-        monkeypatch.setattr(canonical, "homology_model", counting)
+        monkeypatch.setattr(canonical, "crossing_tree", counting)
         code, out = run(capsys, "verify-psi", "--b", "2")
         assert code == 0
         assert len(calls) == 1
@@ -172,7 +172,7 @@ class TestVerifyPsi:
 
     def test_usage_errors(self):
         usage_error("verify-psi", "--b", "1")
-        usage_error("verify-psi", "--b", "13")
+        usage_error("verify-psi", "--b", "376")
         usage_error("verify-psi", "--b", "2", "--sign-mode", "garbled")
         usage_error("verify-psi", "--b", "2", "--sign-mode", "explicit:1,1")
         usage_error("verify-psi")
@@ -537,8 +537,8 @@ class TestAuroux:
 
     @pytest.fixture
     def no_homology_model(self, monkeypatch):
-        """Make every homology-model build fail the test, including the
-        one behind the cached sign calibration."""
+        """Make every homology-model build fail the test; the sign
+        calibration, run afresh, builds none."""
 
         def forbidden(*args, **kwargs):
             pytest.fail("auroux built a homology model")
@@ -546,7 +546,6 @@ class TestAuroux:
         canonical.probe_signs.cache_clear()
         monkeypatch.setattr(homology, "reference_model", forbidden)
         monkeypatch.setattr(homology, "homology_model", forbidden)
-        monkeypatch.setattr(canonical, "homology_model", forbidden)
         yield
         monkeypatch.undo()
         canonical.probe_signs.cache_clear()
@@ -1241,7 +1240,7 @@ class TestArgumentTypes:
     accepts or rejects a value, without running the command."""
 
     FIBRES = [
-        (("verify-psi",), 12),
+        (("verify-psi",), 375),
         (("auroux",), 40),
         (("export", "config"), 30000),
         (("monodromy", "emit"), 300),
@@ -1366,6 +1365,27 @@ class TestImportIsolation:
 
     def test_monodromy_emit_skips_the_homology_model(self):
         assert not self.loaded("monodromy", "emit", "--b", "3") & {"homology", "intlin"}
+
+    # the sign probe runs in curve coordinates on the crossing tree, so
+    # neither the report nor the calibration behind it builds a model
+    def test_verify_psi_skips_the_homology_model(self):
+        assert not self.loaded("verify-psi", "--b", "2") & {"homology", "intlin"}
+
+    def test_sign_calibration_skips_the_homology_model(self):
+        probe = (
+            "import json, sys\n"
+            "from twistbench import canonical\n"
+            "canonical.canonical_sigma_signs()\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('twistbench.'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=package_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "twistbench.crossing" in loaded
+        assert not loaded & {"twistbench.homology", "twistbench.intlin"}
 
     # the sign convention is a constant of surface, so printing the
     # configuration runs no calibration

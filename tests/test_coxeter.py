@@ -20,6 +20,7 @@ from twistbench.coxeter import (
     chain_word_images,
     psi_factor_chains,
     psi_factorization,
+    psi_factorization_length,
     validate_chain,
     verify_chain_action,
 )
@@ -210,6 +211,14 @@ class TestCoxeterWord:
         with pytest.raises(ValueError):
             coxeter(chain, 0)
 
+    def test_letters_are_shared_per_curve(self):
+        # the b = 375 gluing word has 5.6 million letters; one letter
+        # object per curve of a chain keeps it an array of pointers
+        chain = tuple(curve("alpha", i) for i in range(1, 11))
+        word = coxeter(chain, 3)
+        assert len(word) == 165
+        assert len({id(letter) for letter in word}) == 10
+
     def test_inverse_word_cancels(self, model2):
         chain = (curve("delta", 1), curve("sigma"), curve("alpha", 1))
         word = coxeter(chain, 1) + coxeter(chain, -1)
@@ -257,6 +266,10 @@ class TestFactorization:
         # 2*(n+1)(n+2)/2 for the negative-power factors
         assert len(psi_factorization(2)) == 138
         assert len(psi_factorization(3)) == 326
+
+    def test_letter_count_without_the_word(self):
+        assert psi_factorization_length(2) == 138
+        assert all(psi_factorization_length(b) == len(psi_factorization(b)) for b in range(2, 21))
 
     def test_all_letters_positive_or_negative_by_factor(self):
         word = psi_factorization(2)

@@ -60,18 +60,18 @@ def test_sign_table_rejects_b_below_two(script, b):
 
 def test_sign_table_builds_each_model_once(capsys, monkeypatch):
     # the calibration reads the cached probe of (1, 1, 1, 1) that the table
-    # made, so sixteen tuples build sixteen models (seventeen before the
-    # probe was cached); [DERIVED] sha256 of stdout taken while it built
-    # seventeen
+    # made, so sixteen tuples build sixteen crossing trees (seventeen
+    # models before the probe was cached); [DERIVED] sha256 of stdout
+    # taken while it built seventeen
     calls = []
-    real = canonical.homology_model
+    real = canonical.crossing_tree
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     canonical.probe_signs.cache_clear()
-    monkeypatch.setattr(canonical, "homology_model", counting)
+    monkeypatch.setattr(canonical, "crossing_tree", counting)
     monkeypatch.setattr(sys, "argv", ["sign_search_table.py", "--b", "2"])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "scripts" / "sign_search_table.py"), run_name="__main__")
