@@ -13,10 +13,13 @@ orientation bookkeeping (the signs making consecutive chain intersections
 +1) only enters when stating how ``Delta`` permutes the chain classes.
 
 The words need no homology model, and a chain's action needs no matrix:
-``chain_word_images`` moves coordinates along the chain, reading only the
-pairings of consecutive curves, and lifts the result to ``H_1`` through
-the model's curve classes.  So ``coxeter`` imports neither ``homology``
-nor ``intlin``.
+``chain_word_images`` runs a twist word on the chain's own crossing form,
+built from the pairings of consecutive curves, with the curve-coordinate
+kernel of ``crossing``.  A chain's curves are a basis of ``H_1`` of its
+regular neighbourhood, so ``verify_chain_action`` compares the images
+exactly in chain coordinates, and equality there implies it in ``H_1`` of
+the fibre.  So ``coxeter`` imports neither ``homology`` nor ``intlin``,
+and imports ``crossing`` only where a chain action runs.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .surface import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .homology import HomologyModel
-    from .intlin import IntVector
 
 __all__ = [
     "ChainError",
@@ -96,10 +98,10 @@ def chain_signs(model: HomologyModel, chain) -> tuple[int, ...]:
     the next reoriented class positively along the chain."""
     chain = tuple(chain)
     eps = [1]
-    for a, b in zip(chain, chain[1:]):
+    for i, (a, b) in enumerate(zip(chain, chain[1:])):
         pair = model.pairing(a, b)
         if pair not in (+1, -1):
-            raise ChainError(0, f"{a.label}, {b.label} pair to {pair}, expected ±1")
+            raise ChainError(i, f"{a.label}, {b.label} pair to {pair}, expected ±1")
         eps.append(eps[-1] * pair)
     return tuple(eps)
 
@@ -172,71 +174,52 @@ def psi_factorization_length(b: int) -> int:
     )
 
 
-def chain_word_images(model: HomologyModel, chain, word) -> list[IntVector]:
-    """The images of the chain's curve classes under a twist word over its
-    curves (the rightmost letter acts first), in chain order.
-
-    The word runs in the chain's own coordinates: ``X[k][i]`` is the
-    coefficient of ``c_k`` in the image of ``c_i``.  The letter ``(c_j, s)``
-    acts by ``x -> x - s <x, c_j> c_j`` and, in a chain, ``c_j`` pairs only
-    with ``c_{j-1}`` and ``c_{j+1}``, so it changes coordinate ``j`` alone,
-    reading its two neighbours.  Each image is then lifted to ``H_1`` as
-    ``sum_k X[k][i] class(c_k)``, so the result is exact even when the
-    chain classes are linearly dependent."""
+def chain_word_images(model: HomologyModel, chain, word) -> list[dict[int, int]]:
+    """The images of the chain's curves under a twist word over its curves
+    (the rightmost letter acts first), as sparse rows in the chain's own
+    coordinates: ``X[k][i]`` is the coefficient of ``c_k`` in the image of
+    ``c_i``.  In a chain, ``c_j`` pairs only with ``c_{j-1}`` and
+    ``c_{j+1}``, so a letter changes row ``j`` alone, reading its two
+    neighbours (``crossing.twist_images`` on the chain's form)."""
     return _chain_images(model, validate_chain(model.system, chain), word)
 
 
-def _chain_images(model: HomologyModel, chain: tuple, word) -> list[IntVector]:
-    size = len(chain)
-    # padded rows 0 and size + 1 stay zero, so every letter reads two rows
-    coords = [[0] * size for _ in range(size + 2)]
-    for i in range(size):
-        coords[i + 1][i] = 1
-    pairs = [0] + [model.pairing(a, b) for a, b in zip(chain, chain[1:])] + [0]
-    # <c_j, c_{j-1}> = -pairs[j] and <c_j, c_{j+1}> = pairs[j + 1]
-    steps = {}
-    for j, c in enumerate(chain):
-        for s in (+1, -1):
-            steps[c, s] = (j + 1, -s * pairs[j], s * pairs[j + 1])
-    for letter in reversed(tuple(word)):
-        try:
-            p, left, right = steps[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter!r} is not a twist along the chain") from None
-        coords[p] = [
-            x + left * y + right * z for x, y, z in zip(coords[p], coords[p - 1], coords[p + 1])
-        ]
-    classes = [model.curve_class(c) for c in chain]
-    images = []
-    for column in zip(*coords[1:-1]):
-        image = (0,) * model.rank
-        for x, v in zip(column, classes):
-            if x:
-                image = tuple(a + x * y for a, y in zip(image, v))
-        images.append(image)
-    return images
+def _chain_form(model: HomologyModel, chain: tuple) -> tuple[dict[int, int], ...]:
+    """A validated chain's crossing form: only consecutive curves meet."""
+    form: list[dict[int, int]] = [{} for _ in chain]
+    for i, (a, b) in enumerate(zip(chain, chain[1:])):
+        form[i][i + 1] = model.pairing(a, b)
+        form[i + 1][i] = -form[i][i + 1]
+    return tuple(form)
+
+
+def _chain_images(model: HomologyModel, chain: tuple, word) -> list[dict[int, int]]:
+    from .crossing import twist_images, twist_steps
+
+    return twist_images(twist_steps(chain, _chain_form(model, chain)), len(chain), word)
 
 
 def verify_chain_action(model: HomologyModel, chain) -> None:
-    """Assert the Coxeter action on the reoriented chain classes: for odd
-    chains Delta sends the i-th class to the (N+1-i)-th with sign (-1)^(i+1);
-    for even chains Delta^2 negates every chain class.  The word runs in
-    chain coordinates (``chain_word_images``); the images are compared in
-    ``H_1``."""
+    """Assert the Coxeter action on the reoriented chain curves: for odd
+    chains Delta sends the i-th curve to the (N+1-i)-th with sign (-1)^(i+1);
+    for even chains Delta^2 negates every chain curve.  The images
+    (``chain_word_images``) are compared exactly in chain coordinates."""
     chain = validate_chain(model.system, chain)
     eps = chain_signs(model, chain)
     size = len(chain)
     odd = size % 2
-    images = _chain_images(model, chain, coxeter(chain, 1 if odd else 2))
-    for i, image in enumerate(images):
-        # the image of the unsigned class c_i is +-class(c_k)
+    columns: list[dict[int, int]] = [{} for _ in chain]
+    for k, row in enumerate(_chain_images(model, chain, coxeter(chain, 1 if odd else 2))):
+        for i, x in row.items():
+            columns[i][k] = x
+    for i, column in enumerate(columns):
+        # the image of the unsigned curve c_i is +-c_k
         if odd:
             k = size - 1 - i
             sign = eps[i] * eps[k] * (-1 if i % 2 else +1)
         else:
             k, sign = i, -1
-        target = model.curve_class(chain[k])
-        if image != (target if sign > 0 else tuple(-x for x in target)):
+        if column != {k: sign}:
             raise AssertionError(
                 f"{'odd-chain' if odd else 'even-chain squared'} action failed at "
                 f"position {i + 1} of {[c.label for c in chain]}"

@@ -12,7 +12,8 @@ about ``C``:
   Picard-Lefschetz rule ``x_c -= s * sum_d C[d][c] x_d`` (Farb and
   Margalit, *A Primer on Mapping Class Groups*, Prop. 6.3), which reads
   only the neighbours of ``c``, and it fixes ``ker C`` pointwise, so it
-  lifts the twist on ``H_1``;
+  lifts the twist on ``H_1``; ``twist_images`` runs it on any sparse
+  form, a tree's or (in ``coxeter``) a chain's;
 * two words agree on ``H_1`` when ``C`` kills the difference of their
   images.
 
@@ -31,7 +32,7 @@ from functools import cached_property
 
 from .surface import AdmissibilityError
 
-__all__ = ["CrossingTree", "crossing_tree"]
+__all__ = ["CrossingTree", "crossing_tree", "twist_steps", "twist_images"]
 
 
 class CrossingTree(
@@ -53,31 +54,13 @@ class CrossingTree(
     def rank(self) -> int:
         return 2 * len(self.matching)
 
+    @cached_property
+    def steps(self) -> dict:
+        return twist_steps(self.curves, self.form)
+
     def images(self, word) -> list[dict[int, int]]:
-        """The images of the curves under a twist word (the rightmost
-        letter acts first), as sparse rows: ``X[k][j]`` is the
-        coefficient of curve ``k`` in the image of curve ``j``.  A letter
-        ``(c, s)`` adds ``s * C[c][d]`` times row ``d`` to row ``c`` for
-        each neighbour ``d`` of ``c``."""
-        steps = {}
-        for i, (c, row) in enumerate(zip(self.curves, self.form)):
-            for s in (1, -1):
-                steps[c, s] = (i, tuple((d, s * w) for d, w in row.items()))
-        rows = [{i: 1} for i in range(len(self.curves))]
-        for letter in reversed(word):
-            try:
-                i, terms = steps[letter]
-            except KeyError:
-                raise ValueError(f"letter {letter!r} is not a twist on the system") from None
-            row = rows[i]
-            for d, k in terms:
-                for j, x in rows[d].items():
-                    y = row.get(j, 0) + k * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-        return rows
+        """``twist_images`` of a word on this tree's step table."""
+        return twist_images(self.steps, len(self.curves), word)
 
     def times(self, rows) -> list[dict[int, int]]:
         """``C @ M`` for a matrix ``M`` given by its sparse rows."""
@@ -136,3 +119,36 @@ def crossing_tree(system) -> CrossingTree:
             x[v] = -form[u][v] * sum(w * x[d] for d, w in form[u].items())
         kernel.append(tuple(x))
     return CrossingTree(curves, tuple(form), tuple(matching), tuple(kernel))
+
+
+def twist_steps(curves, form) -> dict:
+    """The step table of sparse form rows: ``(c, s)`` maps to the index
+    of ``c`` and the pairs ``(d, s * C[c][d])`` over its neighbours."""
+    return {
+        (c, s): (i, tuple((d, s * w) for d, w in row.items()))
+        for i, (c, row) in enumerate(zip(curves, form))
+        for s in (1, -1)
+    }
+
+
+def twist_images(steps, size, word) -> list[dict[int, int]]:
+    """The images of ``size`` curves under a twist word (the rightmost
+    letter acts first), as sparse rows: ``X[k][j]`` is the coefficient of
+    curve ``k`` in the image of curve ``j``.  A letter ``(c, s)`` adds
+    ``s * C[c][d]`` times row ``d`` to row ``c`` for each neighbour ``d``
+    of ``c``; zero entries are dropped, so rows stay sparse."""
+    rows = [{i: 1} for i in range(size)]
+    for letter in reversed(word):
+        try:
+            i, terms = steps[letter]
+        except KeyError:
+            raise ValueError(f"letter {letter!r} is not a twist on the system") from None
+        row = rows[i]
+        for d, k in terms:
+            for j, x in rows[d].items():
+                y = row.get(j, 0) + k * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return rows

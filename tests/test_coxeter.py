@@ -14,6 +14,7 @@ from twistbench import canonical
 from twistbench.canonical import canonical_sigma_signs, sigma_sign_search
 from twistbench.coxeter import (
     ChainError,
+    _chain_form,
     chain_neighborhood_stats,
     chain_signs,
     coxeter,
@@ -24,13 +25,15 @@ from twistbench.coxeter import (
     validate_chain,
     verify_chain_action,
 )
+from twistbench.crossing import crossing_tree
 from twistbench.homology import (
+    HomologyModel,
     psi_reference,
     reference_model,
     twist_word_matrix,
 )
 from twistbench.intlin import identity, mat_vec
-from twistbench.surface import SIGMA_SIGNS, build_reference_configuration, curve
+from twistbench.surface import SIGMA_SIGNS, build_reference_configuration, curve, subsystem
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,39 @@ def matrix_images(model, chain, word):
     return [mat_vec(matrix, model.curve_class(c)) for c in chain]
 
 
+def lifted_images(model, chain, word):
+    """``chain_word_images`` lifted to ``H_1``: the image of ``c_i`` is
+    ``sum_k X[k][i] class(c_k)``, exact even when the chain classes are
+    linearly dependent."""
+    rows = chain_word_images(model, chain, word)
+    classes = [model.curve_class(c) for c in chain]
+    images = []
+    for i in range(len(chain)):
+        image = [0] * model.rank
+        for row, v in zip(rows, classes):
+            x = row.get(i)
+            if x:
+                image = [a + x * y for a, y in zip(image, v)]
+        images.append(tuple(image))
+    return images
+
+
+def first_dense_failure(model, chain, word):
+    """The first position (from 1) at which the dense product of the
+    word misses the Coxeter action that ``verify_chain_action`` states,
+    or None."""
+    eps, size = chain_signs(model, chain), len(chain)
+    for i, image in enumerate(matrix_images(model, chain, word)):
+        if size % 2:
+            k = size - 1 - i
+            sign = eps[i] * eps[k] * (-1 if i % 2 else +1)
+        else:
+            k, sign = i, -1
+        if image != tuple(sign * x for x in model.curve_class(chain[k])):
+            return i + 1
+    return None
+
+
 class TestValidateChain:
     def test_accepts_factor_chains(self, model2):
         for chain in psi_factor_chains(2).values():
@@ -157,14 +193,14 @@ class TestChainWordImages:
         for chain in psi_factor_chains(b).values():
             for power in (1, -1, 2, -2):
                 word = coxeter(chain, power)
-                assert chain_word_images(model, chain, word) == matrix_images(model, chain, word)
+                assert lifted_images(model, chain, word) == matrix_images(model, chain, word)
 
     def test_alpha_runs_match_the_matrix(self, model5):
         for k in range(1, 10):
             chain = tuple(curve("alpha", i) for i in range(1, k + 1))
             for power in (1, -1, 2, -2):
                 word = coxeter(chain, power)
-                assert chain_word_images(model5, chain, word) == matrix_images(model5, chain, word)
+                assert lifted_images(model5, chain, word) == matrix_images(model5, chain, word)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -178,7 +214,7 @@ class TestChainWordImages:
         word = data.draw(
             st.lists(st.tuples(st.sampled_from(chain), st.sampled_from((1, -1))), max_size=40)
         )
-        assert chain_word_images(model2, chain, word) == matrix_images(model2, chain, word)
+        assert lifted_images(model2, chain, word) == matrix_images(model2, chain, word)
 
     def test_builds_no_matrix(self, model2, monkeypatch):
         # with homology and intlin unimportable, every factor chain passes:
@@ -190,8 +226,68 @@ class TestChainWordImages:
 
     def test_rejects_a_letter_off_the_chain(self, model2):
         chain = (curve("alpha", 1), curve("alpha", 2))
-        with pytest.raises(ValueError, match="not a twist along the chain"):
+        with pytest.raises(ValueError, match="is not a twist on the system"):
             chain_word_images(model2, chain, ((curve("alpha", 3), 1),))
+
+    @pytest.mark.parametrize("b", (2, 3, 4))
+    def test_chain_form_is_the_subsystem_crossing_form(self, b):
+        # the form built from consecutive pairings is the crossing tree's
+        # form of the chain's subsystem, whose curves keep chain order
+        model = reference_model(b)
+        for chain in psi_factor_chains(b).values():
+            tree = crossing_tree(subsystem(model.system, chain))
+            assert tree.curves == chain
+            assert _chain_form(model, chain) == tree.form
+
+
+class TestVerifyChainAction:
+    @pytest.mark.parametrize("b", (2, 3))
+    def test_reads_no_curve_class(self, b, monkeypatch):
+        # the action is checked in chain coordinates: no class is read
+        def refuse(*args):
+            raise AssertionError("read a curve class")
+
+        monkeypatch.setattr(HomologyModel, "curve_class", refuse)
+        monkeypatch.setattr(HomologyModel, "class_columns", property(refuse))
+        model = reference_model(b)
+        for chain in psi_factor_chains(b).values():
+            verify_chain_action(model, chain)
+
+    def test_a_flipped_sign_names_its_position(self, model2, monkeypatch):
+        # flipping eps_j breaks positions j and N - 1 - j of an odd chain,
+        # so the first one is reported; the middle sign meets itself
+        real = chain_signs
+        for chain in psi_factor_chains(2).values():
+            size = len(chain)
+            if not size % 2:
+                continue
+            for j in range(size):
+
+                def flipped(model, chain_, j=j):
+                    eps = list(real(model, chain_))
+                    eps[j] = -eps[j]
+                    return tuple(eps)
+
+                monkeypatch.setattr("twistbench.coxeter.chain_signs", flipped)
+                if j == size // 2:
+                    verify_chain_action(model2, chain)
+                    continue
+                position = min(j, size - 1 - j) + 1
+                with pytest.raises(AssertionError, match=f"odd-chain action failed at position {position} of"):
+                    verify_chain_action(model2, chain)
+
+    def test_a_dropped_letter_names_the_dense_position(self, model2, monkeypatch):
+        # every one-letter deletion of every factor chain's word fails, at
+        # the first position where the dense product misses its target
+        for chain in psi_factor_chains(2).values():
+            word = coxeter(chain, 1 if len(chain) % 2 else 2)
+            for d in range(len(word)):
+                short = word[:d] + word[d + 1 :]
+                monkeypatch.setattr("twistbench.coxeter.coxeter", lambda c, p, short=short: short)
+                position = first_dense_failure(model2, chain, short)
+                assert position is not None
+                with pytest.raises(AssertionError, match=f"failed at position {position} of"):
+                    verify_chain_action(model2, chain)
 
 
 class TestChainSigns:
@@ -201,6 +297,13 @@ class TestChainSigns:
     def test_alternating_against_construction_order(self, model2):
         # pairing(alpha_{i+1}, alpha_i) = -1, so signs flip at every step
         assert chain_signs(model2, (curve("alpha", 3), curve("alpha", 2), curve("alpha", 1))) == (1, -1, 1)
+
+    def test_a_bad_pair_names_its_position(self, model5):
+        # alpha_1 meets alpha_2, which misses alpha_4: the pair starts at 1
+        chain = (curve("alpha", 1), curve("alpha", 2), curve("alpha", 4))
+        with pytest.raises(ChainError, match="alpha_2, alpha_4 pair to 0") as err:
+            chain_signs(model5, chain)
+        assert err.value.index == 1
 
 
 class TestCoxeterWord:

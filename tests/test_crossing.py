@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from twistbench import canonical
+from twistbench import canonical, crossing, words
 from twistbench.canonical import ALL_SIGN_TUPLES, SignProbe, probe_signs
-from twistbench.coxeter import psi_factorization
-from twistbench.crossing import crossing_tree
+from twistbench.coxeter import _chain_form, psi_factor_chains, psi_factorization
+from twistbench.crossing import crossing_tree, twist_images, twist_steps
 from twistbench.homology import (
     AdmissibilityError,
     homology_model,
@@ -32,6 +32,7 @@ from twistbench.surface import (
     build_reference_configuration,
     curve,
     ribbon_from_system,
+    subsystem,
 )
 
 
@@ -133,6 +134,41 @@ class TestLetterAction:
     def test_form_is_the_model_crossing_form(self):
         model = reference_model(3)
         assert tuple(map(tuple, dense_form(crossing_tree(model.system)))) == model.crossing_form
+
+    def test_a_word_and_its_inverse_give_unit_rows(self):
+        # cancelled entries are dropped, not kept as zeros
+        model = reference_model(3)
+        tree = crossing_tree(model.system)
+        word = psi_factorization(3)
+        assert tree.images(word) != [{i: 1} for i in range(len(tree.curves))]
+        assert tree.images(word + words.invert(word)) == [{i: 1} for i in range(len(tree.curves))]
+
+    def test_step_table_is_built_once_per_tree(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return twist_steps(*args)
+
+        monkeypatch.setattr(crossing, "twist_steps", counting)
+        tree = crossing_tree(build_reference_configuration(2))
+        tree.images(psi_factorization(2))
+        tree.images(((curve("sigma"), 1),))
+        assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), b=st.sampled_from([2, 3]))
+    def test_chain_form_matches_the_chain_subsystem(self, data, b):
+        # the kernel on a chain's own form runs the chain's subsystem
+        model = reference_model(b)
+        chain = data.draw(st.sampled_from(list(psi_factor_chains(b).values())))
+        word = tuple(
+            data.draw(
+                st.lists(st.tuples(st.sampled_from(chain), st.sampled_from([1, -1])), max_size=60)
+            )
+        )
+        rows = twist_images(twist_steps(chain, _chain_form(model, chain)), len(chain), word)
+        assert rows == crossing_tree(subsystem(model.system, chain)).images(word)
 
     def test_unknown_letter_is_rejected(self):
         tree = crossing_tree(build_reference_configuration(2))
