@@ -14,6 +14,10 @@ product:
     right at i:  (a, b) -> (b, (a)_b)
     left  at i:  (a, b) -> ((b)_{a^{-1}}, a)
 
+``apply_script`` runs any script under ``MAX_CONJUGATOR_TOTAL``.  An
+``auroux`` certificate has one move routine, ``strip_to_front``, which
+derives each step on emit and again on replay, and one cost formula.
+
 The calculus is generic over the core type: homology contexts use curve
 ids, braid contexts use generator indices.  Nothing here touches a
 homology model except ``product_matrix`` and ``letter_matrix``.  They
@@ -65,12 +69,10 @@ MoveOp = tuple  # ("right"|"left", index)
 
 
 class MoveError(ValueError):
-    """A move script step that cannot be applied; carries the step index
-    and the message without it."""
+    """A script or certificate step that cannot be applied; carries its index."""
 
     def __init__(self, step: int, message: str):
         self.step = step
-        self.detail = message
         super().__init__(f"script step {step}: {message}")
 
 
@@ -82,21 +84,21 @@ class MoveError(ValueError):
 #: and 6.7M at k=14 in 7.3 s (a 2-core x86-64 machine), and k=16 exhausts
 #: 1 GiB of address space.  Capping the sum, not each letter, also stops a
 #: long conjugator from being copied into every letter it passes.  The cap
-#: bounds memory only; time still grows with the script's length.
+#: bounds memory only; time still grows with the script's length.  It
+#: guards ``apply_script`` alone: ``strip_to_front`` lengthens no conjugator.
 MAX_CONJUGATOR_TOTAL = 1_000_000
 
 
 class ConjugatorCapError(MoveError):
-    """A script step after which the factorization's conjugators total
-    more than ``MAX_CONJUGATOR_TOTAL`` letters; carries the step and the
-    total, and, for a certificate step, the index of the move inside its
-    script (``None`` otherwise)."""
+    """A step of ``apply_script`` after which the factorization's
+    conjugators total more than ``MAX_CONJUGATOR_TOTAL`` letters; carries
+    the step and the total."""
 
-    def __init__(self, step: int, total: int, move: int | None = None):
+    def __init__(self, step: int, total: int):
         self.total = total
-        self.move = move
-        detail = f"conjugators total {total} letters, over the cap of {MAX_CONJUGATOR_TOTAL}"
-        super().__init__(step, detail if move is None else f"move {move}: {detail}")
+        super().__init__(
+            step, f"conjugators total {total} letters, over the cap of {MAX_CONJUGATOR_TOTAL}"
+        )
 
 
 #: What one move of a certificate script costs, counted in conjugator
@@ -143,9 +145,14 @@ class MoveBudgetError(ValueError):
         )
 
 
-def _move_costs(letters) -> list:
-    """What a move passing each letter costs."""
-    return [MOVE_COST + len(t.conjugator) for t in letters]
+def _check_budget(letters, indices) -> None:
+    """Raise ``MoveBudgetError``, before any move, if bringing the letters
+    at ``indices`` to the front costs more than ``MAX_CERTIFICATE_COST``:
+    the script from index i makes i moves, passing letters 0..i-1."""
+    costs = [MOVE_COST + len(t.conjugator) for t in letters[: max(indices, default=0)]]
+    cost = sum(sum(costs[:i]) for i in indices)
+    if cost > MAX_CERTIFICATE_COST:
+        raise MoveBudgetError(sum(indices), cost)
 
 
 class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
@@ -162,6 +169,10 @@ class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
     def __new__(cls, core, sign: int, conjugator: Word = ()) -> "TwistLetter":
         if sign not in (1, -1):
             raise ValueError("letter sign must be +1 or -1")
+        conjugator = tuple(conjugator)
+        if not set(map(_sign, conjugator)) <= {1, -1}:
+            g, s = next(x for x in conjugator if _sign(x) not in (1, -1))
+            raise ValueError(f"conjugator letter signs must be +1 or -1, got {s!r} on {g}")
         return tuple.__new__(cls, (core, sign, words.free_reduce(conjugator)))
 
     @classmethod
@@ -175,8 +186,9 @@ class TwistLetter(namedtuple("TwistLetter", ("core", "sign", "conjugator"))):
         return words.join_conjugate((), (self.core, self.sign), self.conjugator)
 
 
-#: the core of a letter, read in C
+#: the core and the sign of a letter, read in C
 _core = itemgetter(0)
+_sign = itemgetter(1)
 
 
 def bare(core, sign: int = 1) -> TwistLetter:
@@ -344,11 +356,7 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
     if missing:
         raise MissingCoreError(missing)
     indices = [shortest[core][1] for core in targets]
-    # the step from index i makes i moves, passing letters 0..i-1
-    costs = _move_costs(letters[: max(indices, default=0)])
-    cost = sum(sum(costs[:i]) for i in indices)
-    if cost > MAX_CERTIFICATE_COST:
-        raise MoveBudgetError(sum(indices), cost)
+    _check_budget(letters, indices)
     moved = [strip_to_front(fact, index) for index in indices]
     steps = tuple(
         AurouxStep(core=core, script=script, front_letter=front)
@@ -359,36 +367,28 @@ def auroux_certificate(fact: Factorization, targets: Sequence) -> AurouxCertific
 
 
 def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> list:
-    """Re-run every step's script on the prefix of the factorization that
-    ``base_cores`` covers, comparing its cores in place, and check the
-    recorded front letter is reproduced; a certificate whose
-    ``base_cores`` span the whole factorization is its own prefix.  Raises
-    ``MoveBudgetError`` before the first move if the scripts cost more
-    than ``MAX_CERTIFICATE_COST``, and ``MoveError`` (``ConjugatorCapError``
-    over the conjugator cap) with the first failing certificate step; a
-    move inside its script is named in the message as ``move <index>``.
-    Returns the recomputed front letters."""
+    """Derive every step again on the prefix of the factorization that
+    ``base_cores`` covers, comparing its cores in place (a whole-lift
+    ``base_cores`` is its own prefix): a script of n moves must start
+    inside the prefix, and ``strip_to_front(prefix, n)`` must give it and
+    the front letter.  Raises ``MoveBudgetError`` before the first move if
+    the scripts cost more than ``MAX_CERTIFICATE_COST``, and ``MoveError``
+    with the first failing certificate step.  Returns the front letters."""
     base = certificate.base_cores
     prefix = Factorization(fact.letters[: len(base)])
     if len(prefix) != len(base) or not all(map(eq, map(_core, prefix.letters), base)):
         raise MoveError(0, "certificate was issued for a different factorization")
-    # a move out of range costs the least; apply_script refuses it
-    costs = _move_costs(prefix.letters)
-    moved = [i for step in certificate.steps for _, i in step.script]
-    cost = sum(costs[i] if 0 <= i < len(costs) else MOVE_COST for i in moved)
-    if cost > MAX_CERTIFICATE_COST:
-        raise MoveBudgetError(len(moved), cost)
+    _check_budget(prefix.letters, [len(step.script) for step in certificate.steps])
     fronts = []
     for k, step in enumerate(certificate.steps):
-        try:
-            front = apply_script(prefix, step.script).letters[:1]
-        except ConjugatorCapError as err:
-            raise ConjugatorCapError(k, err.total, err.step) from err
-        except MoveError as err:
-            raise MoveError(k, f"move {err.step}: {err.detail}") from err
-        if front != (step.front_letter,):
-            raise MoveError(k, f"replayed front letter differs for core {step.core!r}")
-        fronts.append(front[0])
+        n = len(step.script)
+        if n >= len(prefix):
+            raise MoveError(k, f"{n} moves reach past the prefix of {len(prefix)} letters")
+        front, script = strip_to_front(prefix, n)
+        if (front, script) != (step.front_letter, step.script):
+            what = "script" if script != step.script else "front letter"
+            raise MoveError(k, f"replayed {what} differs for core {step.core}")
+        fronts.append(front)
     return fronts
 
 

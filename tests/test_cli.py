@@ -1,6 +1,8 @@
 """Command surface: exit codes, determinism, file outputs."""
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistbench
 from twistbench import canonical, factorization, homology
@@ -272,13 +275,13 @@ class TestAuroux:
         [check] = json.loads(out)["checks"]
         assert (check["name"], check["status"]) == ("certificate-replays", "fail")
         assert check["details"] == (
-            "first bad move at step 12: script step 12: "
-            "move 25: move index 25 out of range for 26 letters"
+            "first bad move at step 12: script step 12: 26 moves reach past the prefix of 26 letters"
         )
 
-    def test_growing_replay_is_inconclusive(self, capsys, tmp_path, monkeypatch):
-        # the 17th move of step 3 takes the conjugators over the cap: the
-        # report names certificate step 3, and the move inside its script
+    def test_growing_replay_fails_naming_its_step(self, capsys, tmp_path, monkeypatch):
+        # under apply_script the 17th move of this script takes the
+        # conjugators over the cap; the replay makes no move of it: its 32
+        # moves would start past the 26 letters of the prefix
         monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 10_000)
         cert = tmp_path / "cert.json"
         run(capsys, "auroux", "--b", "2", "--out", str(cert))
@@ -286,27 +289,49 @@ class TestAuroux:
         payload["steps"][3]["script"] = [["right", 1], ["left", 2]] * 16
         cert.write_text(json.dumps(payload))
         code, out = run(capsys, "auroux", "--b", "2", "--replay", str(cert), "--format", "json")
-        assert code == 3
+        assert code == 1
         [check] = json.loads(out)["checks"]
-        assert check["status"] == "inconclusive"
+        assert check["status"] == "fail"
         assert check["details"] == (
-            "script step 3: move 16: conjugators total 13603 letters, over the cap of 10000"
+            "first bad move at step 3: script step 3: 32 moves reach past the prefix of 26 letters"
         )
 
-    def test_emit_over_the_cap_is_inconclusive(self, capsys, tmp_path, monkeypatch):
-        # the b = 2 lift starts with 120 conjugator letters; the emitted
-        # certificate replays through the same check as --replay, so going
-        # over the cap is inconclusive, not a usage error, and no
-        # certificate is written
+    def test_emit_ignores_the_conjugator_cap(self, capsys, tmp_path, monkeypatch):
+        # the b = 2 lift starts with 120 conjugator letters, over a cap of
+        # 50; strip_to_front lengthens no conjugator, so the cap guards
+        # apply_script alone and the emit passes and writes its certificate
         monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 50)
         cert = tmp_path / "cert.json"
         code, out = run(capsys, "auroux", "--b", "2", "--out", str(cert), "--format", "json")
-        assert code == 3
-        coverage, replay = json.loads(out)["checks"]
-        assert (coverage["name"], coverage["status"]) == ("core-coverage", "pass")
-        assert (replay["name"], replay["status"]) == ("certificate-replays", "inconclusive")
-        assert "over the cap of 50" in replay["details"]
-        assert not cert.exists()
+        assert code == 0
+        assert [(c["name"], c["status"]) for c in json.loads(out)["checks"]] == [
+            ("core-coverage", "pass"), ("certificate-replays", "pass"), ("fronts-bare", "pass")
+        ]
+        assert cert.exists()
+        code, _ = run(capsys, "auroux", "--b", "2", "--replay", str(cert))
+        assert code == 0
+
+    @pytest.mark.parametrize("b", ["2", "3"])
+    def test_certificate_path_makes_no_general_move(self, capsys, tmp_path, monkeypatch, b):
+        # strip_to_front is the one move routine of emit and replay alike
+        def forbidden(*args):
+            pytest.fail("the certificate path ran a general move")
+
+        monkeypatch.setattr(factorization, "apply_script", forbidden)
+        monkeypatch.setattr(factorization, "_swap", forbidden)
+        cert = tmp_path / "cert.json"
+        for flag in ("--out", "--replay"):
+            code, out = run(capsys, "auroux", "--b", b, flag, str(cert))
+            assert code == 0 and "fronts-bare" in out
+
+    def test_conjugator_sign_is_usage_error(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        run(capsys, "auroux", "--b", "2", "--out", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["steps"][0]["front_letter"]["conjugator"] = [["beta_1", 2]]
+        cert.write_text(json.dumps(payload))
+        usage_error("auroux", "--b", "2", "--replay", str(cert))
+        assert "conjugator letter signs must be +1 or -1, got 2 on beta_1" in capsys.readouterr().err
 
     def test_emit_and_replay_end_with_the_same_checks(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
@@ -1008,6 +1033,19 @@ class TestHurwitzReplay:
         usage_error("hurwitz", "replay", "--file", str(replay_path))
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sign", [2, 0])
+    def test_conjugator_sign_is_usage_error(self, capsys, replay_path, sign):
+        payload = json.loads(replay_path.read_text())
+        for part in ("factorization", "result"):
+            letter = next(t for t in payload[part]["letters"] if t["conjugator"])
+            letter["conjugator"][0] = ["beta_1", sign]
+        replay_path.write_text(json.dumps(payload))
+        usage_error("hurwitz", "replay", "--file", str(replay_path))
+        assert (
+            f"conjugator letter signs must be +1 or -1, got {sign} on beta_1"
+            in capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize(
         "b, message",
         [
@@ -1105,6 +1143,96 @@ class TestHurwitzReplay:
         script += tuple(("right", i) for i in range(201, -1, -1))
         check = self.replay_under_one_gib(tmp_path, fact, script)
         assert check["details"].startswith("script step 22:")
+
+
+def json_paths(node, path=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+json_labels = st.sampled_from(["X", "Yh", "sigma", "alpha_1", "beta_2", "gamma_9", "left", "right"])
+json_keys = st.sampled_from(["core", "sign", "conjugator", "script", "letters"]) | st.text(max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | json_labels | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_keys, inner, max_size=3),
+    max_leaves=6,
+)
+#: a value of the same JSON type as the one it replaces
+json_same_type = {
+    bool: st.booleans(),
+    int: st.integers(-3, 10**6),
+    str: json_labels | st.text(max_size=6),
+    list: st.lists(json_values, max_size=3),
+    dict: st.dictionaries(json_keys, json_values, max_size=3),
+}
+
+
+class TestTamperedInputs:
+    """A b = 2 certificate or replay file edited in one field (a key
+    dropped, a value of another type, or another value of the same type)
+    ends with a documented exit code and a report or a usage line, never
+    a traceback."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        from twistbench.factorization import apply_script
+        from twistbench.monodromy import lifted_composition
+        from twistbench.serialize import replay_file_to_dict
+
+        cert = tmp_path_factory.mktemp("tamper") / "cert.json"
+        assert main(["auroux", "--b", "2", "--out", str(cert)]) == 0
+        fact = lifted_composition(2)
+        script = (("right", 3), ("left", 5), ("right", 0))
+        replay = replay_file_to_dict(2, fact, script, apply_script(fact, script))
+        return {
+            "auroux": (json.loads(cert.read_text()), ["auroux", "--b", "2", "--replay"]),
+            "hurwitz": (replay, ["hurwitz", "replay", "--file"]),
+        }
+
+    @staticmethod
+    def tamper(data, document):
+        document = json.loads(json.dumps(document))
+        *head, key = data.draw(st.sampled_from(list(json_paths(document))))
+        parent = document
+        for k in head:
+            parent = parent[k]
+        old = parent[key]
+        edit = data.draw(st.sampled_from(["drop", "retype", "revalue"]))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "retype":
+            parent[key] = data.draw(json_values.filter(lambda v: type(v) is not type(old)))
+        else:
+            parent[key] = data.draw(json_same_type[type(old)].filter(lambda v: v != old))
+        return document
+
+    @pytest.mark.parametrize("kind", ["auroux", "hurwitz"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_edited_field(self, documents, tmp_path_factory, kind, data):
+        document, argv = documents[kind]
+        path = tmp_path_factory.getbasetemp() / f"tampered-{kind}.json"
+        path.write_text(json.dumps(self.tamper(data, document)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, str(path)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert err.getvalue().startswith("usage: ")
+            assert re.search(r"^twistbench[a-z ]*: error: .", err.getvalue(), re.M)
+        else:
+            assert out.getvalue().endswith(f"exit code: {code}\n")
 
 
 class TestMemoryBackstop:

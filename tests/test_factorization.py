@@ -31,6 +31,7 @@ from twistbench.factorization import (
     bare,
     greedy_match_script,
     hurwitz_search,
+    inverse_op,
     invert_script,
     letter_matrix,
     product_matrix,
@@ -126,6 +127,15 @@ class TestLetters:
             TwistLetter("c", sign, (("a", 1),))
         assert type(err.value) is ValueError
         assert str(err.value) == "letter sign must be +1 or -1"
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_bad_conjugator_sign_rejected(self, sign):
+        # the conjugator may be an iterator: it is read once, as a tuple
+        with pytest.raises(ValueError) as err:
+            TwistLetter("c", 1, iter((("a", 1), ("b", sign), ("a", -1))))
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"conjugator letter signs must be +1 or -1, got {sign} on b"
+        assert TwistLetter("c", 1, iter((("a", 1), ("b", -1)))).conjugator == (("a", 1), ("b", -1))
 
     def test_repr_of_a_conjugated_letter(self):
         t = TwistLetter(curve("alpha", 1), -1, ((curve("beta", 2), 1),))
@@ -451,21 +461,29 @@ class TestCertificates:
             replay_certificate(fact, bad)
         assert err.value.step == 2
 
-    def test_replay_stops_at_the_conjugator_cap(self, model, monkeypatch):
+    def test_growing_script_fails_before_any_cap(self, model, monkeypatch):
+        # the script grows the conjugators past the cap under apply_script;
+        # the replay derives its step instead and fails it without a move
         monkeypatch.setattr(factorization, "MAX_CONJUGATOR_TOTAL", 1000)
         fact, cores = self.planted(model)
         cert = auroux_certificate(fact, cores)
         step = cert.steps[0]
+        growing = (("right", 1), ("left", 2)) * 30
+        with pytest.raises(ConjugatorCapError):
+            apply_script(fact, growing)
         grown = AurouxCertificate(
-            base_cores=cert.base_cores,
-            steps=(type(step)(step.core, (("right", 1), ("left", 2)) * 30, step.front_letter),),
+            base_cores=fact.cores(),
+            steps=(step._replace(script=growing),),
         )
-        with pytest.raises(ConjugatorCapError) as err:
+        with pytest.raises(MoveError) as err:
             replay_certificate(fact, grown)
-        # the error names certificate step 0 and the move inside its script
-        assert err.value.step == 0 and 0 < err.value.move < 60
-        assert str(err.value).startswith(f"script step 0: move {err.value.move}: ")
-        assert 1000 < err.value.total
+        assert type(err.value) is MoveError and err.value.step == 0
+        assert str(err.value) == "script step 0: 60 moves reach past the prefix of 5 letters"
+        grown = grown._replace(steps=(step._replace(script=growing[:3]),))
+        with pytest.raises(MoveError) as err:
+            replay_certificate(fact, grown)
+        assert type(err.value) is MoveError and err.value.step == 0
+        assert str(err.value) == f"script step 0: replayed script differs for core {step.core}"
 
     def test_certificate_moves_no_pair(self, monkeypatch):
         # strip_to_front follows the one letter it moves: each script step
@@ -545,12 +563,45 @@ class TestCertificates:
             apply_script(fact, reaching.steps[0].script)
         with pytest.raises(MoveError) as err:
             replay_certificate(fact, reaching)
-        # the certificate step, with the move inside its script
+        # a script of n moves starts at letter n, here one past the prefix
         assert err.value.step == 0
-        assert err.value.__cause__.step == len(step.script)
-        assert f"move {len(step.script)}: move index {index} out of range for {size} letters" in str(
-            err.value
+        assert str(err.value) == (
+            f"script step 0: {len(step.script) + 1} moves reach past the prefix of {size} letters"
         )
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_apply_script_reproduces_every_front(self, b):
+        # oracle: the general move routine, run on the prefix, brings each
+        # recorded front letter to the front
+        cores = list(dict.fromkeys(c for c, _ in psi_factorization(b)))
+        checked = 0
+        for n in (1, 2, 3):
+            for composition in itertools.product(("X", "Y", "Xh", "Yh"), repeat=n):
+                fact = lifted_composition(b, composition)
+                try:
+                    cert = auroux_certificate(fact, cores)
+                except MissingCoreError:
+                    continue
+                prefix = Factorization(fact.letters[: len(cert.base_cores)])
+                for step in cert.steps:
+                    assert apply_script(prefix, step.script).letters[0] == step.front_letter
+                assert replay_certificate(fact, cert) == [s.front_letter for s in cert.steps]
+                checked += 1
+        assert checked > 30
+
+    def test_flipped_move_fails_its_step(self):
+        fact, cert = self.lift_certificate(2, ("X", "Y"))
+        flipped = 0
+        for k, step in enumerate(cert.steps):
+            for j, op in enumerate(step.script):
+                script = step.script[:j] + (inverse_op(op),) + step.script[j + 1:]
+                steps = cert.steps[:k] + (step._replace(script=script),) + cert.steps[k + 1:]
+                with pytest.raises(MoveError) as err:
+                    replay_certificate(fact, cert._replace(steps=steps))
+                assert err.value.step == k
+                assert str(err.value) == f"script step {k}: replayed script differs for core {step.core}"
+                flipped += 1
+        assert flipped > 100
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_repeated_blocks_leave_the_steps(self, b):
