@@ -18,9 +18,10 @@ signed permutation ``P e_j = -e_partner(j)`` and ``X`` the images of the
 curves under the gluing word, the involution is well defined when ``P``
 maps ``ker C`` into ``ker C`` and preserves the form when ``P^T C P =
 C``; the product matches when ``C (X - P) = 0`` and is symplectic when
-``X^T C X = C``.  The face-relation pipeline of
-:mod:`twistbench.homology` computes the same verdicts and is their test
-oracle.
+``X^T C X = C``.  ``X`` comes from the six factors' Coxeter runs on the
+tree's indices, so the gluing word is never written out.  The
+face-relation pipeline of :mod:`twistbench.homology` computes the same
+verdicts and is their test oracle.
 
 ``probe_signs`` is the one pipeline of the product identity: it
 computes every verdict ``verify-psi`` prints, and the command only
@@ -37,8 +38,8 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-from .coxeter import psi_factorization
-from .crossing import crossing_tree
+from .coxeter import psi_factor_runs
+from .crossing import crossing_tree, twist_images
 from .surface import (
     PSI_PARTNERS,
     SIGMA_SIGNS,
@@ -97,7 +98,7 @@ def probe_signs(b: int, signs: tuple) -> SignProbe:
         detail = "curve-image involution does not preserve the form"
     if detail:
         return SignProbe(signs, True, walks, genus, rank, False, None, None, detail)
-    images = tree.images(psi_factorization(b))
+    images = twist_images(form, psi_factor_runs(b, tree.index))
     form_images = tree.times(images)
     # C X = C psi, where row i of C psi is {p[d]: -C[i][d]}
     matches = all(

@@ -51,10 +51,10 @@ DEFAULT_BUDGET = 20000
 #: whose every run, as one process under a 1 GiB address-space cap on a
 #: 2-core x86-64 machine, took at most 7.5 s, so a run at the cap keeps a
 #: quarter of a 10 s limit against the spread between runs.
-#: ``verify-psi`` builds no homology model: it moves sparse curve
-#: coordinates one row per letter of the gluing word (40b^2 + O(b)
-#: letters); it took 5.7-6.4 s at b=375 (128 MB resident) and 6.6-8.0 s
-#: at b=400, ten runs each.
+#: ``verify-psi`` builds no homology model and writes out no word: it
+#: moves sparse curve coordinates over the factor chains' Coxeter runs
+#: (40b^2 + O(b) letters); it took 4.9-6.5 s at b=375 (23 MB resident;
+#: 128 MB with the word) and 5.7-6.3 s at b=400, five runs each.
 #: ``auroux --out`` took 2.5-3.5 s at b=40 and 3.1-4.0 s at b=42, and
 #: its cap stays where it was set when these read 6.1-6.7 s and 7.4-8.7 s;
 #: ``monodromy emit`` 5.7-7.3 s at b=300 (33 MB out) and 6.9-7.6 s at
@@ -159,11 +159,11 @@ def _read_json(path: str):
         raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
 
 
-def _replay_check(name, replay, passed, bad_step):
+def _replay_check(name, replay, passed, step_label):
     """The check ``name`` of ``replay()``, with the result (``None``
     unless it passed): ``passed(result)`` details a pass, going over the
     conjugator cap or the certificate cost budget is inconclusive, and a
-    bad move fails naming its step."""
+    bad step fails naming it once, after ``step_label``."""
     from .factorization import ConjugatorCapError, MoveBudgetError, MoveError
 
     try:
@@ -171,7 +171,7 @@ def _replay_check(name, replay, passed, bad_step):
     except (ConjugatorCapError, MoveBudgetError) as err:
         return Check(name, "inconclusive", str(err)), None
     except MoveError as err:
-        return Check(name, "fail", f"{bad_step} {err.step}: {err}"), None
+        return Check(name, "fail", f"{step_label} {err.step}: {err.message}"), None
     return Check(name, "pass", passed(result)), result
 
 
@@ -252,7 +252,7 @@ def cmd_verify_psi(args) -> list:
 
 
 def cmd_auroux(args) -> list:
-    from .coxeter import psi_factorization
+    from .coxeter import psi_factor_chains
     from .factorization import (
         MissingCoreError,
         MoveBudgetError,
@@ -293,7 +293,8 @@ def cmd_auroux(args) -> list:
             f"composition has {len(composition)} blocks, over the cap of {AUROUX_MAX_BLOCKS}"
         )
     fact = lifted_composition(args.b, tuple(composition))
-    cores = list(dict.fromkeys(c for c, _ in psi_factorization(args.b)))
+    # the cores in the order the gluing word A6 ... A1 first names them
+    cores = list(dict.fromkeys(c for f in reversed(psi_factor_chains(args.b).values()) for c in f))
     covered = Check("core-coverage", "pass", f"all {len(cores)} reference cores appear")
     if not args.replay:
         try:
@@ -315,7 +316,7 @@ def cmd_auroux(args) -> list:
         "certificate-replays",
         lambda: replay_certificate(fact, cert),
         lambda fronts: f"{len(fronts)} steps reproduced",
-        "first bad move at step",
+        "certificate step",
     )
     if fronts is None:
         # no fronts to check: a read certificate reports its replay alone,
@@ -513,7 +514,7 @@ def cmd_hurwitz(args) -> list:
         "script-applies",
         lambda: apply_script(fact, script),
         lambda _: f"{len(script)} moves",
-        "step",
+        "script step",
     )
     if result is None:
         return [check]

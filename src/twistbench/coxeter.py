@@ -12,14 +12,19 @@ not depend on curve orientations, so the word is orientation-free; the
 orientation bookkeeping (the signs making consecutive chain intersections
 +1) only enters when stating how ``Delta`` permutes the chain classes.
 
+In acting order ``Delta`` is the runs ``c_1 ... c_k`` for k = N ... 1,
+slices of the chain: ``coxeter_runs`` gives them over any index list,
+and ``coxeter`` and ``psi_factorization`` write them out as words.
+
 The words need no homology model, and a chain's action needs no matrix:
 ``chain_word_images`` runs a twist word on the chain's own crossing form,
 built from the pairings of consecutive curves, with the curve-coordinate
-kernel of ``crossing``.  A chain's curves are a basis of ``H_1`` of its
-regular neighbourhood, so ``verify_chain_action`` compares the images
-exactly in chain coordinates, and equality there implies it in ``H_1`` of
-the fibre.  So ``coxeter`` imports neither ``homology`` nor ``intlin``,
-and imports ``crossing`` only where a chain action runs.
+kernel of ``crossing``, and ``verify_chain_action`` runs the Coxeter runs
+there.  A chain's curves are a basis of ``H_1`` of its regular
+neighbourhood, so the images are compared exactly in chain coordinates,
+and equality there implies it in ``H_1`` of the fibre.  So ``coxeter``
+imports neither ``homology`` nor ``intlin``, and imports ``crossing``
+only where a chain action runs.
 """
 from __future__ import annotations
 
@@ -43,9 +48,11 @@ __all__ = [
     "validate_chain",
     "chain_signs",
     "coxeter",
+    "coxeter_runs",
     "chain_word_images",
     "chain_neighborhood_stats",
     "psi_factor_chains",
+    "psi_factor_runs",
     "psi_factorization",
     "psi_factorization_length",
     "verify_chain_action",
@@ -93,31 +100,42 @@ def validate_chain(sys: CurveSystem, seq) -> tuple[CurveId, ...]:
     return chain
 
 
-def chain_signs(model: HomologyModel, chain) -> tuple[int, ...]:
-    """Reorientation signs: ``eps_1 = 1`` and ``eps_i * class(c_i)`` meets
-    the next reoriented class positively along the chain."""
-    chain = tuple(chain)
-    eps = [1]
-    for i, (a, b) in enumerate(zip(chain, chain[1:])):
-        pair = model.pairing(a, b)
+def _chain_pairings(model: HomologyModel, chain: tuple) -> list[int]:
+    """The pairings of consecutive chain curves; each must be ±1."""
+    pairings = [model.pairing(a, b) for a, b in zip(chain, chain[1:])]
+    for i, pair in enumerate(pairings):
         if pair not in (+1, -1):
+            a, b = chain[i : i + 2]
             raise ChainError(i, f"{a.label}, {b.label} pair to {pair}, expected ±1")
+    return pairings
+
+
+def chain_signs(model: HomologyModel, chain, pairings=None) -> tuple[int, ...]:
+    """Reorientation signs: ``eps_1 = 1`` and ``eps_i * class(c_i)`` meets the
+    next reoriented class positively along the chain, whose ``pairings`` may be given."""
+    eps = [1]
+    for pair in _chain_pairings(model, tuple(chain)) if pairings is None else pairings:
         eps.append(eps[-1] * pair)
     return tuple(eps)
 
 
-def coxeter(chain, power: int = 1) -> words.Word:
-    """The Coxeter twist word of the chain, raised to ``power``."""
-    chain = tuple(chain)
+def coxeter_runs(indices, power: int = 1):
+    """The Coxeter word of the chain at ``indices``, raised to ``power``,
+    as runs ``(sign, slice of indices)`` in acting order."""
     if power == 0:
         raise ValueError("power must be a nonzero integer")
+    if power > 0:
+        return ((1, indices[:k]) for _ in range(power) for k in range(len(indices), 0, -1))
+    return ((-1, indices[k - 1 :: -1]) for _ in range(-power) for k in range(1, len(indices) + 1))
+
+
+def coxeter(chain, power: int = 1) -> words.Word:
+    """The Coxeter twist word of the chain, raised to ``power``: its runs
+    written out, the last letter acting first."""
     # one letter object per curve, shared by all N(N+1)/2 positions
-    letters = tuple((c, +1) for c in chain)
-    delta = tuple(
-        letters[j] for k in range(1, len(chain) + 1) for j in range(k - 1, -1, -1)
-    )
-    word = delta if power > 0 else words.invert(delta)
-    return word * abs(power)
+    letters = tuple((c, 1 if power > 0 else -1) for c in chain)
+    runs = list(coxeter_runs(letters, power))
+    return tuple(letter for _, run in reversed(runs) for letter in reversed(run))
 
 
 def chain_neighborhood_stats(sys: CurveSystem, chain) -> tuple[int, int]:
@@ -135,7 +153,7 @@ def _family_run(family: str, start: int, stop: int) -> tuple[CurveId, ...]:
 
 
 def psi_factor_chains(b: int) -> dict[str, tuple[CurveId, ...]]:
-    """The six chains whose Coxeter products factor the gluing involution.
+    """The six chains whose Coxeter products factor the gluing involution, A1 acting first.
 
     Factors A1..A3 use the three long chains through sigma at power 1;
     A4 and A5 use power -2; A6 uses power -1.
@@ -155,14 +173,20 @@ def psi_factor_chains(b: int) -> dict[str, tuple[CurveId, ...]]:
 PSI_FACTOR_POWERS = {"A1": 1, "A2": 1, "A3": 1, "A4": -2, "A5": -2, "A6": -1}
 
 
+def psi_factor_runs(b: int, index):
+    """The six-factor word's runs over ``index``, one at a time, A1 first."""
+    return (
+        run
+        for name, chain in psi_factor_chains(b).items()
+        for run in coxeter_runs(tuple(index[c] for c in chain), PSI_FACTOR_POWERS[name])
+    )
+
+
 def psi_factorization(b: int) -> words.Word:
     """Twist word of the six-factor product A6 A5 A4 A3 A2 A1, concatenated
     so that A1 acts first (rightmost)."""
-    chains = psi_factor_chains(b)
-    word: list = []
-    for name in ("A6", "A5", "A4", "A3", "A2", "A1"):
-        word.extend(coxeter(chains[name], PSI_FACTOR_POWERS[name]))
-    return tuple(word)
+    factors = [coxeter(chain, PSI_FACTOR_POWERS[n]) for n, chain in psi_factor_chains(b).items()]
+    return tuple(letter for factor in reversed(factors) for letter in factor)
 
 
 def psi_factorization_length(b: int) -> int:
@@ -181,35 +205,36 @@ def chain_word_images(model: HomologyModel, chain, word) -> list[dict[int, int]]
     ``c_i``.  In a chain, ``c_j`` pairs only with ``c_{j-1}`` and
     ``c_{j+1}``, so a letter changes row ``j`` alone, reading its two
     neighbours (``crossing.twist_images`` on the chain's form)."""
-    return _chain_images(model, validate_chain(model.system, chain), word)
+    from .crossing import twist_images, word_runs
+
+    chain = validate_chain(model.system, chain)
+    runs = word_runs({c: i for i, c in enumerate(chain)}, word)
+    return twist_images(_chain_form(_chain_pairings(model, chain)), runs)
 
 
-def _chain_form(model: HomologyModel, chain: tuple) -> tuple[dict[int, int], ...]:
-    """A validated chain's crossing form: only consecutive curves meet."""
-    form: list[dict[int, int]] = [{} for _ in chain]
-    for i, (a, b) in enumerate(zip(chain, chain[1:])):
-        form[i][i + 1] = model.pairing(a, b)
-        form[i + 1][i] = -form[i][i + 1]
+def _chain_form(pairings) -> tuple[dict[int, int], ...]:
+    """The crossing form of a chain from its consecutive ``pairings``."""
+    form: list[dict[int, int]] = [{} for _ in range(len(pairings) + 1)]
+    for i, pair in enumerate(pairings):
+        form[i][i + 1], form[i + 1][i] = pair, -pair
     return tuple(form)
-
-
-def _chain_images(model: HomologyModel, chain: tuple, word) -> list[dict[int, int]]:
-    from .crossing import twist_images, twist_steps
-
-    return twist_images(twist_steps(chain, _chain_form(model, chain)), len(chain), word)
 
 
 def verify_chain_action(model: HomologyModel, chain) -> None:
     """Assert the Coxeter action on the reoriented chain curves: for odd
     chains Delta sends the i-th curve to the (N+1-i)-th with sign (-1)^(i+1);
-    for even chains Delta^2 negates every chain curve.  The images
-    (``chain_word_images``) are compared exactly in chain coordinates."""
+    for even chains Delta^2 negates every chain curve.  The runs act on
+    chain positions, and the images are compared exactly there."""
+    from .crossing import twist_images
+
     chain = validate_chain(model.system, chain)
-    eps = chain_signs(model, chain)
+    pairings = _chain_pairings(model, chain)
+    eps = chain_signs(model, chain, pairings)
     size = len(chain)
     odd = size % 2
+    runs = coxeter_runs(range(size), 1 if odd else 2)
     columns: list[dict[int, int]] = [{} for _ in chain]
-    for k, row in enumerate(_chain_images(model, chain, coxeter(chain, 1 if odd else 2))):
+    for k, row in enumerate(twist_images(_chain_form(pairings), runs)):
         for i, x in row.items():
             columns[i][k] = x
     for i, column in enumerate(columns):

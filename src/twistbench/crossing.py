@@ -13,7 +13,8 @@ about ``C``:
   Margalit, *A Primer on Mapping Class Groups*, Prop. 6.3), which reads
   only the neighbours of ``c``, and it fixes ``ker C`` pointwise, so it
   lifts the twist on ``H_1``; ``twist_images`` runs it on any sparse
-  form, a tree's or (in ``coxeter``) a chain's;
+  form, a tree's or (in ``coxeter``) a chain's, on runs ``(s, indices)``
+  of curve indices twisted in turn, so it hashes no letter;
 * two words agree on ``H_1`` when ``C`` kills the difference of their
   images.
 
@@ -32,7 +33,7 @@ from functools import cached_property
 
 from .surface import AdmissibilityError
 
-__all__ = ["CrossingTree", "crossing_tree", "twist_steps", "twist_images"]
+__all__ = ["CrossingTree", "crossing_tree", "word_runs", "twist_images"]
 
 
 class CrossingTree(
@@ -54,13 +55,9 @@ class CrossingTree(
     def rank(self) -> int:
         return 2 * len(self.matching)
 
-    @cached_property
-    def steps(self) -> dict:
-        return twist_steps(self.curves, self.form)
-
     def images(self, word) -> list[dict[int, int]]:
-        """``twist_images`` of a word on this tree's step table."""
-        return twist_images(self.steps, len(self.curves), word)
+        """``twist_images`` of a twist word on this tree's form."""
+        return twist_images(self.form, word_runs(self.index, word))
 
     def times(self, rows) -> list[dict[int, int]]:
         """``C @ M`` for a matrix ``M`` given by its sparse rows."""
@@ -121,34 +118,35 @@ def crossing_tree(system) -> CrossingTree:
     return CrossingTree(curves, tuple(form), tuple(matching), tuple(kernel))
 
 
-def twist_steps(curves, form) -> dict:
-    """The step table of sparse form rows: ``(c, s)`` maps to the index
-    of ``c`` and the pairs ``(d, s * C[c][d])`` over its neighbours."""
-    return {
-        (c, s): (i, tuple((d, s * w) for d, w in row.items()))
-        for i, (c, row) in enumerate(zip(curves, form))
-        for s in (1, -1)
-    }
+def word_runs(index, word) -> list:
+    """A twist word (the rightmost letter acts first) as one-letter runs
+    in acting order, each curve read through ``index``."""
+    for letter in word:
+        if letter[0] not in index or letter[1] not in (1, -1):
+            raise ValueError(f"letter {letter!r} is not a twist on the system")
+    return [(s, (index[c],)) for c, s in reversed(word)]
 
 
-def twist_images(steps, size, word) -> list[dict[int, int]]:
-    """The images of ``size`` curves under a twist word (the rightmost
-    letter acts first), as sparse rows: ``X[k][j]`` is the coefficient of
-    curve ``k`` in the image of curve ``j``.  A letter ``(c, s)`` adds
-    ``s * C[c][d]`` times row ``d`` to row ``c`` for each neighbour ``d``
-    of ``c``; zero entries are dropped, so rows stay sparse."""
-    rows = [{i: 1} for i in range(size)]
-    for letter in reversed(word):
-        try:
-            i, terms = steps[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter!r} is not a twist on the system") from None
-        row = rows[i]
-        for d, k in terms:
-            for j, x in rows[d].items():
-                y = row.get(j, 0) + k * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
+def twist_images(form, runs) -> list[dict[int, int]]:
+    """The images of the curves of a sparse form under twist runs, as
+    sparse rows: ``X[k][j]`` is the coefficient of curve ``k`` in the
+    image of curve ``j``.  A run ``(s, indices)`` twists the curves at
+    ``indices`` in turn; the twist ``(c, s)`` adds ``s * C[c][d]`` times
+    row ``d`` to row ``c`` for each neighbour ``d`` of ``c``; zero entries
+    are dropped, so rows stay sparse."""
+    terms: dict = {}  # sign -> the signed form rows, built on first use
+    rows = [{i: 1} for i in range(len(form))]
+    for sign, indices in runs:
+        steps = terms.get(sign) or terms.setdefault(
+            sign, [tuple((d, sign * w) for d, w in row.items()) for row in form]
+        )
+        for i in indices:
+            row = rows[i]
+            for d, k in steps[i]:
+                for j, x in rows[d].items():
+                    y = row.get(j, 0) + k * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
     return rows

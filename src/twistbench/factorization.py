@@ -72,7 +72,7 @@ class MoveError(ValueError):
     """A script or certificate step that cannot be applied; carries its index."""
 
     def __init__(self, step: int, message: str):
-        self.step = step
+        self.step, self.message = step, message
         super().__init__(f"script step {step}: {message}")
 
 

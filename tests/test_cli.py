@@ -230,6 +230,24 @@ class TestAuroux:
         assert code == 1
         assert "sigma" in out
 
+    def test_cores_are_those_the_gluing_word_names(self, capsys, monkeypatch):
+        # the cores come from the six chains, not the written word; the
+        # list stays the word's first appearances for every b to the cap
+        from twistbench import monodromy
+        from twistbench.coxeter import psi_factorization
+
+        seen = []
+
+        def capture(fact, cores):
+            seen.append(cores)
+            raise factorization.MoveBudgetError(0, 0)
+
+        monkeypatch.setattr(monodromy, "lifted_composition", lambda b, composition: None)
+        monkeypatch.setattr(factorization, "auroux_certificate", capture)
+        for b in range(2, 41):
+            assert run(capsys, "auroux", "--b", str(b))[0] == 3
+            assert seen.pop() == list(dict.fromkeys(c for c, _ in psi_factorization(b)))
+
     def test_write_then_replay(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         code, _ = run(capsys, "auroux", "--b", "2", "--out", str(cert))
@@ -274,9 +292,7 @@ class TestAuroux:
         assert code == 1
         [check] = json.loads(out)["checks"]
         assert (check["name"], check["status"]) == ("certificate-replays", "fail")
-        assert check["details"] == (
-            "first bad move at step 12: script step 12: 26 moves reach past the prefix of 26 letters"
-        )
+        assert check["details"] == "certificate step 12: 26 moves reach past the prefix of 26 letters"
 
     def test_growing_replay_fails_naming_its_step(self, capsys, tmp_path, monkeypatch):
         # under apply_script the 17th move of this script takes the
@@ -292,9 +308,7 @@ class TestAuroux:
         assert code == 1
         [check] = json.loads(out)["checks"]
         assert check["status"] == "fail"
-        assert check["details"] == (
-            "first bad move at step 3: script step 3: 32 moves reach past the prefix of 26 letters"
-        )
+        assert check["details"] == "certificate step 3: 32 moves reach past the prefix of 26 letters"
 
     def test_emit_ignores_the_conjugator_cap(self, capsys, tmp_path, monkeypatch):
         # the b = 2 lift starts with 120 conjugator letters, over a cap of
@@ -975,6 +989,18 @@ class TestHurwitzReplay:
         code, out = run(capsys, "hurwitz", "replay", "--file", str(replay_path))
         assert code == 1
         assert "letters differ" in out
+
+    def test_a_failed_step_is_named_once(self):
+        # the label replaces the "script step k:" that opens the message
+        from twistbench.cli import _replay_check
+
+        def bad():
+            raise factorization.MoveError(3, "move index 9 out of range for 5 letters")
+
+        for label in ("script step", "certificate step"):
+            check, result = _replay_check("script-applies", bad, str, label)
+            assert result is None and check.status == "fail"
+            assert check.details == f"{label} 3: move index 9 out of range for 5 letters"
 
     def test_bad_move_index_fails_with_step(self, capsys, replay_path):
         # moves keep the letter count, so the loader rejects the index

@@ -7,17 +7,19 @@ computation frozen into the acceptance suite.
 import sys
 
 import pytest
-from conftest import scanned_shared_crossings
+from conftest import scanned_shared_crossings, splice_runs
 from hypothesis import given, settings, strategies as st
 
-from twistbench import canonical
+from twistbench import canonical, words
 from twistbench.canonical import canonical_sigma_signs, sigma_sign_search
 from twistbench.coxeter import (
     ChainError,
     _chain_form,
+    _chain_pairings,
     chain_neighborhood_stats,
     chain_signs,
     coxeter,
+    coxeter_runs,
     chain_word_images,
     psi_factor_chains,
     psi_factorization,
@@ -237,7 +239,7 @@ class TestChainWordImages:
         for chain in psi_factor_chains(b).values():
             tree = crossing_tree(subsystem(model.system, chain))
             assert tree.curves == chain
-            assert _chain_form(model, chain) == tree.form
+            assert _chain_form(_chain_pairings(model, chain)) == tree.form
 
 
 class TestVerifyChainAction:
@@ -263,8 +265,8 @@ class TestVerifyChainAction:
                 continue
             for j in range(size):
 
-                def flipped(model, chain_, j=j):
-                    eps = list(real(model, chain_))
+                def flipped(model, chain_, pairings=None, j=j):
+                    eps = list(real(model, chain_, pairings))
                     eps[j] = -eps[j]
                     return tuple(eps)
 
@@ -278,16 +280,22 @@ class TestVerifyChainAction:
 
     def test_a_dropped_letter_names_the_dense_position(self, model2, monkeypatch):
         # every one-letter deletion of every factor chain's word fails, at
-        # the first position where the dense product misses its target
+        # the first position where the dense product misses its target; the
+        # deletion goes into the runs, where word position d acts at
+        # position len - 1 - d
         for chain in psi_factor_chains(2).values():
-            word = coxeter(chain, 1 if len(chain) % 2 else 2)
+            power = 1 if len(chain) % 2 else 2
+            word, runs = coxeter(chain, power), list(coxeter_runs(range(len(chain)), power))
             for d in range(len(word)):
                 short = word[:d] + word[d + 1 :]
-                monkeypatch.setattr("twistbench.coxeter.coxeter", lambda c, p, short=short: short)
+                short_runs = splice_runs(runs, len(word) - 1 - d, 0)
+                assert [(chain[i], s) for s, run in short_runs for i in run] == list(reversed(short))
                 position = first_dense_failure(model2, chain, short)
                 assert position is not None
-                with pytest.raises(AssertionError, match=f"failed at position {position} of"):
-                    verify_chain_action(model2, chain)
+                with monkeypatch.context() as patch:
+                    patch.setattr("twistbench.coxeter.coxeter_runs", lambda n, p: short_runs)
+                    with pytest.raises(AssertionError, match=f"failed at position {position} of"):
+                        verify_chain_action(model2, chain)
 
 
 class TestChainSigns:
@@ -306,7 +314,27 @@ class TestChainSigns:
         assert err.value.index == 1
 
 
+def written_coxeter(chain, power):
+    """The Coxeter word written letter by letter, as ``coxeter`` built it
+    before it read its runs: Delta = (c_1)(c_2 c_1)...(c_N ... c_1)."""
+    delta = tuple((chain[j], 1) for k in range(1, len(chain) + 1) for j in range(k - 1, -1, -1))
+    return (delta if power > 0 else words.invert(delta)) * abs(power)
+
+
 class TestCoxeterWord:
+    @pytest.mark.parametrize("power", (1, -1, 2, -2, 3))
+    def test_runs_flatten_to_the_reversed_word(self, power):
+        # the runs, read in acting order, are the written word backwards,
+        # and the written word is the letter-by-letter construction
+        for b in (2, 3):
+            for chain in psi_factor_chains(b).values():
+                runs = list(coxeter_runs(range(len(chain)), power))
+                flat = [(chain[i], s) for s, run in runs for i in run]
+                assert flat == list(reversed(coxeter(chain, power)))
+                assert coxeter(chain, power) == written_coxeter(chain, power)
+        with pytest.raises(ValueError):
+            coxeter_runs(range(3), 0)
+
     def test_word_lengths(self):
         chain = tuple(curve("alpha", i) for i in range(1, 4))
         assert len(coxeter(chain, 1)) == 6

@@ -4,7 +4,8 @@ face-relation pipeline.
 [DERIVED] every expected value comes from an oracle computed inside the
 test: the homology model, ``psi_reference`` and ``twist_word_matrix``
 (the pipeline ``probe_signs`` ran before it moved to curve
-coordinates), or sympy's rank and Smith form of the same matrix.
+coordinates), the letter-keyed kernel that the run kernel replaced, or
+sympy's rank and Smith form of the same matrix.
 """
 import random
 
@@ -13,10 +14,17 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from twistbench import canonical, crossing, words
+from conftest import splice_runs
+from twistbench import canonical, coxeter, words
 from twistbench.canonical import ALL_SIGN_TUPLES, SignProbe, probe_signs
-from twistbench.coxeter import _chain_form, psi_factor_chains, psi_factorization
-from twistbench.crossing import crossing_tree, twist_images, twist_steps
+from twistbench.coxeter import (
+    chain_word_images,
+    psi_factor_chains,
+    psi_factor_runs,
+    psi_factorization,
+    psi_factorization_length,
+)
+from twistbench.crossing import crossing_tree, twist_images
 from twistbench.homology import (
     AdmissibilityError,
     homology_model,
@@ -34,6 +42,34 @@ from twistbench.surface import (
     ribbon_from_system,
     subsystem,
 )
+
+
+def twist_steps(curves, form) -> dict:
+    """The step table of the letter-keyed kernel: ``(c, s)`` maps to the
+    index of ``c`` and the pairs ``(d, s * C[c][d])`` over its
+    neighbours."""
+    return {
+        (c, s): (i, tuple((d, s * w) for d, w in row.items()))
+        for i, (c, row) in enumerate(zip(curves, form))
+        for s in (1, -1)
+    }
+
+
+def keyed_twist_images(steps, size, word) -> list[dict[int, int]]:
+    """The curve-coordinate kernel as it was before runs: every letter of
+    the word is looked up in the step table, the rightmost first."""
+    rows = [{i: 1} for i in range(size)]
+    for letter in reversed(word):
+        i, terms = steps[letter]
+        row = rows[i]
+        for d, k in terms:
+            for j, x in rows[d].items():
+                y = row.get(j, 0) + k * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return rows
 
 
 def oracle_probe(b, signs) -> SignProbe:
@@ -102,12 +138,21 @@ class TestProbeAgainstTheModel:
 
     @pytest.mark.parametrize("b", [2, 3, 4, 8, 16])
     def test_one_letter_sign_flips_fail(self, b, monkeypatch, fresh_probes):
-        word = psi_factorization(b)
+        # the flip goes into the runs the probe reads: the letter at word
+        # position i acts at position len - 1 - i
+        word, size = psi_factorization(b), psi_factorization_length(b)
         rng = random.Random(b)
-        for i in rng.sample(range(len(word)), 5):
+        for i in rng.sample(range(size), 5):
             c, s = word[i]
             flipped = word[:i] + ((c, -s),) + word[i + 1 :]
-            monkeypatch.setattr(canonical, "psi_factorization", lambda _b: flipped)
+
+            def runs(_b, index, i=i):
+                out = splice_runs(psi_factor_runs(_b, index), size - 1 - i, -1)
+                curves = {j: c for c, j in index.items()}
+                assert [(curves[j], s) for s, run in out for j in run] == list(reversed(flipped))
+                return out
+
+            monkeypatch.setattr(canonical, "psi_factor_runs", runs)
             canonical.probe_signs.cache_clear()
             probe = probe_signs(b, (1, 1, 1, 1))
             assert probe.psi_defined and probe.product_matches is False, (b, i)
@@ -143,18 +188,27 @@ class TestLetterAction:
         assert tree.images(word) != [{i: 1} for i in range(len(tree.curves))]
         assert tree.images(word + words.invert(word)) == [{i: 1} for i in range(len(tree.curves))]
 
-    def test_step_table_is_built_once_per_tree(self, monkeypatch):
-        calls = []
+    def test_probe_runs_index_runs_and_writes_no_word(self, monkeypatch, fresh_probes):
+        # the probe hands the kernel runs of curve indices, the Coxeter
+        # runs of the six factors; it never writes out a twist word
+        def refuse(*args):
+            raise AssertionError("wrote out a twist word")
 
-        def counting(*args):
-            calls.append(args)
-            return twist_steps(*args)
+        monkeypatch.setattr(coxeter, "coxeter", refuse)
+        monkeypatch.setattr(coxeter, "psi_factorization", refuse)
+        lengths = []
 
-        monkeypatch.setattr(crossing, "twist_steps", counting)
-        tree = crossing_tree(build_reference_configuration(2))
-        tree.images(psi_factorization(2))
-        tree.images(((curve("sigma"), 1),))
-        assert len(calls) == 1
+        def kernel(form, runs):
+            runs = list(runs)
+            assert all(type(i) is int for _, run in runs for i in run)
+            lengths.append(sum(len(run) for _, run in runs))
+            return twist_images(form, runs)
+
+        monkeypatch.setattr(canonical, "twist_images", kernel)
+        for b in (2, 3, 4):
+            probe = probe_signs(b, (1, 1, 1, 1))
+            assert probe.product_matches and probe.product_symplectic
+            assert lengths.pop() == psi_factorization_length(b)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), b=st.sampled_from([2, 3]))
@@ -167,8 +221,29 @@ class TestLetterAction:
                 st.lists(st.tuples(st.sampled_from(chain), st.sampled_from([1, -1])), max_size=60)
             )
         )
-        rows = twist_images(twist_steps(chain, _chain_form(model, chain)), len(chain), word)
+        rows = chain_word_images(model, chain, word)
         assert rows == crossing_tree(subsystem(model.system, chain)).images(word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), b=st.sampled_from([2, 3, 4]))
+    def test_runs_match_the_letter_keyed_kernel(self, data, b):
+        # a random word, cut into runs of one sign, gives the images the
+        # letter-keyed kernel gives the word, letter by letter
+        tree = crossing_tree(build_reference_configuration(b))
+        size = len(tree.curves)
+        picks = data.draw(
+            st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from([1, -1])), max_size=80)
+        )
+        word = tuple((tree.curves[i], s) for i, s in picks)
+        runs = []
+        for i, s in reversed(picks):
+            if runs and runs[-1][0] == s and data.draw(st.booleans()):
+                runs[-1][1].append(i)
+            else:
+                runs.append((s, [i]))
+        expected = keyed_twist_images(twist_steps(tree.curves, tree.form), size, word)
+        assert twist_images(tree.form, runs) == expected
+        assert tree.images(word) == expected
 
     def test_unknown_letter_is_rejected(self):
         tree = crossing_tree(build_reference_configuration(2))
