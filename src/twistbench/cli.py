@@ -579,7 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify-psi", help="check the six-factor product on homology")
+    p = subs.add_parser(
+        "verify-psi",
+        help="check the six-factor product on homology",
+        description="Check that the gluing involution equals the six-factor chain twist "
+        "product on homology.  Homology cannot see the signs of the six factor powers: "
+        "each factor and its inverse act alike there, so every choice of those signs passes.",
+    )
     p.add_argument("--b", type=_fibre("verify-psi", VERIFY_PSI_MAX_B), required=True)
     p.add_argument("--sign-mode", default="auto", type=_parse_sign_mode)
     _add_common(p, cmd_verify_psi)

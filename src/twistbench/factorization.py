@@ -392,6 +392,18 @@ def replay_certificate(fact: Factorization, certificate: AurouxCertificate) -> l
     return fronts
 
 
+def _script_to(seen: dict, key: tuple) -> tuple:
+    """The moves from the root of ``seen`` to the state ``key``, read
+    from the parent pointers ``key -> (parent key, move)``."""
+    moves = []
+    step = seen[key]
+    while step is not None:
+        key, move = step
+        moves.append(move)
+        step = seen[key]
+    return tuple(reversed(moves))
+
+
 def hurwitz_search(
     start: Factorization,
     goal: Factorization,
@@ -412,6 +424,14 @@ def hurwitz_search(
     the other, so each expansion (one unit of ``budget``) evaluates
     ``letter_key`` once, on the new letter, and builds the neighbour's
     key from its parent's.
+
+    A state stores one parent pointer, ``key -> (parent key, move)``,
+    not its script; the script is read back from the pointers of both
+    sides only when they meet.  A state made in the last round is tested
+    against the other side, but it is neither stored nor put on a
+    frontier, since no round expands it.  The moves themselves join
+    words at their seam, which compares one boundary letter pair before
+    it scans (``words``).
 
     Keys must be congruent for moves: the key of the letter a move
     creates depends only on the keys of the two letters swapped and the
@@ -434,29 +454,33 @@ def hurwitz_search(
     if start_key == goal_key:
         return ()
 
-    # forward scripts carry start -> state, backward scripts goal -> state;
-    # on a meet the combined script is forward + inverse(backward).  A
-    # frontier entry is (letters, key, script).
-    forward_seen = {start_key: ()}
-    backward_seen = {goal_key: ()}
-    forward_frontier = [(start.letters, start_key, ())]
-    backward_frontier = [(goal.letters, goal_key, ())]
+    # forward pointers lead back to start, backward pointers to goal; on
+    # a meet the combined script is forward + inverse(backward).  A
+    # frontier entry is (letters, key), and one move tuple per position
+    # and direction is shared by every pointer.
+    forward_seen: dict = {start_key: None}
+    backward_seen: dict = {goal_key: None}
+    forward_frontier = [(start.letters, start_key)]
+    backward_frontier = [(goal.letters, goal_key)]
+    moves = [(("right", i), ("left", i)) for i in range(len(start) - 1)]
     spent = 0
     depth_used = 0
     while forward_frontier and backward_frontier and depth_used < max_depth:
+        depth_used += 1
+        last_round = depth_used == max_depth
         expand_forward = len(forward_frontier) <= len(backward_frontier)
         frontier = forward_frontier if expand_forward else backward_frontier
         seen = forward_seen if expand_forward else backward_seen
         other_seen = backward_seen if expand_forward else forward_seen
         new_frontier = []
-        for letters, key, script in frontier:
-            for i in range(len(letters) - 1):
+        for letters, key in frontier:
+            for i, pair_moves in enumerate(moves):
                 a, b = letters[i], letters[i + 1]
-                for direction in ("right", "left"):
+                for move in pair_moves:
                     spent += 1
                     if spent > budget:
                         return None
-                    pair, new = _swap(a, b, direction)
+                    pair, new = _swap(a, b, move[0])
                     # the kept letter is b (right) or a (left)
                     if new:
                         pair_key = (key[i + 1], intern(pair[1]))
@@ -465,20 +489,20 @@ def hurwitz_search(
                     k = key[:i] + pair_key + key[i + 2:]
                     if k in seen:
                         continue
-                    moved_script = script + ((direction, i),)
                     if k in other_seen:
+                        here = _script_to(seen, key) + (move,)
+                        there = _script_to(other_seen, k)
                         if expand_forward:
-                            return moved_script + invert_script(other_seen[k])
-                        return other_seen[k] + invert_script(moved_script)
-                    seen[k] = moved_script
-                    new_frontier.append(
-                        (letters[:i] + pair + letters[i + 2:], k, moved_script)
-                    )
+                            return here + invert_script(there)
+                        return there + invert_script(here)
+                    if last_round:
+                        continue
+                    seen[k] = (key, move)
+                    new_frontier.append((letters[:i] + pair + letters[i + 2:], k))
         if expand_forward:
             forward_frontier = new_frontier
         else:
             backward_frontier = new_frontier
-        depth_used += 1
     return None
 
 

@@ -103,10 +103,14 @@ def conjugate(word: Iterable, by: Iterable) -> Word:
 
 
 def _cancelled(u: Word, v: Word) -> int:
-    """How many letters cancel where reduced ``u`` meets reduced ``v``:
-    the k-th last letter of ``u`` against the inverse of the k-th letter
-    of ``v``.  The scan runs in C and stops at the first pair that does
-    not cancel."""
+    """How many letters cancel where reduced ``u`` meets reduced,
+    nonempty ``v``: the k-th last letter of ``u`` against the inverse of
+    the k-th letter of ``v``.  The boundary pair is compared first, with
+    the scan's own tuple equality: most joins cancel nothing, and then
+    no scan is built.  The scan runs in C and stops at the first pair
+    that does not cancel."""
+    if not u or u[-1] != (v[0][0], -v[0][1]):
+        return 0
     inverse_letters = zip(map(_generator, v), map(neg, map(_sign, v)))
     return next(compress(count(), map(ne, reversed(u), inverse_letters)), min(len(u), len(v)))
 
@@ -122,14 +126,18 @@ def _seam(u: Word, letter: tuple, by: Word) -> tuple:
     ``u`` and ``by[h:]``: they are compared, never inverted.  When all of
     ``by[h:]`` is that suffix, ``j`` more letters cancel where the rest of
     ``u`` meets ``(letter,) + by[h:]``; otherwise the last letters of
-    ``u`` and of ``by`` left over differ, and ``j`` is 0."""
+    ``u`` and of ``by`` left over differ, and ``j`` is 0.  Each scan is
+    built only when its boundary pair matches."""
     generator = letter[0]
     h = 0
     while h < len(by) and by[h][0] == generator:
         h += 1
     n = len(by) - h
-    # the scan may run on into the first h letters of by; k stops at n
-    k = next(compress(count(), map(ne, reversed(u), reversed(by))), min(len(u), len(by)))
+    if not u or not by or u[-1] != by[-1]:
+        k = 0
+    else:
+        # the scan may run on into the first h letters of by; k stops at n
+        k = next(compress(count(), map(ne, reversed(u), reversed(by))), min(len(u), len(by)))
     if k < n:
         return h, k, 0
     return h, n, _cancelled(u[: len(u) - n], (letter,) + by[h:])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from twistbench import canonical, words
 from twistbench.canonical import canonical_sigma_signs, sigma_sign_search
 from twistbench.coxeter import (
+    PSI_FACTOR_POWERS,
     ChainError,
     _chain_form,
     _chain_pairings,
@@ -36,6 +37,11 @@ from twistbench.homology import (
 )
 from twistbench.intlin import identity, mat_vec
 from twistbench.surface import SIGMA_SIGNS, build_reference_configuration, curve, subsystem
+
+
+#: The six factor powers as the code has them (see
+#: ``TestFactorization.test_factor_powers_are_pinned``).
+PINNED_FACTOR_POWERS = {"A1": 1, "A2": 1, "A3": 1, "A4": -2, "A5": -2, "A6": -1}
 
 
 @pytest.fixture(scope="module")
@@ -402,10 +408,44 @@ class TestFactorization:
         assert psi_factorization_length(2) == 138
         assert all(psi_factorization_length(b) == len(psi_factorization(b)) for b in range(2, 21))
 
+    def test_factor_powers_are_pinned(self):
+        """The six factor powers, with their signs, as the code has them.
+
+        These values are not derived from homology, and no check on
+        homology can derive them.  By the chain relation (Farb and
+        Margalit, *A Primer on Mapping Class Groups*, Prop. 4.12) the
+        Coxeter element of an odd chain squares, and that of an even
+        chain has fourth power, to twists about the boundary curves of
+        the chain's neighbourhood.  So a factor and its inverse differ by
+        those twists, which act trivially on the homology of this fibre
+        (``test_factor_signs_are_invisible_on_homology``), and every
+        choice of the six signs passes ``verify-psi``.  A change to any
+        sign fails this test, and is to be recorded with its reason."""
+        assert PSI_FACTOR_POWERS == PINNED_FACTOR_POWERS
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_factor_signs_are_invisible_on_homology(self, b):
+        model = reference_model(b)
+        for name, chain in psi_factor_chains(b).items():
+            power = PINNED_FACTOR_POWERS[name]
+            assert (
+                twist_word_matrix(model, coxeter(chain, power)).matrix
+                == twist_word_matrix(model, coxeter(chain, -power)).matrix
+            ), name
+
     def test_all_letters_positive_or_negative_by_factor(self):
-        word = psi_factorization(2)
-        assert {s for _, s in word[:28]} == {-1}   # A6 block first
-        assert {s for _, s in word[-28:]} == {+1}  # A1 block last
+        # the word runs A6 first and A1 last; each factor's block has the
+        # sign of its pinned power and runs over its own chain
+        for b in (2, 3, 4):
+            word, chains = psi_factorization(b), psi_factor_chains(b)
+            at = 0
+            for name in reversed(chains):
+                chain, power = chains[name], PINNED_FACTOR_POWERS[name]
+                block = word[at : at + len(chain) * (len(chain) + 1) // 2 * abs(power)]
+                assert {s for _, s in block} == {1 if power > 0 else -1}, (b, name)
+                assert {c for c, _ in block} == set(chain), (b, name)
+                at += len(block)
+            assert at == len(word)
 
     def test_product_equals_involution_b2(self, model2):
         product = twist_word_matrix(model2, psi_factorization(2))

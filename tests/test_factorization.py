@@ -913,6 +913,152 @@ class TestSearchOracle:
         assert expected is None
 
 
+def _scripted_hurwitz_search(
+    start: Factorization,
+    goal: Factorization,
+    letter_key,
+    *,
+    max_depth: int = 6,
+    budget: int = 20000,
+) -> tuple | None:
+    """Oracle: the interned, incrementally keyed search that stored each
+    state's whole script and put the states of the last round on a
+    frontier, kept as it was."""
+    if len(start) != len(goal):
+        return None
+
+    ids: dict = {}
+
+    def intern(letter: TwistLetter) -> int:
+        return ids.setdefault(letter_key(letter), len(ids))
+
+    start_key = tuple(intern(t) for t in start.letters)
+    goal_key = tuple(intern(t) for t in goal.letters)
+    if start_key == goal_key:
+        return ()
+
+    forward_seen = {start_key: ()}
+    backward_seen = {goal_key: ()}
+    forward_frontier = [(start.letters, start_key, ())]
+    backward_frontier = [(goal.letters, goal_key, ())]
+    spent = 0
+    depth_used = 0
+    while forward_frontier and backward_frontier and depth_used < max_depth:
+        expand_forward = len(forward_frontier) <= len(backward_frontier)
+        frontier = forward_frontier if expand_forward else backward_frontier
+        seen = forward_seen if expand_forward else backward_seen
+        other_seen = backward_seen if expand_forward else forward_seen
+        new_frontier = []
+        for letters, key, script in frontier:
+            for i in range(len(letters) - 1):
+                a, b = letters[i], letters[i + 1]
+                for direction in ("right", "left"):
+                    spent += 1
+                    if spent > budget:
+                        return None
+                    pair, new = factorization._swap(a, b, direction)
+                    if new:
+                        pair_key = (key[i + 1], intern(pair[1]))
+                    else:
+                        pair_key = (intern(pair[0]), key[i])
+                    k = key[:i] + pair_key + key[i + 2:]
+                    if k in seen:
+                        continue
+                    moved_script = script + ((direction, i),)
+                    if k in other_seen:
+                        if expand_forward:
+                            return moved_script + invert_script(other_seen[k])
+                        return other_seen[k] + invert_script(moved_script)
+                    seen[k] = moved_script
+                    new_frontier.append(
+                        (letters[:i] + pair + letters[i + 2:], k, moved_script)
+                    )
+        if expand_forward:
+            forward_frontier = new_frontier
+        else:
+            backward_frontier = new_frontier
+        depth_used += 1
+    return None
+
+
+@pytest.fixture(scope="module")
+def models(model):
+    return {2: model, 3: reference_model(3)}
+
+
+class TestParentPointerOracle:
+    """The search on parent pointers, which puts no state of the last
+    round on a frontier, returns exactly what the search that stored
+    each state's script returns: the same script, or None."""
+
+    KEYS = ("structural", "homology")
+
+    @staticmethod
+    def key_of(name, model):
+        return (lambda t: t) if name == "structural" else (lambda t: letter_matrix(model, t))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_random_searches_agree(self, models, data):
+        b = data.draw(st.sampled_from((2, 3)))
+        model = models[b]
+        curves = curves_of(model)
+        draw_letter = st.builds(
+            TwistLetter,
+            core=st.sampled_from(curves),
+            sign=st.sampled_from((1, -1)),
+            conjugator=st.lists(
+                st.tuples(st.sampled_from(curves), st.sampled_from((1, -1))), max_size=2
+            ).map(tuple),
+        )
+        start = Factorization(tuple(data.draw(st.lists(draw_letter, min_size=2, max_size=6))))
+        if data.draw(st.booleans()):
+            goal = apply_script(start, scripts(data, start, 6))
+        else:
+            # most such goals are out of reach: the depth exit
+            goal = Factorization(tuple(data.draw(st.permutations(start.letters))))
+        key = self.key_of(data.draw(st.sampled_from(self.KEYS)), model)
+        max_depth = data.draw(st.integers(1, 6))
+        budget = data.draw(st.sampled_from((1, 4, 20, 100, 500, 3000)))
+        expected = _scripted_hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget)
+        assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
+
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("name", KEYS)
+    def test_every_exit_agrees(self, models, b, name):
+        # planted scripts of one to six moves, searched to each depth
+        # under budgets that stop the search and one that does not; each
+        # exit (a meet, the depth and the budget) is taken at least once
+        model = models[b]
+        key = self.key_of(name, model)
+        rng = random.Random(b)
+        results = set()
+        for moves in range(1, 7):
+            start = random_fact(rng, curves_of(model), 5)
+            goal = apply_script(
+                start,
+                tuple((rng.choice(("right", "left")), rng.randrange(len(start) - 1)) for _ in range(moves)),
+            )
+            for max_depth in range(1, 7):
+                for budget in (1, 10, 60, 300, 10**6):
+                    expected = _scripted_hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget)
+                    assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
+                    if expected is not None:
+                        results.add("meet")
+                    elif _scripted_hurwitz_search(start, goal, key, max_depth=max_depth, budget=10**6):
+                        results.add("budget")
+                    else:
+                        results.add("depth")
+        assert results >= {"meet", "budget", "depth"}
+
+    @pytest.mark.parametrize("b,max_depth,budget", [(2, 7, 3000), (2, 8, 20000), (3, 5, 20000), (3, 6, 2000)])
+    def test_block_search_agrees(self, models, b, max_depth, budget):
+        key = self.key_of("homology", models[b])
+        start, goal = mu_nu_block(b), mu_nu_normal_form(b)
+        expected = _scripted_hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget)
+        assert hurwitz_search(start, goal, key, max_depth=max_depth, budget=budget) == expected
+
+
 def _reference_greedy_match_script(start, goal, letter_key):
     """Oracle: the normalizer that applied a trial script for every
     candidate and keyed the letter it brought to the position, kept as

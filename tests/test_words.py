@@ -5,7 +5,8 @@ integer alphabet (braid words); the small cancellation and inversion
 identities were worked out by hand [TRIVIAL], the rest is property-based.
 The seam-only operations ``join_conjugate`` and
 ``join_conjugate_length`` are checked against ``free_reduce`` over the
-whole concatenation, and ``invert`` against a list display that builds
+whole concatenation, on random words and on words built to take each
+exit of the seam, and ``invert`` against a list display that builds
 every inverse letter.
 """
 import os
@@ -23,6 +24,7 @@ from twistbench.coxeter import coxeter
 from twistbench.surface import CurveId, curve
 from twistbench.words import (
     SHARED_INVERSES_FROM,
+    _seam,
     conjugate,
     free_reduce,
     invert,
@@ -136,6 +138,108 @@ class TestWords:
         assert join_conjugate_length(invert(conjugate(((c, 1),), by)), (c, 1), by) == 0
         # u ends with by, then the letter cancels against u's last letter
         assert join_conjugate_length(((c, -1),) + by, (c, 1), by) == len(by)
+
+
+def _retyped(word):
+    """The word with each bool generator made an int and each 0 or 1 int
+    made a bool: equal letters of another generator type."""
+    return tuple(
+        (int(g) if type(g) is bool else bool(g) if type(g) is int and g in (0, 1) else g, s)
+        for g, s in word
+    )
+
+
+def _assert_seam(u, letter, by, seam):
+    want = free_reduce(u + conjugate((letter,), by))
+    assert _seam(u, letter, by) == seam
+    assert join_conjugate(u, letter, by) == want
+    assert len(join_conjugate(u, letter, by)) == len(want)
+    assert join_conjugate_length(u, letter, by) == len(want)
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [(curve("delta", 1), curve("sigma"), curve("alpha", 1)), (1, 2, 3)],
+    ids=["curves", "ints"],
+)
+class TestSeamExits:
+    """Each exit of the seam, on words built to take it.  The seam
+    ``(h, k, j)`` of ``u`` and the conjugate of ``letter`` by ``by``
+    compares one boundary letter pair before each scan: the last
+    letters of ``u`` and ``by`` before the common suffix ``k``, and the
+    letter before ``j``, where the rest of ``u`` meets the conjugate."""
+
+    def test_suffix_pair_differs(self, a, b, c):
+        _assert_seam(((c, 1),), (a, 1), ((b, 1),), (0, 0, 0))
+
+    def test_suffix_pair_matches(self, a, b, c):
+        _assert_seam(((c, 1), (b, 1)), (c, 1), ((a, 1), (b, 1)), (0, 1, 0))
+
+    def test_letter_pair_differs(self, a, b, c):
+        # all of by is the common suffix; the rest of u ends with c
+        _assert_seam(((c, 1), (b, 1)), (a, 1), ((b, 1),), (0, 1, 0))
+
+    def test_letter_pair_matches(self, a, b, c):
+        _assert_seam(((a, -1), (b, 1)), (a, 1), ((b, 1),), (0, 1, 1))
+
+    def test_empty_u(self, a, b, c):
+        _assert_seam((), (a, 1), ((b, 1), (c, -1)), (0, 0, 0))
+
+    def test_empty_by(self, a, b, c):
+        _assert_seam(((c, 1),), (a, 1), (), (0, 0, 0))
+        _assert_seam(((c, 1), (a, -1)), (a, 1), (), (0, 0, 1))
+        _assert_seam((), (a, 1), (), (0, 0, 0))
+
+    def test_by_of_core_powers(self, a, b, c):
+        # by commutes with the letter and is stripped whole
+        _assert_seam(((a, -1),), (a, 1), ((a, 1), (a, 1)), (2, 0, 1))
+        _assert_seam(((c, 1),), (a, 1), ((a, -1),), (1, 0, 0))
+
+    def test_full_cancellation(self, a, b, c):
+        letter, by = (a, 1), ((b, 1), (c, -1))
+        u = invert(conjugate((letter,), by))
+        _assert_seam(u, letter, by, (0, 2, 3))
+        assert join_conjugate(u, letter, by) == ()
+
+
+class TestSeamAcrossGeneratorTypes:
+    """Letters equal across generator types (``(True, 1) == (1, 1)``,
+    ``CurveId("alpha", 1) == ("alpha", 1)``) cancel at the boundary pair
+    as they do in the scan and in ``free_reduce``."""
+
+    def test_letter_pair(self):
+        _assert_seam(((True, -1),), (1, 1), (), (0, 0, 1))
+        _assert_seam(((0, 1), (1, -1)), (True, 1), (), (0, 0, 1))
+        _assert_seam(((("alpha", 1), -1),), (CurveId("alpha", 1), 1), (), (0, 0, 1))
+
+    def test_suffix_pair(self):
+        _assert_seam(((2, 1), (True, 1)), (2, 1), ((1, 1),), (0, 1, 0))
+        _assert_seam(((False, 1), (2, -1), (True, 1)), (0, -1), ((2, -1), (1, 1)), (0, 2, 1))
+
+    def test_core_powers(self):
+        _assert_seam((), (True, 1), ((1, -1), (2, 1)), (1, 0, 0))
+
+    def test_full_cancellation(self):
+        letter, by = (True, 1), ((2, 1), (0, -1))
+        _assert_seam(_retyped(invert(conjugate((letter,), by))), letter, by, (0, 2, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_seams(self, data):
+        alphabet = (True, 1, False, 0, 2)
+        letter = (data.draw(st.sampled_from(alphabet)), data.draw(st.sampled_from((1, -1))))
+        x, y, w = (tuple(data.draw(words_over(*alphabet, max_size=6))) for _ in range(3))
+        by = free_reduce(y + w)
+        inverse_of = _retyped(free_reduce(invert(conjugate((letter,), by))))
+        for u in (
+            free_reduce(x + _retyped(w)),
+            free_reduce(x),
+            inverse_of,
+            free_reduce(inverse_of + x),
+        ):
+            want = free_reduce(u + conjugate((letter,), by))
+            assert join_conjugate(u, letter, by) == want
+            assert join_conjugate_length(u, letter, by) == len(want)
 
 
 class TestSharedInverses:
