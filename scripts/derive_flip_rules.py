@@ -6,11 +6,12 @@ a breadth-first search over flips of the edges in a window near the
 swapped punctures finds the shortest flip sequences that carry the base
 triangulation to its image under the swap.  The search cannot tell the
 two handednesses apart, so a case can have several shortest solutions;
-a consistency battery (inverses, braid relations, far commutation,
-non-triviality) then picks one per case.  The report lists the window,
-the ring of fixed edges around it, how many elementary flips realize the
-move, and how many shortest solutions the search found before the
-battery picked one.
+the test oracle of the braid decider (``tests/lamination_oracle.py``)
+then picks one per case by a consistency battery (inverses, braid
+relations, far commutation, non-triviality).  The report lists the
+window, the ring of fixed edges around it, how many elementary flips
+realize the move, and how many shortest solutions the search found
+before the battery picks one.
 """
 import json
 

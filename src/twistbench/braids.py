@@ -20,9 +20,12 @@ Yang-Baxter map and the Dehornoy ordering", Russian Math. Surveys 57
 2008), ch. XII; Hall and Yurttas, Topology Appl. 156 (2009); Thiffeault,
 Chaos 20 (2010); Thiffeault and Budisic, "Braidlab", arXiv:1410.0849,
 whose basepoint loops are the same construction.  The check behind it is
-the half-twist action that ``laminations`` derives from flips of a
-triangulation: the tests compare the two engines' decisions, and
-``scripts/derive_flip_rules.py`` reruns the derivation.
+the half-twist action derived from flips of a triangulation:
+``laminations`` derives the flip sequences, the tests' oracle
+(``tests/lamination_oracle.py``) selects one per case and acts with it,
+and the tests compare the two engines' decisions.  A fingerprint starts
+from 2(n-1) coordinates, so its time and memory grow linearly in n, and
+``cli`` caps the strands of a command.
 
 The basepoint makes the decision faithful.  B_n acts freely on the
 orbit of E in the disc with a basepoint (Dehornoy et al., ch. XII), so

@@ -19,18 +19,20 @@ invocation, renders it as a table or JSON, writes it to stdout or
 Outputs are deterministic given identical flags.
 
 Each rule on one argument is that argument's type in :func:`build_parser`
-(the range of ``--b`` for each command, ``--n`` of at least two strands,
-the form of ``--sign-mode``), so argparse rejects a bad value naming the
-argument.  A rule that involves two arguments lives in the one ``cmd_*``
-that reads them, and like any unusable input there it is a
-``ValueError``, which :func:`main` reports as a usage error.
+(the range of ``--b`` for each command, ``--n`` from two strands to its
+cap, the cap on ``invariants --k``, the form of ``--sign-mode``), so
+argparse rejects a bad value naming the argument.  A rule that involves
+two arguments lives in the one ``cmd_*`` that reads them, and like any
+unusable input there it is a ``ValueError``, which :func:`main` reports
+as a usage error.
 
 Each ``cmd_*`` imports the layers it runs when it runs, so a process
 loads only what its command uses: ``braid`` and ``invariants`` never
 load the homology stack, ``verify-psi`` and ``export config`` never
-load the braid layer, and no command loads the lamination layer, which
-is the test oracle of the braid decider, or the homology model
-(``homology`` and ``intlin``), the test oracle of the sign probe.
+load the braid layer, and no command loads the lamination layer, whose
+flip derivation is behind the test oracle of the braid decider, or the
+homology model (``homology`` and ``intlin``), the test oracle of the
+sign probe.
 """
 from __future__ import annotations
 
@@ -69,6 +71,20 @@ EXPORT_MAX_B = 30000
 #: blocks passed in 3.2-4.3 s at 10,000 and 4.1-5.4 s (149 MB, a 1.65 MB
 #: certificate) at 20,000, ten runs each.
 AUROUX_MAX_BLOCKS = 20000
+
+#: Most strands of a ``braid`` command, by the rule above: ``braid
+#: manfredini`` compares six pairs of Dynnikov images of 2(n-1)
+#: coordinates and took 6.2-7.0 s (549 MB) at n=7,000,000, five runs,
+#: and 7.8-9.4 s at n=8,000,000, three runs; ``braid eq`` compares one
+#: pair and took 1.3-1.4 s at n=8,000,000.
+BRAID_MAX_N = 7000000
+
+#: Largest ``invariants --k``, by the rule above: the family has k/2 + 1
+#: members, each built and, with ``--format json``, printed.  With
+#: a = 2c+2, b = c+2 and c = k+4, so that every hypothesis holds, the
+#: JSON run took 5.4-6.3 s (727 MB) at k=1,400,000, six runs, and
+#: 7.2-8.1 s (819 MB) at k=1,600,000, three runs.
+INVARIANTS_MAX_K = 1400000
 
 
 class Check(namedtuple("Check", ("name", "status", "details"))):
@@ -556,11 +572,23 @@ def _fibre(command, largest):
 
 
 def _strands(text):
-    """The ``--n`` type: a braid on at least two strands."""
+    """The ``--n`` type: a braid on 2 to ``BRAID_MAX_N`` strands."""
     n = _int(text)
     if n < 2:
         raise argparse.ArgumentTypeError(f"--n must be at least 2 strands, got {n}")
+    if n > BRAID_MAX_N:
+        raise argparse.ArgumentTypeError(f"braid accepts --n up to {BRAID_MAX_N}, got {n}")
     return n
+
+
+def _family_k(text):
+    """The ``invariants --k`` type: at most ``INVARIANTS_MAX_K``, so a
+    family has at most ``INVARIANTS_MAX_K // 2 + 1`` members; a k that
+    the hypotheses refuse still ends in the failed family check."""
+    k = _int(text)
+    if k > INVARIANTS_MAX_K:
+        raise argparse.ArgumentTypeError(f"invariants accepts --k up to {INVARIANTS_MAX_K}, got {k}")
+    return k
 
 
 def _add_common(sub, run, formats=("table", "json")):
@@ -614,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_family_k, default=None)
     _add_common(p, cmd_invariants)
 
     p = subs.add_parser("braid", help="braid word comparisons and relation checks")

@@ -17,26 +17,18 @@ slices of the chain: ``coxeter_runs`` gives them over any index list,
 and ``coxeter`` and ``psi_factorization`` write them out as words.
 
 The words need no homology model, and a chain's action needs no matrix:
-``chain_word_images`` runs a twist word on the chain's own crossing form,
-built from the pairings of consecutive curves, with the curve-coordinate
-kernel of ``crossing``, and ``verify_chain_action`` runs the Coxeter runs
-there.  A chain's curves are a basis of ``H_1`` of its regular
-neighbourhood, so the images are compared exactly in chain coordinates,
-and equality there implies it in ``H_1`` of the fibre.  So ``coxeter``
-imports neither ``homology`` nor ``intlin``, and imports ``crossing``
-only where a chain action runs.
+``verify_chain_action`` runs the Coxeter runs on the chain's own crossing
+form, built from the pairings of consecutive curves, with the
+curve-coordinate kernel of ``crossing``.  A chain's curves are a basis
+of ``H_1`` of its regular neighbourhood, so the images are compared
+exactly in chain coordinates, and equality there implies it in ``H_1``
+of the fibre.  So ``coxeter`` imports neither ``homology`` nor
+``intlin``, and imports ``crossing`` only where a chain action runs.
 """
 from __future__ import annotations
 
 from . import words
-from .surface import (
-    CurveId,
-    CurveSystem,
-    curve,
-    euler_and_genus,
-    ribbon_from_system,
-    subsystem,
-)
+from .surface import CurveId, CurveSystem, curve
 
 # annotations are never evaluated, so only a type checker imports typing
 TYPE_CHECKING = False
@@ -49,8 +41,6 @@ __all__ = [
     "chain_signs",
     "coxeter",
     "coxeter_runs",
-    "chain_word_images",
-    "chain_neighborhood_stats",
     "psi_factor_chains",
     "psi_factor_runs",
     "psi_factorization",
@@ -138,15 +128,6 @@ def coxeter(chain, power: int = 1) -> words.Word:
     return tuple(letter for _, run in reversed(runs) for letter in reversed(run))
 
 
-def chain_neighborhood_stats(sys: CurveSystem, chain) -> tuple[int, int]:
-    """(number of boundary walks, capped genus) of the regular
-    neighbourhood of the chain inside ``sys``."""
-    chain = validate_chain(sys, chain)
-    rg = ribbon_from_system(subsystem(sys, chain))
-    _, genus = euler_and_genus(rg)
-    return len(rg.walks), genus
-
-
 def _family_run(family: str, start: int, stop: int) -> tuple[CurveId, ...]:
     step = 1 if stop >= start else -1
     return tuple(curve(family, i) for i in range(start, stop + step, step))
@@ -196,20 +177,6 @@ def psi_factorization_length(b: int) -> int:
         len(chain) * (len(chain) + 1) // 2 * abs(PSI_FACTOR_POWERS[name])
         for name, chain in psi_factor_chains(b).items()
     )
-
-
-def chain_word_images(model: HomologyModel, chain, word) -> list[dict[int, int]]:
-    """The images of the chain's curves under a twist word over its curves
-    (the rightmost letter acts first), as sparse rows in the chain's own
-    coordinates: ``X[k][i]`` is the coefficient of ``c_k`` in the image of
-    ``c_i``.  In a chain, ``c_j`` pairs only with ``c_{j-1}`` and
-    ``c_{j+1}``, so a letter changes row ``j`` alone, reading its two
-    neighbours (``crossing.twist_images`` on the chain's form)."""
-    from .crossing import twist_images, word_runs
-
-    chain = validate_chain(model.system, chain)
-    runs = word_runs({c: i for i, c in enumerate(chain)}, word)
-    return twist_images(_chain_form(_chain_pairings(model, chain)), runs)
 
 
 def _chain_form(pairings) -> tuple[dict[int, int], ...]:

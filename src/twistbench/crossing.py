@@ -14,7 +14,9 @@ about ``C``:
   only the neighbours of ``c``, and it fixes ``ker C`` pointwise, so it
   lifts the twist on ``H_1``; ``twist_images`` runs it on any sparse
   form, a tree's or (in ``coxeter``) a chain's, on runs ``(s, indices)``
-  of curve indices twisted in turn, so it hashes no letter;
+  of curve indices twisted in turn, so it hashes no letter; its callers
+  hand it Coxeter runs over ``CrossingTree.index`` or chain positions,
+  and only the tests turn a twist word into runs;
 * two words agree on ``H_1`` when ``C`` kills the difference of their
   images.
 
@@ -33,7 +35,7 @@ from functools import cached_property
 
 from .surface import AdmissibilityError
 
-__all__ = ["CrossingTree", "crossing_tree", "word_runs", "twist_images"]
+__all__ = ["CrossingTree", "crossing_tree", "twist_images"]
 
 
 class CrossingTree(
@@ -54,10 +56,6 @@ class CrossingTree(
     @property
     def rank(self) -> int:
         return 2 * len(self.matching)
-
-    def images(self, word) -> list[dict[int, int]]:
-        """``twist_images`` of a twist word on this tree's form."""
-        return twist_images(self.form, word_runs(self.index, word))
 
     def times(self, rows) -> list[dict[int, int]]:
         """``C @ M`` for a matrix ``M`` given by its sparse rows."""
@@ -116,15 +114,6 @@ def crossing_tree(system) -> CrossingTree:
             x[v] = -form[u][v] * sum(w * x[d] for d, w in form[u].items())
         kernel.append(tuple(x))
     return CrossingTree(curves, tuple(form), tuple(matching), tuple(kernel))
-
-
-def word_runs(index, word) -> list:
-    """A twist word (the rightmost letter acts first) as one-letter runs
-    in acting order, each curve read through ``index``."""
-    for letter in word:
-        if letter[0] not in index or letter[1] not in (1, -1):
-            raise ValueError(f"letter {letter!r} is not a twist on the system")
-    return [(s, (index[c],)) for c, s in reversed(word)]
 
 
 def twist_images(form, runs) -> list[dict[int, int]]:

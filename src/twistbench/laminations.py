@@ -1,12 +1,14 @@
-"""Integral laminations on a punctured disk and the half-twist action:
-the triangulation-coordinate engine that is the oracle for the braid
-decider.
+"""Integral laminations on a punctured disk and the flip derivation of
+the half-twist: the triangulation-coordinate engine behind the test
+oracle of the braid decider.
 
 ``braids`` decides equality with a Dynnikov update rule hard-coded from
-the literature.  This module derives the half-twist action from flips
-instead, so it is the independent check behind that rule: the tests
-compare the two engines' decisions, and ``scripts/derive_flip_rules.py``
-and the benchmark setup run the derivation.
+the literature.  This module derives the half-twist from flips instead,
+so it is the independent check behind that rule.  No command loads it:
+``scripts/derive_flip_rules.py`` and the benchmark setup run the
+derivation, and the tests' ``lamination_oracle`` selects one solution
+per case and acts with it, so the tests compare the two engines'
+decisions.
 
 The disk with n punctures is modelled as a sphere with punctures
 ``1..n`` plus one distinguished point ``0`` for the boundary side.  The
@@ -17,30 +19,24 @@ interior i); a lamination is stored by its crossing numbers with these
 triangle.
 
 Here the generator action is not hard-coded.  For each local shape of the
-acting pair (leftmost, interior, rightmost, two-puncture disk) a flip
-sequence from the base triangulation to its image under the half-twist
-is derived once by breadth-first search over flips of the locally
+acting pair (leftmost, interior, rightmost, two-puncture disk) the flip
+sequences from the base triangulation to its image under the half-twist
+are derived once by breadth-first search over flips of the locally
 movable edges, together with the edge relabelling given by matching the
 result to the puncture-swapped base pattern; coordinates follow recorded
 flips by the exchange rule x' = max(a+c, b+d) - x.  The search cannot
-see the difference between the two twist handednesses, so candidate
-solutions are screened by a consistency battery (inverses, braid
-relations, far commutation, non-triviality) and the first surviving
-assignment is frozen; the leftover global mirror freedom maps every
-generator to its inverse, which no equality test can observe.
+see the difference between the two twist handednesses, so a case can
+have several shortest solutions; ``_candidates`` keeps them all, and the
+test oracle's consistency battery picks one.
 
 The derivation runs once per process, on first use.  A flip
 re-canonicalises only its two new triangles and merges them into the
-sorted rest of the state; a state is matched against the target pattern
-only when its name-free shape key agrees; the battery computes each
-probe image once per assignment.  In
-a fresh process ``_candidates()`` plus ``_selected_cases()`` take a
-median of 28 ms (2-core x86-64, Python 3.11.7), most of it the interior
-case's search over about 600 states and 1,200 flips.
+sorted rest of the state, and a state is matched against the target
+pattern only when its name-free shape key agrees.  Most of the time is
+the interior case's search over about 600 states and 1,200 flips.
 """
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from collections import namedtuple
 from functools import lru_cache
@@ -51,8 +47,6 @@ __all__ = [
     "edge_names",
     "edge_index",
     "round_curve",
-    "test_family",
-    "word_action",
     "derivation_report",
 ]
 
@@ -306,162 +300,15 @@ def _derive_case(n: int, i: int, max_depth: int = 10):
 _REFERENCE = {"both": (2, 1), "left": (6, 1), "interior": (6, 3), "right": (6, 5)}
 
 
-def _case_of(n: int, i: int) -> tuple:
-    if not 1 <= i <= n - 1:
-        raise LaminationError(f"generator index {i} out of range for {n} punctures")
-    if n == 2:
-        return "both", 0
-    if i == 1:
-        return "left", 0
-    if i == n - 1:
-        return "right", i - (_REFERENCE["right"][1])
-    return "interior", i - _REFERENCE["interior"][1]
-
-
 @lru_cache(maxsize=1)
 def _candidates() -> dict:
     return {case: _derive_case(*ref) for case, ref in _REFERENCE.items()}
 
 
-def _translate_name(name, offset: int, n: int):
-    kind, t = name
-    t = t + offset
-    if kind == "w" and t in (1, n):
-        return ("v", t)
-    return (kind, t)
-
-
-def _instantiate(case_solution, offset: int, n: int):
-    ops, relabel = case_solution
-    idx = edge_index(n)
-    ops_idx = tuple(
-        tuple(idx[_translate_name(nm, offset, n)] for nm in op) for op in ops
-    )
-    size = len(edge_names(n))
-    perm = list(range(size))
-    for target, source in relabel:
-        perm[idx[_translate_name(target, offset, n)]] = idx[
-            _translate_name(source, offset, n)
-        ]
-    inv = [0] * size
-    for k, p in enumerate(perm):
-        inv[p] = k
-    return ops_idx, tuple(perm), tuple(inv)
-
-
-def _act_with(data, values: tuple, sign: int) -> tuple:
-    ops, perm, inv_perm = data
-    vec = list(values)
-    if sign == +1:
-        for e, a, b, c, d in ops:
-            vec[e] = max(vec[a] + vec[c], vec[b] + vec[d]) - vec[e]
-        return tuple(vec[p] for p in perm)
-    if sign != -1:
-        raise LaminationError("sign must be +1 or -1")
-    vec = [vec[p] for p in inv_perm]
-    for e, a, b, c, d in reversed(ops):
-        vec[e] = max(vec[a] + vec[c], vec[b] + vec[d]) - vec[e]
-    return tuple(vec)
-
-
-# ---------------------------------------------------------------------------
-# candidate selection
-
-
-def _round_values(n: int, j: int, k: int) -> tuple:
-    if not 1 <= j <= k <= n:
-        raise LaminationError(f"bad round-curve range {j}..{k}")
-    inside = set(range(j, k + 1))
-    values = []
-    for kind, t in edge_names(n):
-        if kind == "h":
-            ends = {t, t + 1}
-        else:
-            ends = {t, None}
-        values.append(1 if len(inside & ends) == 1 else 0)
-    return tuple(values)
-
-
-def _battery(choice: dict) -> bool:
-    """Internal consistency screen for a full assignment of case data.
-    The probes repeat their images across checks, so each image is
-    computed once per assignment."""
-    instantiated: dict = {}
-    images: dict = {}
-
-    def case_data(n, i):
-        data = instantiated.get((n, i))
-        if data is None:
-            case, offset = _case_of(n, i)
-            data = instantiated[(n, i)] = _instantiate(
-                _candidates()[case][0][choice[case]], offset, n
-            )
-        return data
-
-    def act(n, i, sign, values):
-        key = (n, i, sign, values)
-        image = images.get(key)
-        if image is None:
-            image = images[key] = _act_with(case_data(n, i), values, sign)
-        return image
-
-    def act_word(n, word, values):
-        for i, s in reversed(word):
-            values = act(n, i, s, values)
-        return values
-
-    for n in (2, 3, 4, 5, 6):
-        probes = [_round_values(n, j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
-        gens = range(1, n)
-        for p in probes:
-            for i in gens:
-                if act(n, i, -1, act(n, i, +1, p)) != p:
-                    return False
-                if act(n, i, +1, act(n, i, -1, p)) != p:
-                    return False
-            for i in range(1, n - 1):
-                left = act_word(n, ((i, 1), (i + 1, 1), (i, 1)), p)
-                right = act_word(n, ((i + 1, 1), (i, 1), (i + 1, 1)), p)
-                if left != right:
-                    return False
-            for i in gens:
-                for j in gens:
-                    if j >= i + 2:
-                        ij = act(n, i, 1, act(n, j, 1, p))
-                        ji = act(n, j, 1, act(n, i, 1, p))
-                        if ij != ji:
-                            return False
-    # non-triviality: a full twist moves something, and handedness matters
-    n = 3
-    probes = [_round_values(n, j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
-    square_moves = any(act(n, 1, 1, act(n, 1, 1, p)) != p for p in probes)
-    hands_differ = any(act(n, 1, 1, p) != act(n, 1, -1, p) for p in probes)
-    return square_moves and hands_differ
-
-
-@lru_cache(maxsize=1)
-def _selected_cases() -> dict:
-    candidates = _candidates()
-    names = sorted(candidates)
-    pools = [range(len(candidates[c][0])) for c in names]
-    for combo in itertools.product(*pools):
-        choice = dict(zip(names, combo))
-        if _battery(choice):
-            return {
-                case: candidates[case][0][choice[case]] for case in names
-            }
-    raise LaminationError("no consistent assignment of half-twist solutions")
-
-
-@lru_cache(maxsize=None)
-def _case_data(n: int, i: int):
-    case, offset = _case_of(n, i)
-    return _instantiate(_selected_cases()[case], offset, n)
-
-
 def derivation_report() -> dict:
     """Flip counts and the number of shortest flip solutions per derived
-    case, counted before the battery picks one, for inspection."""
+    case, counted before the test oracle's battery picks one, for
+    inspection."""
     report = {}
     for case, (solutions, depth, window, ring) in _candidates().items():
         report[case] = {
@@ -478,14 +325,26 @@ def derivation_report() -> dict:
 # public surface
 
 
+def _round_values(n: int, j: int, k: int) -> tuple:
+    if not 1 <= j <= k <= n:
+        raise LaminationError(f"bad round-curve range {j}..{k}")
+    inside = set(range(j, k + 1))
+    values = []
+    for kind, t in edge_names(n):
+        if kind == "h":
+            ends = {t, t + 1}
+        else:
+            ends = {t, None}
+        values.append(1 if len(inside & ends) == 1 else 0)
+    return tuple(values)
+
+
 class LaminationCoords(namedtuple("LaminationCoords", ("n", "normal"))):
     """Crossing numbers of an integral lamination with the base arcs.
 
     Construct as ``LaminationCoords(n, values)`` or through
     ``round_curve``.  Every construction validates the coordinates per
-    triangle (even corner sums, triangle inequality): input once on the
-    way in, and a braid image once per word on the way out
-    (``word_action`` acts on raw tuples between the two).
+    triangle (even corner sums, triangle inequality).
     """
 
     __slots__ = ()
@@ -508,33 +367,6 @@ class LaminationCoords(namedtuple("LaminationCoords", ("n", "normal"))):
         return tuple.__new__(cls, (n, normal))
 
 
-
 def round_curve(n: int, j: int, k: int) -> LaminationCoords:
     """The curve enclosing punctures j..k, in minimal position."""
     return LaminationCoords(n, _round_values(n, j, k))
-
-
-@lru_cache(maxsize=None)
-def test_family(n: int) -> tuple:
-    """Separating probe set: singletons, adjacent pairs, and prefixes."""
-    ranges = (
-        [(j, j) for j in range(1, n + 1)]
-        + [(i, i + 1) for i in range(1, n)]
-        + [(1, j) for j in range(1, n + 1)]
-    )
-    seen, fam = set(), []
-    for j, k in ranges:
-        if (j, k) not in seen:
-            seen.add((j, k))
-            fam.append(round_curve(n, j, k))
-    return tuple(fam)
-
-
-def word_action(lam: LaminationCoords, word) -> LaminationCoords:
-    """Image of the lamination under a word of (i, sign) half-twist
-    letters, rightmost letter first.  The intermediate coordinates stay
-    raw tuples; only the image is validated, once per word."""
-    n, values = lam.n, lam.normal
-    for i, s in reversed(word):
-        values = _act_with(_case_data(n, i), values, s)
-    return LaminationCoords(n, values)

@@ -47,7 +47,6 @@ __all__ = [
     "parse_curve",
     "check_genus",
     "build_reference_configuration",
-    "subsystem",
     "ribbon_from_system",
     "euler_and_genus",
     "face_edge_vectors",
@@ -140,8 +139,8 @@ class CurveSystem(
     )
 ):
     """Curves with crossings and the cyclic order of crossings along each
-    curve.  ``b`` is set for reference configurations, None for derived
-    subsystems.
+    curve.  ``b`` is set for reference configurations and None
+    otherwise.
 
     ``incidence_table`` pairs each curve with the indices of its crossings
     in cyclic order; ``sigma_signs`` are the four signs at sigma, or None.
@@ -154,12 +153,6 @@ class CurveSystem(
 
     def incidences_of(self, c: CurveId) -> tuple[int, ...]:
         return self._incidences[c]
-
-    @property
-    def n(self) -> int:
-        if self.b is None:
-            raise ConfigurationError("not a reference configuration")
-        return 2 * self.b - 1
 
 
 def _system_from_orders(
@@ -232,28 +225,6 @@ def build_reference_configuration(
     orders[sigma] = tuple(sigma_at[f] for f in FAMILIES)
 
     return _system_from_orders(curves, tuple(crossings), orders, b, sigma_signs)
-
-
-def subsystem(sys: CurveSystem, keep) -> CurveSystem:
-    """Restriction to a subset of curves, keeping only their mutual
-    crossings; per-curve cyclic orders are inherited from ``sys``."""
-    keep = tuple(keep)
-    keep_set = set(keep)
-    if not keep_set <= set(sys.curves):
-        missing = sorted(c.label for c in keep_set - set(sys.curves))
-        raise ConfigurationError(f"unknown curves: {missing}")
-    old_indices = [
-        i
-        for i, x in enumerate(sys.crossings)
-        if x.first in keep_set and x.second in keep_set
-    ]
-    renumber = {old: new for new, old in enumerate(old_indices)}
-    crossings = tuple(sys.crossings[i] for i in old_indices)
-    orders = {
-        c: tuple(renumber[i] for i in sys.incidences_of(c) if i in renumber)
-        for c in keep
-    }
-    return _system_from_orders(keep, crossings, orders, None, None)
 
 
 class RibbonGraph(

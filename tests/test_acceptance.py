@@ -9,11 +9,11 @@ import random
 import sys
 import time
 
+from conftest import chain_neighborhood_stats
 from twistbench.braids import braid_equal, verify_manfredini
 from twistbench.canonical import sigma_sign_search
 from twistbench.cli import DEFAULT_BUDGET, main
 from twistbench.coxeter import (
-    chain_neighborhood_stats,
     psi_factor_chains,
     psi_factorization,
     verify_chain_action,

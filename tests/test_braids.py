@@ -14,6 +14,8 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from lamination_oracle import test_family as probe_family
+from lamination_oracle import word_action
 
 from twistbench.braids import (
     BraidError,
@@ -26,8 +28,7 @@ from twistbench.braids import (
     verify_manfredini,
     word_fingerprint,
 )
-from twistbench.laminations import round_curve, word_action
-from twistbench.laminations import test_family as probe_family
+from twistbench.laminations import round_curve
 from twistbench.words import invert
 
 

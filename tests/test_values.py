@@ -6,6 +6,7 @@ replaced, its checks run in ``__new__`` and raise as before, its fields
 are read-only, and it equals the plain tuple of its fields.
 """
 import pytest
+from conftest import subsystem
 
 from twistbench.canonical import SignProbe, probe_signs
 from twistbench.cli import Check, VerificationReport
@@ -35,7 +36,6 @@ from twistbench.surface import (
     build_reference_configuration,
     curve,
     ribbon_from_system,
-    subsystem,
 )
 
 A1, A2 = curve("alpha", 1), curve("alpha", 2)
