@@ -7,7 +7,7 @@ Equality is decided by exponent sum plus the image of one integral
 lamination E under the word.  That is the one decider.
 
 The lamination lives on n + 1 punctures: the n strand punctures and one
-fixed basepoint puncture to their right.  It is stored by its Dynnikov
+fixed basepoint puncture to their right.  It is given by its Dynnikov
 coordinates (a_1..a_{n-1}, b_1..b_{n-1}) and starts at
 E = (0, ..., 0; -1, ..., -1).  sigma_i moves only punctures i and i+1,
 so it never moves the basepoint.  sigma_1 has its own rule, on a_1 and
@@ -23,9 +23,9 @@ whose basepoint loops are the same construction.  The check behind it is
 the half-twist action derived from flips of a triangulation:
 ``laminations`` derives the flip sequences, the tests' oracle
 (``tests/lamination_oracle.py``) selects one per case and acts with it,
-and the tests compare the two engines' decisions.  A fingerprint starts
-from 2(n-1) coordinates, so its time and memory grow linearly in n, and
-``cli`` caps the strands of a command.
+and the tests compare the two engines' decisions.  A letter changes at
+most two coordinates, so a fingerprint keeps only the coordinates that
+differ from E's: its time and memory grow with the word, not with n.
 
 The basepoint makes the decision faithful.  B_n acts freely on the
 orbit of E in the disc with a basepoint (Dehornoy et al., ch. XII), so
@@ -52,7 +52,6 @@ __all__ = [
     "BraidError",
     "braid_word",
     "exponent_sum",
-    "dynnikov_action",
     "word_fingerprint",
     "braid_equal",
     "artin_image",
@@ -78,48 +77,50 @@ def exponent_sum(word) -> int:
     return sum(s for _, s in word)
 
 
-def dynnikov_action(word, coords) -> tuple:
-    """Image of the Dynnikov coordinates ``coords`` = (a_1..a_{n-1},
-    b_1..b_{n-1}) of a lamination on the n strand punctures and the
-    basepoint, under a word on n strands, rightmost letter first."""
-    if len(coords) % 2 or not coords:
-        raise BraidError(f"need 2(n-1) >= 2 Dynnikov coordinates, got {len(coords)}")
-    half = len(coords) // 2
-    word = braid_word(word, half + 1)
-    a, b = list(coords[:half]), list(coords[half:])
+def _dynnikov(word, a: dict, b: dict) -> None:
+    """Act in place on the Dynnikov coordinates a_i = ``a[i]``, b_i =
+    ``b[i]`` (i from 1) of a lamination on the strand punctures and the
+    basepoint, under a validated word, rightmost letter first.  A
+    missing index reads as E's value, a_i = 0 and b_i = -1, and every
+    letter writes a_i and b_i together, so ``a`` and ``b`` share keys."""
     for i, s in reversed(word):
         if i == 1:
-            b1 = b[0]
+            a1, b1 = a.get(1, 0), b.get(1, -1)
             if s == 1:
-                b[0] = max(b1, 0) - a[0]
-                a[0] = b1 - max(b[0], 0)
+                b[1] = nb = max(b1, 0) - a1
+                a[1] = b1 - max(nb, 0)
             else:
-                b[0] = a[0] + max(b1, 0)
-                a[0] = max(b[0], 0) - b1
+                b[1] = nb = a1 + max(b1, 0)
+                a[1] = max(nb, 0) - b1
             continue
-        j = i - 2  # sigma_i acts on coordinates i-1 and i
-        a0, b0, a1, b1 = a[j], b[j], a[j + 1], b[j + 1]
+        j = i - 1  # sigma_i acts on coordinates i-1 and i
+        a0, b0, a1, b1 = a.get(j, 0), b.get(j, -1), a.get(i, 0), b.get(i, -1)
         if s == 1:
             c = a0 - min(b0, 0) - a1 + max(b1, 0)
             a[j] = a0 + max(b0, 0) + max(max(b1, 0) - c, 0)
             b[j] = b1 - max(c, 0)
-            a[j + 1] = a1 + min(b1, 0) + min(min(b0, 0) + c, 0)
-            b[j + 1] = b0 + max(c, 0)
+            a[i] = a1 + min(b1, 0) + min(min(b0, 0) + c, 0)
+            b[i] = b0 + max(c, 0)
         else:
             d = a0 + min(b0, 0) - a1 - max(b1, 0)
             a[j] = a0 - max(b0, 0) - max(max(b1, 0) + d, 0)
             b[j] = b1 + min(d, 0)
-            a[j + 1] = a1 - min(b1, 0) - min(min(b0, 0) - d, 0)
-            b[j + 1] = b0 - min(d, 0)
-    return tuple(a + b)
+            a[i] = a1 - min(b1, 0) - min(min(b0, 0) - d, 0)
+            b[i] = b0 - min(d, 0)
 
 
 def word_fingerprint(word, n: int) -> tuple:
     """Canonical value of the braid element: exponent sum plus the
-    Dynnikov image of E on the n strand punctures and the basepoint, so
-    equal fingerprints mean equal elements."""
+    Dynnikov image of E on the n strand punctures and the basepoint, as
+    the sorted ``(i, a_i, b_i)`` whose values differ from E's, so equal
+    fingerprints mean equal elements."""
+    if n < 2:
+        raise BraidError(f"need at least 2 strands, got {n}")
     word = braid_word(word, n)
-    return exponent_sum(word), dynnikov_action(word, (0,) * (n - 1) + (-1,) * (n - 1))
+    a, b = {}, {}
+    _dynnikov(word, a, b)
+    moved = tuple((i, a[i], b[i]) for i in sorted(a) if a[i] or b[i] != -1)
+    return exponent_sum(word), moved
 
 
 def braid_equal(w1, w2, n: int) -> bool:

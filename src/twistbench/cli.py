@@ -19,12 +19,12 @@ invocation, renders it as a table or JSON, writes it to stdout or
 Outputs are deterministic given identical flags.
 
 Each rule on one argument is that argument's type in :func:`build_parser`
-(the range of ``--b`` for each command, ``--n`` from two strands to its
-cap, the cap on ``invariants --k``, the form of ``--sign-mode``), so
-argparse rejects a bad value naming the argument.  A rule that involves
-two arguments lives in the one ``cmd_*`` that reads them, and like any
-unusable input there it is a ``ValueError``, which :func:`main` reports
-as a usage error.
+(the range of ``--b`` for each command, ``--n`` of at least two strands,
+``invariants --k`` positive, even and up to its cap, the form of
+``--sign-mode``), so argparse rejects a bad value naming the argument.
+A rule that involves two arguments lives in the one ``cmd_*`` that
+reads them, and like any unusable input there it is a ``ValueError``,
+which :func:`main` reports as a usage error.
 
 Each ``cmd_*`` imports the layers it runs when it runs, so a process
 loads only what its command uses: ``braid`` and ``invariants`` never
@@ -71,13 +71,6 @@ EXPORT_MAX_B = 30000
 #: blocks passed in 3.2-4.3 s at 10,000 and 4.1-5.4 s (149 MB, a 1.65 MB
 #: certificate) at 20,000, ten runs each.
 AUROUX_MAX_BLOCKS = 20000
-
-#: Most strands of a ``braid`` command, by the rule above: ``braid
-#: manfredini`` compares six pairs of Dynnikov images of 2(n-1)
-#: coordinates and took 6.2-7.0 s (549 MB) at n=7,000,000, five runs,
-#: and 7.8-9.4 s at n=8,000,000, three runs; ``braid eq`` compares one
-#: pair and took 1.3-1.4 s at n=8,000,000.
-BRAID_MAX_N = 7000000
 
 #: Largest ``invariants --k``, by the rule above: the family has k/2 + 1
 #: members, each built and, with ``--format json``, printed.  With
@@ -505,7 +498,7 @@ def _parse_int_list(option: str, text: str) -> list:
     ValueError naming the option and quoting at most 40 characters."""
     try:
         values = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # JSONDecodeError, or too many digits
         values = None
     if not isinstance(values, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in values
@@ -572,22 +565,23 @@ def _fibre(command, largest):
 
 
 def _strands(text):
-    """The ``--n`` type: a braid on 2 to ``BRAID_MAX_N`` strands."""
+    """The ``--n`` type: a braid on at least 2 strands."""
     n = _int(text)
     if n < 2:
         raise argparse.ArgumentTypeError(f"--n must be at least 2 strands, got {n}")
-    if n > BRAID_MAX_N:
-        raise argparse.ArgumentTypeError(f"braid accepts --n up to {BRAID_MAX_N}, got {n}")
     return n
 
 
 def _family_k(text):
-    """The ``invariants --k`` type: at most ``INVARIANTS_MAX_K``, so a
-    family has at most ``INVARIANTS_MAX_K // 2 + 1`` members; a k that
-    the hypotheses refuse still ends in the failed family check."""
+    """The ``invariants --k`` type: a positive even integer up to
+    ``INVARIANTS_MAX_K``, so a family has at most ``INVARIANTS_MAX_K // 2
+    + 1`` members; a k that the hypotheses refuse still ends in the
+    failed family check."""
     k = _int(text)
     if k > INVARIANTS_MAX_K:
         raise argparse.ArgumentTypeError(f"invariants accepts --k up to {INVARIANTS_MAX_K}, got {k}")
+    if k < 1 or k % 2:
+        raise argparse.ArgumentTypeError(f"--k must be a positive even integer, got {k}")
     return k
 
 

@@ -19,10 +19,10 @@ from lamination_oracle import word_action
 
 from twistbench.braids import (
     BraidError,
+    _dynnikov,
     artin_image,
     braid_equal,
     braid_word,
-    dynnikov_action,
     exponent_sum,
     permutation_image,
     verify_manfredini,
@@ -30,6 +30,20 @@ from twistbench.braids import (
 )
 from twistbench.laminations import round_curve
 from twistbench.words import invert
+
+
+def dynnikov_action(word, coords) -> tuple:
+    """Image of the Dynnikov coordinates ``coords`` = (a_1..a_{n-1},
+    b_1..b_{n-1}) of a lamination on the n strand punctures and the
+    basepoint, under a word on n strands, rightmost letter first: the
+    package's kernel on dicts that hold every coordinate."""
+    if len(coords) % 2 or not coords:
+        raise BraidError(f"need 2(n-1) >= 2 Dynnikov coordinates, got {len(coords)}")
+    half = len(coords) // 2
+    word = braid_word(word, half + 1)
+    a, b = dict(enumerate(coords[:half], 1)), dict(enumerate(coords[half:], 1))
+    _dynnikov(word, a, b)
+    return (*a.values(), *b.values())
 
 
 def words(n, max_size=6):
@@ -286,6 +300,23 @@ class TestFingerprint:
         for j in range(i + 2, n):
             assert act((i, 1), (j, 1)) == act((j, 1), (i, 1))
             assert act((i, -1), (j, 1)) == act((j, 1), (i, -1))
+
+    @given(n=st.integers(2, 12), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fingerprint_keeps_the_moved_coordinates(self, n, data):
+        # the entries that differ from E, in the dense image of E; a word
+        # times its inverse moves coordinates back to E's values, and the
+        # fingerprint drops them
+        w = data.draw(words(n, max_size=12))
+        if data.draw(st.booleans()):
+            w = w + invert(w)
+        image = dynnikov_action(w, (0,) * (n - 1) + (-1,) * (n - 1))
+        moved = tuple(
+            (i, image[i - 1], image[n + i - 2])
+            for i in range(1, n)
+            if (image[i - 1], image[n + i - 2]) != (0, -1)
+        )
+        assert word_fingerprint(w, n) == (exponent_sum(w), moved)
 
     def test_coordinate_validation(self):
         with pytest.raises(BraidError):
